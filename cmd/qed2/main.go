@@ -73,7 +73,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		statsOnly   = fs.Bool("stats", false, "print circuit statistics and exit")
 		lint        = fs.Bool("lint", false, "run only the static-analysis pass and print its findings, then exit")
 		lintFormat  = fs.String("format", "", "lint output format: text | json | sarif (default text; -json implies json)")
-		noInc       = fs.Bool("no-incremental", false, "disable incremental slice solving (shared base states, learned facts); every query solved from scratch")
 		quiet       = fs.Bool("q", false, "print only the verdict")
 		jsonOut     = fs.Bool("json", false, "emit the analysis report as JSON")
 		witness     = fs.String("witness", "", `generate and check a witness for the given inputs, e.g. "a=3,in[0]=7", then exit`)
@@ -204,13 +203,12 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	}
 
 	cfg := &core.Config{
-		SliceRadius:        *radius,
-		QuerySteps:         *querySteps,
-		GlobalSteps:        *globalSteps,
-		Timeout:            *timeout,
-		Seed:               *seed,
-		Workers:            *workers,
-		DisableIncremental: *noInc,
+		SliceRadius: *radius,
+		QuerySteps:  *querySteps,
+		GlobalSteps: *globalSteps,
+		Timeout:     *timeout,
+		Seed:        *seed,
+		Workers:     *workers,
 	}
 	switch *mode {
 	case "qed2":
@@ -274,11 +272,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stdout, "static pass:  %d extra signals proven determined (%d by range domains), %d SMT queries avoided (%d range-pruned)\n",
 				s.StaticUnique+s.StaticRangeUnique, s.StaticRangeUnique,
 				s.StaticQueriesAvoided+s.StaticRangePruned, s.StaticRangePruned)
-		}
-		if s := report.Stats; s.BatchGroups > 0 || s.IncrementalFallbacks > 0 {
-			fmt.Fprintf(stdout, "incremental:  %d batch groups, %d reused queries, %d extends, %d fallbacks, %d base steps, %d facts learned\n",
-				s.BatchGroups, s.IncrementalReuses, s.IncrementalExtends,
-				s.IncrementalFallbacks, s.IncrementalBaseSteps, s.LearnedFacts)
 		}
 		if ce := report.Counter; ce != nil {
 			printCounterexample(stdout, prog, ce)
@@ -455,14 +448,6 @@ type jsonStats struct {
 	StaticRangeUnique    int `json:"static_range_unique"`
 	StaticQueriesAvoided int `json:"static_queries_avoided"`
 	StaticRangePruned    int `json:"static_range_pruned"`
-	// Incremental-solving attribution (all zero with -no-incremental).
-	BatchGroups          int   `json:"batch_groups"`
-	IncrementalReuses    int   `json:"incremental_reuses"`
-	IncrementalExtends   int   `json:"incremental_extends"`
-	IncrementalFallbacks int   `json:"incremental_fallbacks"`
-	IncrementalBaseSteps int64 `json:"incremental_base_steps"`
-	LearnedFacts         int   `json:"learned_facts"`
-	FactsInjected        int   `json:"facts_injected"`
 }
 
 type jsonCounter struct {
@@ -497,13 +482,6 @@ func writeJSONReport(w io.Writer, path string, prog *circom.Program, report *cor
 			StaticRangeUnique:    report.Stats.StaticRangeUnique,
 			StaticQueriesAvoided: report.Stats.StaticQueriesAvoided,
 			StaticRangePruned:    report.Stats.StaticRangePruned,
-			BatchGroups:          report.Stats.BatchGroups,
-			IncrementalReuses:    report.Stats.IncrementalReuses,
-			IncrementalExtends:   report.Stats.IncrementalExtends,
-			IncrementalFallbacks: report.Stats.IncrementalFallbacks,
-			IncrementalBaseSteps: report.Stats.IncrementalBaseSteps,
-			LearnedFacts:         report.Stats.LearnedFacts,
-			FactsInjected:        report.Stats.FactsInjected,
 		},
 	}
 	if ce := report.Counter; ce != nil {

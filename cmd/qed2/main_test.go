@@ -98,6 +98,19 @@ func TestCLIJSON(t *testing.T) {
 	if rep.Counter.Values[0] == rep.Counter.Values[1] {
 		t.Error("counterexample values equal")
 	}
+	// The stats object carries no fields of the removed incremental solver.
+	var raw struct {
+		Stats map[string]json.RawMessage `json:"stats"`
+	}
+	if err := json.Unmarshal([]byte(out), &raw); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []string{"batch_groups", "incremental_reuses", "incremental_extends",
+		"incremental_fallbacks", "incremental_base_steps", "learned_facts", "facts_injected"} {
+		if _, ok := raw.Stats[k]; ok {
+			t.Errorf("stats still carries %q", k)
+		}
+	}
 }
 
 func TestCLIWitness(t *testing.T) {

@@ -90,7 +90,6 @@ func main() {
 		findingsCorpus = flag.Int("findings-corpus", 0, "truncate the -corpus run list to its first N instances (the findings gate pins a fixed corpus slice rather than the whole corpus)")
 		baseline       = flag.String("baseline", "", "compare run:full analysis time against this earlier -json run record")
 		maxSlowdown    = flag.Float64("max-slowdown", 2.0, "fail when run:full analysis time exceeds the -baseline record by this factor")
-		noIncremental  = flag.Bool("no-incremental", false, "disable incremental slice solving (shared base states, learned facts); every query solved from scratch")
 		checkpoint     = flag.String("checkpoint", "", "append per-instance results of the full run to this JSONL file as they complete")
 		resume         = flag.Bool("resume", false, "skip instances already decided in the -checkpoint file instead of re-analyzing them")
 		corpus         = flag.String("corpus", "", "append generated-corpus instances from this manifest to the run list")
@@ -211,12 +210,11 @@ func main() {
 	}
 
 	baseCfg := core.Config{
-		QuerySteps:         *querySteps,
-		GlobalSteps:        *globalSteps,
-		Timeout:            *timeout,
-		Seed:               *seed,
-		Workers:            *queryWorkers,
-		DisableIncremental: *noIncremental,
+		QuerySteps:  *querySteps,
+		GlobalSteps: *globalSteps,
+		Timeout:     *timeout,
+		Seed:        *seed,
+		Workers:     *queryWorkers,
 	}
 	started := time.Now()
 	var rec *bench.RunRecord

@@ -20,8 +20,9 @@ import (
 // (like GoldenFile.Config): resuming under different budgets, seed, or mode
 // would silently mix records from incomparable runs, so LoadCheckpoint
 // refuses a mismatched stamp. Record lines are append-only JSONL — a kill
-// can at worst tear the final line, which LoadCheckpoint tolerates by
-// discarding it.
+// can at worst tear the final line, which ReadStamped tolerates by
+// discarding it. The qed2d drain checkpoint shares the header and the
+// reader, with its own record type and writer.
 
 // CheckpointConfig pins the analyzer configuration a checkpoint's records
 // were produced under. It covers every Config field that determines
@@ -43,10 +44,7 @@ type CheckpointConfig struct {
 // It is shared with the qed2d service layer, whose drain checkpoint and
 // content-addressed report store key on the same stamp — one definition of
 // "same configuration" across every persisted artifact.
-func StampOf(cfg core.Config) CheckpointConfig { return checkpointConfigOf(cfg) }
-
-// checkpointConfigOf derives the stamp from an analyzer configuration.
-func checkpointConfigOf(cfg core.Config) CheckpointConfig {
+func StampOf(cfg core.Config) CheckpointConfig {
 	return CheckpointConfig{
 		Mode:        cfg.Mode.String(),
 		SliceRadius: cfg.SliceRadius,
@@ -58,14 +56,82 @@ func checkpointConfigOf(cfg core.Config) CheckpointConfig {
 	}
 }
 
-// checkpointHeader is the first line of a checkpoint file. The non-nil
-// Config discriminates it from InstanceRecord lines (which require "name").
-// Version stamps the build that wrote the file; it is informational —
-// resumability is decided by the config stamp alone, since verdicts are
-// deterministic per configuration across builds of the same source.
-type checkpointHeader struct {
+// CheckpointHeader is the first line of a stamped JSONL file: the bench
+// checkpoint here and the qed2d drain checkpoint. The non-nil Config
+// discriminates it from record lines. Version stamps the build that wrote
+// the file; it is informational — resumability is decided by the config
+// stamp alone, since verdicts are deterministic per configuration across
+// builds of the same source.
+type CheckpointHeader struct {
 	Config  *CheckpointConfig `json:"config"`
 	Version string            `json:"version,omitempty"`
+}
+
+// NewCheckpointHeader stamps cfg and the running build.
+func NewCheckpointHeader(cfg core.Config) CheckpointHeader {
+	stamp := StampOf(cfg)
+	return CheckpointHeader{Config: &stamp, Version: buildinfo.Get().String()}
+}
+
+// StampedReader words the errors of ReadStamped for the program reading
+// the file: Owner prefixes every message ("bench", "service"), Runs names
+// the reader's side of a stamp mismatch ("this run uses"), and Retry is how
+// its user starts over ("rerun").
+type StampedReader struct {
+	Owner, Runs, Retry string
+}
+
+// ReadStamped reads a stamped JSONL file written under cfg and hands each
+// record line, decoded into R, to each together with its 1-based line
+// number; an error from each stops the read and is returned as is. It
+// reports false when there is nothing to read: a missing file is an empty
+// checkpoint (resume of a run that never started), as is a file of blank
+// lines. A header stamping a configuration other than cfg is refused —
+// rehydrating records produced under different budgets, seed, or mode
+// would silently mix incomparable runs. A torn final line — the signature
+// of a mid-write kill — is discarded; malformed lines anywhere else
+// (including an unparseable or missing header) are an error, since they
+// mean the file is not a checkpoint of this run.
+func ReadStamped[R any](r StampedReader, path string, cfg core.Config, each func(lineNo int, rec R) error) (bool, error) {
+	b, err := os.ReadFile(path)
+	if err != nil {
+		if errors.Is(err, os.ErrNotExist) {
+			return false, nil
+		}
+		return false, fmt.Errorf("%s: reading checkpoint %s: %w", r.Owner, path, err)
+	}
+	lines := strings.Split(string(b), "\n")
+	// Trim trailing blank lines so "last line" means last record attempt.
+	for len(lines) > 0 && strings.TrimSpace(lines[len(lines)-1]) == "" {
+		lines = lines[:len(lines)-1]
+	}
+	if len(lines) == 0 {
+		return false, nil
+	}
+	var hdr CheckpointHeader
+	if err := json.Unmarshal([]byte(lines[0]), &hdr); err != nil || hdr.Config == nil {
+		return false, fmt.Errorf("%s: checkpoint %s has no config header (corrupt, or predates config stamping) — delete it and %s", r.Owner, path, r.Retry)
+	}
+	if want := StampOf(cfg); *hdr.Config != want {
+		return false, fmt.Errorf("%s: checkpoint %s was written under config %+v but %s %+v — delete it or %s with matching flags", r.Owner, path, *hdr.Config, r.Runs, want, r.Retry)
+	}
+	for i, line := range lines[1:] {
+		lineNo := i + 2 // 1-based, after the header
+		if strings.TrimSpace(line) == "" {
+			continue
+		}
+		var rec R
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			if lineNo == len(lines) {
+				break // torn final line from an interrupted write
+			}
+			return true, fmt.Errorf("%s: checkpoint %s line %d: %w", r.Owner, path, lineNo, err)
+		}
+		if err := each(lineNo, rec); err != nil {
+			return true, err
+		}
+	}
+	return true, nil
 }
 
 // CheckpointWriter appends instance records to a JSONL checkpoint file.
@@ -94,8 +160,7 @@ func NewCheckpointWriter(path string, cfg core.Config) (*CheckpointWriter, error
 		return nil, fmt.Errorf("bench: opening checkpoint %s: %w", path, err)
 	}
 	if st.Size() == 0 {
-		stamp := checkpointConfigOf(cfg)
-		b, err := json.Marshal(checkpointHeader{Config: &stamp, Version: buildinfo.Get().String()})
+		b, err := json.Marshal(NewCheckpointHeader(cfg))
 		if err == nil {
 			_, err = f.Write(append(b, '\n'))
 		}
@@ -147,57 +212,25 @@ func (w *CheckpointWriter) Close() error {
 	return w.f.Close()
 }
 
-// LoadCheckpoint reads a checkpoint file back into a name-keyed record map,
-// refusing one whose header stamps a configuration different from cfg —
-// rehydrating records produced under different budgets, seed, or mode would
-// silently mix incomparable runs into one result set. A missing file is an
-// empty checkpoint (resume of a run that never started). A torn final line
-// — the signature of a mid-write kill — is discarded; malformed lines
-// anywhere else (including an unparseable or missing header) are an error,
-// since they mean the file is not a checkpoint of this run.
+// LoadCheckpoint reads a checkpoint file back into a name-keyed record map
+// through ReadStamped, refusing one whose header stamps a configuration
+// different from cfg. Records must name their instance and carry a
+// recognized verdict.
 func LoadCheckpoint(path string, cfg core.Config) (map[string]InstanceRecord, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		if errors.Is(err, os.ErrNotExist) {
-			return map[string]InstanceRecord{}, nil
-		}
-		return nil, fmt.Errorf("bench: reading checkpoint %s: %w", path, err)
-	}
-	lines := strings.Split(string(b), "\n")
-	// Trim trailing blank lines so "last line" means last record attempt.
-	for len(lines) > 0 && strings.TrimSpace(lines[len(lines)-1]) == "" {
-		lines = lines[:len(lines)-1]
-	}
-	if len(lines) == 0 {
-		return map[string]InstanceRecord{}, nil
-	}
-	var hdr checkpointHeader
-	if err := json.Unmarshal([]byte(lines[0]), &hdr); err != nil || hdr.Config == nil {
-		return nil, fmt.Errorf("bench: checkpoint %s has no config header (corrupt, or predates config stamping) — delete it and rerun", path)
-	}
-	if want := checkpointConfigOf(cfg); *hdr.Config != want {
-		return nil, fmt.Errorf("bench: checkpoint %s was written under config %+v but this run uses %+v — delete it or rerun with matching flags", path, *hdr.Config, want)
-	}
-	out := make(map[string]InstanceRecord, len(lines)-1)
-	for i, line := range lines[1:] {
-		lineNo := i + 2 // 1-based, after the header
-		if strings.TrimSpace(line) == "" {
-			continue
-		}
-		var rec InstanceRecord
-		if err := json.Unmarshal([]byte(line), &rec); err != nil {
-			if lineNo == len(lines) {
-				break // torn final line from an interrupted write
+	out := map[string]InstanceRecord{}
+	_, err := ReadStamped(StampedReader{Owner: "bench", Runs: "this run uses", Retry: "rerun"}, path, cfg,
+		func(lineNo int, rec InstanceRecord) error {
+			if rec.Name == "" {
+				return fmt.Errorf("bench: checkpoint %s line %d: record without instance name", path, lineNo)
 			}
-			return nil, fmt.Errorf("bench: checkpoint %s line %d: %w", path, lineNo, err)
-		}
-		if rec.Name == "" {
-			return nil, fmt.Errorf("bench: checkpoint %s line %d: record without instance name", path, lineNo)
-		}
-		if _, ok := core.ParseVerdict(rec.Verdict); !ok && rec.Verdict != "compile-error" {
-			return nil, fmt.Errorf("bench: checkpoint %s line %d: unrecognized verdict %q", path, lineNo, rec.Verdict)
-		}
-		out[rec.Name] = rec
+			if _, ok := core.ParseVerdict(rec.Verdict); !ok && rec.Verdict != "compile-error" {
+				return fmt.Errorf("bench: checkpoint %s line %d: unrecognized verdict %q", path, lineNo, rec.Verdict)
+			}
+			out[rec.Name] = rec
+			return nil
+		})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }

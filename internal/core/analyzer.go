@@ -144,15 +144,6 @@ type Config struct {
 	// (ModePropagationOnly, ModeSMTOnly) never run the pre-pass so they stay
 	// faithful to the systems the paper compares against.
 	DisableStatic bool
-	// DisableIncremental switches off incremental slice solving: the batch
-	// dispatch that groups sibling queries of a round over one shared,
-	// pre-propagated base state (batch.go, smt.Session) and the learned-fact
-	// store fed from those bases (facts.go). With it set, every query is
-	// solved from scratch, exactly as before the incremental engine existed.
-	// Verdicts, counterexamples and findings are identical either way (see
-	// DESIGN.md §13 and TestIncrementalDifferentialSuite); only the solver
-	// effort differs.
-	DisableIncremental bool
 	// Obs, when non-nil, receives hierarchical spans for every phase of
 	// the analysis (rounds, queries, confirmations); ObsParent optionally
 	// nests the whole analysis under a caller-owned span (the bench runner
@@ -270,25 +261,6 @@ type Stats struct {
 	StaticRangeUnique    int
 	StaticQueriesAvoided int
 	StaticRangePruned    int
-	// Incremental-solving effort attribution (all zero when
-	// Config.DisableIncremental is set). BatchGroups counts sibling-query
-	// groups that shared one incremental base state; IncrementalReuses
-	// counts queries answered as continuations of such a state;
-	// IncrementalExtends counts retained bases grown in place by a
-	// shared-signal-mask diff instead of being rebuilt;
-	// IncrementalFallbacks counts groups whose tasks fell back to
-	// from-scratch solving (base poisoned, budget-starved, or crashed);
-	// IncrementalBaseSteps counts the solver steps spent preparing shared
-	// bases (included in SolverSteps). LearnedFacts counts replay-safe
-	// facts recorded from base fixpoints, and FactsInjected counts fact
-	// equations added to fallback sibling queries.
-	BatchGroups          int
-	IncrementalReuses    int
-	IncrementalExtends   int
-	IncrementalFallbacks int
-	IncrementalBaseSteps int64
-	LearnedFacts         int
-	FactsInjected        int
 	// Workers records the degree of query parallelism used.
 	Workers int
 	// Duration is wall-clock analysis time.
@@ -367,12 +339,6 @@ type analysis struct {
 	// set, shared-signal mask) so re-propagation rounds do not re-solve
 	// structurally identical queries. Accessed only at round barriers.
 	cache map[string]smt.Outcome
-	// sessions retains incremental base states across rounds, keyed by
-	// constraint subset (batch.go); facts is the learned-fact store fed
-	// from those bases (facts.go). Both are written only at round barriers;
-	// workers read sessions through immutable *smt.Session values.
-	sessions map[string]*sessionEntry
-	facts    *factStore
 	// staticPruned marks signals whose slice queries the static pre-pass
 	// proved irrelevant to every output verdict (nil when the pass did not
 	// run); staticUnreachable lists outputs the reachability analysis wants
@@ -390,10 +356,6 @@ type analysis struct {
 	cConfirmOK      *obs.Counter
 	cPanics         *obs.Counter
 	cRetries        *obs.Counter
-	cBatchGroups    *obs.Counter
-	cBatchTasks     *obs.Counter
-	cIncFallbacks   *obs.Counter
-	cFactsInjected  *obs.Counter
 	hSliceCons      *obs.Histogram
 	hSliceSigs      *obs.Histogram
 }
@@ -416,14 +378,12 @@ func AnalyzeContext(ctx context.Context, sys *r1cs.System, cfg *Config) *Report 
 	}
 	c := cfg.withDefaults()
 	a := &analysis{
-		sys:      sys,
-		cfg:      c,
-		ctx:      ctx,
-		start:    time.Now(),
-		report:   &Report{},
-		cache:    map[string]smt.Outcome{},
-		sessions: map[string]*sessionEntry{},
-		facts:    newFactStore(),
+		sys:    sys,
+		cfg:    c,
+		ctx:    ctx,
+		start:  time.Now(),
+		report: &Report{},
+		cache:  map[string]smt.Outcome{},
 	}
 	a.stepsRem.Store(c.GlobalSteps)
 	if c.Timeout > 0 {
@@ -448,10 +408,6 @@ func AnalyzeContext(ctx context.Context, sys *r1cs.System, cfg *Config) *Report 
 	a.cConfirmOK = c.Metrics.Counter("core.confirm.ok")
 	a.cPanics = c.Metrics.Counter("core.query.panics")
 	a.cRetries = c.Metrics.Counter("core.query.retries")
-	a.cBatchGroups = c.Metrics.Counter("core.batch.groups")
-	a.cBatchTasks = c.Metrics.Counter("core.batch.grouped_tasks")
-	a.cIncFallbacks = c.Metrics.Counter("core.batch.fallbacks")
-	a.cFactsInjected = c.Metrics.Counter("core.facts.injected")
 	a.hSliceCons = c.Metrics.Histogram("core.slice.constraints")
 	a.hSliceSigs = c.Metrics.Histogram("core.slice.signals")
 

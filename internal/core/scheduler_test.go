@@ -6,7 +6,6 @@ import (
 	"reflect"
 	"testing"
 
-	"qed2/internal/faultinject"
 	"qed2/internal/ff"
 	"qed2/internal/poly"
 	"qed2/internal/r1cs"
@@ -122,42 +121,11 @@ func TestCacheKeysIsomorphicDisjointSlices(t *testing.T) {
 	}
 }
 
-// TestAnalysisSurvivesInjectedIncrementalFaults drives the whole analysis
-// with the "smt.incremental" chaos site firing on every session build:
-// every batch group must fall back to from-scratch solving and the verdict,
-// counterexample included, must be identical to an uninjected run.
-func TestAnalysisSurvivesInjectedIncrementalFaults(t *testing.T) {
-	p := compile(t, decoderBuggy)
-	clean := Analyze(p.System, &Config{Seed: 1, Workers: 1})
-	if clean.Stats.BatchGroups == 0 {
-		t.Fatalf("clean run formed no batch groups; stats = %+v", clean.Stats)
-	}
-
-	faultinject.Enable(&faultinject.Plan{Seed: 1, Rules: []faultinject.Rule{
-		{Site: "smt.incremental", Kind: faultinject.KindError, Every: 1, Msg: "injected session fault"},
-	}})
-	chaos := Analyze(p.System, &Config{Seed: 1, Workers: 1})
-	faultinject.Disable()
-
-	if chaos.Stats.IncrementalFallbacks == 0 {
-		t.Fatalf("no fallbacks under every-hit injection; stats = %+v", chaos.Stats)
-	}
-	if chaos.Stats.BatchGroups != 0 || chaos.Stats.IncrementalReuses != 0 {
-		t.Fatalf("poisoned sessions still answered queries; stats = %+v", chaos.Stats)
-	}
-	if chaos.Verdict != clean.Verdict || chaos.Reason != clean.Reason {
-		t.Fatalf("verdict drifted under injection: (%v, %q) vs (%v, %q)",
-			chaos.Verdict, chaos.Reason, clean.Verdict, clean.Reason)
-	}
-	if !reflect.DeepEqual(chaos.Counter, clean.Counter) {
-		t.Fatalf("counterexample drifted under injection:\nchaos %+v\nclean %+v", chaos.Counter, clean.Counter)
-	}
-}
-
-// TestIncrementalDeterminismAcrossWorkers checks that batch dispatch keeps
+// TestDeterminismAcrossWorkers checks that parallel query dispatch keeps
 // the analysis deterministic in the worker count: grants are reserved and
-// results folded in canonical order regardless of scheduling.
-func TestIncrementalDeterminismAcrossWorkers(t *testing.T) {
+// results folded in canonical order regardless of scheduling, so the
+// verdict, the counterexample and every Stats field agree.
+func TestDeterminismAcrossWorkers(t *testing.T) {
 	p := compile(t, decoderBuggy)
 	r1 := Analyze(p.System, &Config{Seed: 7, Workers: 1})
 	r8 := Analyze(p.System, &Config{Seed: 7, Workers: 8})
@@ -172,37 +140,5 @@ func TestIncrementalDeterminismAcrossWorkers(t *testing.T) {
 	s1.Duration, s8.Duration = 0, 0
 	if !reflect.DeepEqual(s1, s8) {
 		t.Fatalf("stats differ:\nworkers=1 %+v\nworkers=8 %+v", s1, s8)
-	}
-}
-
-// TestIncrementalDisabledMatchesEnabled is the fast differential check over
-// a few representative circuits (the full-suite version lives in
-// internal/bench as TestIncrementalDifferentialSuite): with and without
-// incremental solving the verdict, reason and counterexample must be
-// byte-identical, and the enabled run must actually exercise reuse.
-func TestIncrementalDisabledMatchesEnabled(t *testing.T) {
-	reused := 0
-	for _, src := range []string{isZeroSafe, isZeroBuggy, decoderBuggy} {
-		p := compile(t, src)
-		on := Analyze(p.System, &Config{Seed: 1, Workers: 1})
-		off := Analyze(p.System, &Config{Seed: 1, Workers: 1, DisableIncremental: true})
-		if on.Verdict != off.Verdict || on.Reason != off.Reason {
-			t.Errorf("verdict differs: enabled (%v, %q), disabled (%v, %q)",
-				on.Verdict, on.Reason, off.Verdict, off.Reason)
-		}
-		if !reflect.DeepEqual(on.Counter, off.Counter) {
-			t.Errorf("counterexample differs:\nenabled %+v\ndisabled %+v", on.Counter, off.Counter)
-		}
-		if on.Stats.Queries != off.Stats.Queries || on.Stats.CacheHits != off.Stats.CacheHits {
-			t.Errorf("query accounting differs: enabled %d/%d, disabled %d/%d",
-				on.Stats.Queries, on.Stats.CacheHits, off.Stats.Queries, off.Stats.CacheHits)
-		}
-		if off.Stats.BatchGroups != 0 || off.Stats.IncrementalReuses != 0 || off.Stats.IncrementalFallbacks != 0 {
-			t.Errorf("disabled run touched incremental machinery: %+v", off.Stats)
-		}
-		reused += on.Stats.IncrementalReuses
-	}
-	if reused == 0 {
-		t.Error("no circuit exercised incremental reuse — differential check is vacuous")
 	}
 }

@@ -7,14 +7,13 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"path/filepath"
 	"strconv"
 	"strings"
 
 	"qed2/internal/bench"
-	"qed2/internal/buildinfo"
 	"qed2/internal/core"
 	"qed2/internal/r1cs"
+	"qed2/internal/store"
 )
 
 // Graceful drain (SIGTERM path). The contract mirrors the bench checkpoint
@@ -35,12 +34,6 @@ func stampJSON(cfg core.Config) string {
 		panic(err)
 	}
 	return string(b)
-}
-
-// drainHeader is the first line of a drain checkpoint file.
-type drainHeader struct {
-	Config  *bench.CheckpointConfig `json:"config"`
-	Version string                  `json:"version,omitempty"`
 }
 
 // drainRecord is one interrupted in-flight job: everything needed to
@@ -150,14 +143,15 @@ func (e *Engine) stop(cancelRunning bool) (shed, running []*Job) {
 	return shed, running
 }
 
-// writeDrainCheckpoint persists interrupted jobs as stamped JSONL,
-// published atomically (temp file + rename) so a torn write can never
-// masquerade as a checkpoint.
+// writeDrainCheckpoint persists interrupted jobs as stamped JSONL (a
+// bench.CheckpointHeader line, then one drainRecord per job), published
+// durably through store.WriteFileDurable: a torn write can never masquerade
+// as a checkpoint, and a machine crash after the drain cannot leave an empty
+// or missing file that Resume would read as "nothing to resume".
 func writeDrainCheckpoint(path string, cfg core.Config, jobs []*Job) error {
-	stamp := bench.StampOf(cfg)
 	var buf bytes.Buffer
 	enc := json.NewEncoder(&buf)
-	if err := enc.Encode(drainHeader{Config: &stamp, Version: buildinfo.Get().String()}); err != nil {
+	if err := enc.Encode(bench.NewCheckpointHeader(cfg)); err != nil {
 		return fmt.Errorf("service: encoding checkpoint header: %w", err)
 	}
 	for _, j := range jobs {
@@ -170,79 +164,39 @@ func writeDrainCheckpoint(path string, cfg core.Config, jobs []*Job) error {
 			return fmt.Errorf("service: encoding job %s: %w", j.ID, err)
 		}
 	}
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, "drain-*.tmp")
-	if err != nil {
-		return fmt.Errorf("service: writing checkpoint: %w", err)
-	}
-	_, werr := tmp.Write(buf.Bytes())
-	if cerr := tmp.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr == nil {
-		werr = os.Rename(tmp.Name(), path)
-	}
-	if werr != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("service: writing checkpoint %s: %w", path, werr)
+	if err := store.WriteFileDurable(path, "drain-*.tmp", buf.Bytes()); err != nil {
+		return fmt.Errorf("service: writing checkpoint %s: %w", path, err)
 	}
 	return nil
 }
 
 // Resume reloads a drain checkpoint into the (freshly started) engine,
-// re-enqueueing every interrupted job under its original ID and tenant. A
-// missing file is an empty resume; a checkpoint stamped with a different
-// analyzer configuration is refused, exactly like bench.LoadCheckpoint. A
-// torn final line — the signature of a mid-write kill — is discarded. The
-// checkpoint file is removed after a successful load so a later drain can
-// rewrite it from scratch.
+// re-enqueueing every interrupted job under its original ID and tenant. The
+// file is read by bench.ReadStamped, exactly like bench.LoadCheckpoint: a
+// missing file is an empty resume, a checkpoint stamped with a different
+// analyzer configuration is refused, and a torn final line is discarded.
+// The checkpoint file is removed after a successful load so a later drain
+// can rewrite it from scratch.
 func (e *Engine) Resume() (int, error) {
 	path := e.cfg.CheckpointPath
 	if path == "" {
 		return 0, nil
 	}
-	b, err := os.ReadFile(path)
-	if err != nil {
-		if errors.Is(err, os.ErrNotExist) {
-			return 0, nil
-		}
-		return 0, fmt.Errorf("service: reading checkpoint %s: %w", path, err)
-	}
-	lines := strings.Split(string(b), "\n")
-	for len(lines) > 0 && strings.TrimSpace(lines[len(lines)-1]) == "" {
-		lines = lines[:len(lines)-1]
-	}
-	if len(lines) == 0 {
-		return 0, nil
-	}
-	var hdr drainHeader
-	if err := json.Unmarshal([]byte(lines[0]), &hdr); err != nil || hdr.Config == nil {
-		return 0, fmt.Errorf("service: checkpoint %s has no config header — delete it and restart", path)
-	}
-	if want := bench.StampOf(e.cfg.Analyzer); *hdr.Config != want {
-		return 0, fmt.Errorf("service: checkpoint %s was written under config %+v but this daemon runs %+v — delete it or restart with matching flags", path, *hdr.Config, want)
-	}
 	resumed := 0
-	for i, line := range lines[1:] {
-		lineNo := i + 2
-		if strings.TrimSpace(line) == "" {
-			continue
-		}
-		var rec drainRecord
-		if err := json.Unmarshal([]byte(line), &rec); err != nil {
-			if lineNo == len(lines) {
-				break // torn final line
+	found, err := bench.ReadStamped(bench.StampedReader{Owner: "service", Runs: "this daemon runs", Retry: "restart"}, path, e.cfg.Analyzer,
+		func(lineNo int, rec drainRecord) error {
+			sys, err := r1cs.Parse(strings.NewReader(rec.R1CS))
+			if err != nil {
+				return fmt.Errorf("service: checkpoint %s line %d: %w", path, lineNo, err)
 			}
-			return resumed, fmt.Errorf("service: checkpoint %s line %d: %w", path, lineNo, err)
-		}
-		sys, err := r1cs.Parse(strings.NewReader(rec.R1CS))
-		if err != nil {
-			return resumed, fmt.Errorf("service: checkpoint %s line %d: %w", path, lineNo, err)
-		}
-		if err := e.resumeJob(rec, sys); err != nil {
-			return resumed, err
-		}
-		resumed++
+			if err := e.resumeJob(rec, sys); err != nil {
+				return err
+			}
+			resumed++
+			return nil
+		})
+	if err != nil || !found {
+		return resumed, err
 	}
 	if err := os.Remove(path); err != nil {
 		return resumed, fmt.Errorf("service: removing consumed checkpoint %s: %w", path, err)
@@ -286,10 +240,11 @@ func (e *Engine) resumeJob(rec drainRecord, sys *r1cs.System) error {
 		}
 	}
 	if dup := e.active[digest]; dup != nil {
-		// Two interrupted jobs for one circuit cannot both be active; the
-		// later one simply completes when the earlier one does. Mark it
-		// cached-equivalent by leaving it queued behind the same digest is
-		// not possible, so shed it as retriable.
+		// Two interrupted jobs for one circuit cannot both be active, and the
+		// engine has no way to queue the later one behind the earlier one's
+		// digest. Shed it as a retriable cancellation instead: a client retry
+		// attaches to the earlier job while it runs (Submit dedups on the
+		// digest) and is served from the store once it is decided.
 		j.finish(StatusCanceled, nil, "canceled: duplicate of in-flight job "+dup.ID, true)
 		e.canceled.Inc()
 		return nil

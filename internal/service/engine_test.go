@@ -307,6 +307,7 @@ func TestDrainChecksPointsAndResumes(t *testing.T) {
 	if v := blocker.View(); v.Status != StatusCanceled {
 		t.Fatalf("in-flight job after drain = %+v", v)
 	}
+	assertNoDrainTemps(t, dir)
 	// Submissions after drain are refused.
 	if _, err := e.SubmitSource("t3", srcMul(9)); !errors.Is(err, ErrDraining) {
 		t.Fatalf("post-drain submit = %v, want ErrDraining", err)
@@ -340,6 +341,47 @@ func TestDrainChecksPointsAndResumes(t *testing.T) {
 	}
 	if j.ID == blocker.ID {
 		t.Fatalf("fresh job reused resumed ID %s", j.ID)
+	}
+}
+
+// TestDrainCheckpointWriteErrorLeavesNoTemp drives the durable publish
+// path of writeDrainCheckpoint directly: a successful write leaves exactly
+// the checkpoint, which Resume reads back, and a failed publish (the rename
+// onto an existing directory fails) reports the error and removes its
+// temp file.
+func TestDrainCheckpointWriteErrorLeavesNoTemp(t *testing.T) {
+	dir := t.TempDir()
+	e := New(Config{Analyzer: testConfig(), Workers: 1, CheckpointPath: filepath.Join(dir, "drain.ckpt")})
+	defer e.Close()
+	sys := mustCompile(t, srcBuggy)
+	j := newJob("j7", "t1", sys.Digest(), sys, 0)
+	if err := writeDrainCheckpoint(e.cfg.CheckpointPath, e.cfg.Analyzer, []*Job{j}); err != nil {
+		t.Fatal(err)
+	}
+	assertNoDrainTemps(t, dir)
+	if n, err := e.Resume(); err != nil || n != 1 {
+		t.Fatalf("resume of the published checkpoint = %d, %v; want 1 job", n, err)
+	}
+
+	blocked := filepath.Join(dir, "blocked")
+	if err := os.MkdirAll(filepath.Join(blocked, "x"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := writeDrainCheckpoint(blocked, e.cfg.Analyzer, []*Job{j}); err == nil {
+		t.Fatal("publishing a checkpoint over a directory succeeded")
+	}
+	assertNoDrainTemps(t, dir)
+}
+
+// assertNoDrainTemps fails when a drain checkpoint temp file is left in dir.
+func assertNoDrainTemps(t *testing.T, dir string) {
+	t.Helper()
+	temps, err := filepath.Glob(filepath.Join(dir, "drain-*.tmp"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(temps) != 0 {
+		t.Fatalf("temp files left behind: %v", temps)
 	}
 }
 

@@ -122,7 +122,6 @@ type workerConfig struct {
 	NoSolveRule bool   `json:"no_solve_rule,omitempty"`
 	NoBitsRule  bool   `json:"no_bits_rule,omitempty"`
 	NoStatic    bool   `json:"no_static,omitempty"`
-	NoIncr      bool   `json:"no_incremental,omitempty"`
 	MemMB       int    `json:"mem_mb,omitempty"`
 	// Chaos, set by the parent when a worker.kill / worker.hang fault fires
 	// at spawn, tells the child to die or wedge mid-analysis — the
@@ -159,7 +158,6 @@ func (s *Sandbox) Run(ctx context.Context, sys *r1cs.System, cfg core.Config) (*
 		NoSolveRule: cfg.DisableSolveRule,
 		NoBitsRule:  cfg.DisableBitsRule,
 		NoStatic:    cfg.DisableStatic,
-		NoIncr:      cfg.DisableIncremental,
 		MemMB:       s.MemMB,
 	}
 	// The chaos sites are checked in the parent, once per spawn, so their
@@ -410,16 +408,15 @@ func WorkerMain(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	}
 
 	cfg := core.Config{
-		SliceRadius:        wc.SliceRadius,
-		QuerySteps:         wc.QuerySteps,
-		GlobalSteps:        wc.GlobalSteps,
-		Timeout:            time.Duration(wc.TimeoutMS) * time.Millisecond,
-		Seed:               wc.Seed,
-		Workers:            wc.Workers,
-		DisableSolveRule:   wc.NoSolveRule,
-		DisableBitsRule:    wc.NoBitsRule,
-		DisableStatic:      wc.NoStatic,
-		DisableIncremental: wc.NoIncr,
+		SliceRadius:      wc.SliceRadius,
+		QuerySteps:       wc.QuerySteps,
+		GlobalSteps:      wc.GlobalSteps,
+		Timeout:          time.Duration(wc.TimeoutMS) * time.Millisecond,
+		Seed:             wc.Seed,
+		Workers:          wc.Workers,
+		DisableSolveRule: wc.NoSolveRule,
+		DisableBitsRule:  wc.NoBitsRule,
+		DisableStatic:    wc.NoStatic,
 	}
 	switch wc.Mode {
 	case core.ModeFull.String(), "":

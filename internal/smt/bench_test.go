@@ -50,29 +50,6 @@ func BenchmarkSolverCore(b *testing.B) {
 			}
 		}
 	})
-	b.Run("incremental-continuation", func(b *testing.B) {
-		// The batch-dispatch shape: sibling targets over one shared base.
-		// Each iteration answers both targets as continuations of a single
-		// propagated session instead of two from-scratch solves.
-		f := ff.BN254()
-		x, xp, y, yp, k := poly.Var(f, 0), poly.Var(f, 1), poly.Var(f, 2), poly.Var(f, 3), poly.Var(f, 4)
-		base := NewProblem(f)
-		base.AddEq(x, k, poly.ConstInt(f, 1))
-		base.AddEq(xp, k, poly.ConstInt(f, 1))
-		base.AddEq(y, k, poly.ConstInt(f, 2))
-		base.AddEq(yp, k, poly.ConstInt(f, 2))
-		for i := 0; i < b.N; i++ {
-			sess := NewSession(base, &Options{Seed: 1})
-			if sess.Poisoned() {
-				b.Fatalf("session poisoned: %s", sess.PoisonReason())
-			}
-			for _, nq := range []*poly.LinComb{x.Sub(xp), y.Sub(yp)} {
-				if out := sess.Solve([]*poly.LinComb{nq}, &Options{Seed: 1}); out.Status != StatusUnsat {
-					b.Fatalf("status = %v", out.Status)
-				}
-			}
-		}
-	})
 	b.Run("small-field-enumeration", func(b *testing.B) {
 		f := f97
 		for i := 0; i < b.N; i++ {

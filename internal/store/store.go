@@ -406,36 +406,44 @@ func (s *Store) Put(digest string, rep *Report) error {
 		s.putFails.Inc()
 		return fmt.Errorf("store: marshaling envelope: %w", err)
 	}
-	// Durable atomic publish: the temp file is fsynced before the rename
-	// and the directory after it, so neither a concurrent Get nor a daemon
-	// restarted after a power cut can observe a torn or vanished entry. Even
-	// if the fsyncs are skipped by a hostile filesystem, the checksum turns
-	// a torn entry into a quarantined miss rather than a served lie.
+	// Even if a hostile filesystem skips the fsyncs of the durable publish,
+	// the checksum turns a torn entry into a quarantined miss rather than a
+	// served lie.
 	final := filepath.Join(s.dir, digest+".json")
-	tmp, err := os.CreateTemp(s.dir, "put-*.tmp")
-	if err == nil {
-		_, err = tmp.Write(append(b, '\n'))
-		if err == nil {
-			err = tmp.Sync()
-		}
-		if cerr := tmp.Close(); err == nil {
-			err = cerr
-		}
-		if err == nil {
-			err = os.Rename(tmp.Name(), final)
-		}
-		if err == nil {
-			err = syncDir(s.dir)
-		}
-		if err != nil {
-			os.Remove(tmp.Name())
-		}
-	}
-	if err != nil {
+	if err := WriteFileDurable(final, "put-*.tmp", append(b, '\n')); err != nil {
 		s.putFails.Inc()
 		return fmt.Errorf("store: writing %s: %w", final, err)
 	}
 	return nil
+}
+
+// WriteFileDurable publishes data at path atomically and durably: it is
+// written to a temp file in path's directory (named after pattern, as in
+// os.CreateTemp), fsynced, renamed over path, and the directory is fsynced
+// after the rename. Neither a concurrent reader nor a process restarted
+// after a machine crash can then observe a torn, empty or vanished file.
+// The temp file is removed on any failure.
+func WriteFileDurable(path, pattern string, data []byte) error {
+	dir := filepath.Dir(path)
+	tmp, err := os.CreateTemp(dir, pattern)
+	if err != nil {
+		return err
+	}
+	_, err = tmp.Write(data)
+	if err == nil {
+		err = tmp.Sync()
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
+	}
+	if err == nil {
+		return syncDir(dir)
+	}
+	os.Remove(tmp.Name())
+	return err
 }
 
 // syncDir fsyncs a directory so a just-renamed entry survives a crash.
