@@ -485,18 +485,10 @@ func writeJSONReport(w io.Writer, path string, prog *circom.Program, report *cor
 		},
 	}
 	if ce := report.Counter; ce != nil {
-		jc := &jsonCounter{
-			Output: sys.Name(ce.Signal),
-			Inputs: map[string]string{},
-			Values: [2]string{f.String(ce.W1[ce.Signal]), f.String(ce.W2[ce.Signal])},
-		}
+		s := report.Summary(sys)
+		jc := &jsonCounter{Output: s.CEOutput, Inputs: map[string]string{}, Values: s.CEValues, Differs: s.CESignals}
 		for name, id := range prog.InputNames {
 			jc.Inputs[name] = f.String(ce.W1[id])
-		}
-		for id := 1; id < sys.NumSignals(); id++ {
-			if ce.W1[id] != ce.W2[id] {
-				jc.Differs = append(jc.Differs, sys.Name(id))
-			}
 		}
 		out.Counter = jc
 	}

@@ -237,8 +237,8 @@ func main() {
 		if *verbose {
 			o.Progress = func(done, total int, r bench.Result) {
 				v := "compile-error"
-				if r.Report != nil {
-					v = r.Report.Verdict.String()
+				if r.CompileErr == nil {
+					v = r.Summary.Verdict
 				}
 				fmt.Fprintf(os.Stderr, "[%3d/%3d] %-26s %-8s %s\n",
 					done, total, r.Instance.Name, v, r.AnalyzeTime.Round(time.Millisecond))

@@ -100,7 +100,7 @@ func TestSIGINTYieldsPartialCheckpointAndResumeConverges(t *testing.T) {
 		t.Fatalf("checkpoint has %d records, want a partial set in [3, %d)", len(completed), suiteSize)
 	}
 	for name, rec := range completed {
-		if rec.Degraded == string(core.DegradedCanceled) {
+		if rec.Degraded == core.DegradedCanceled {
 			t.Fatalf("checkpoint persisted a cancellation-degraded verdict for %s (reason %q)", name, rec.Reason)
 		}
 	}
@@ -141,6 +141,62 @@ func TestSIGINTYieldsPartialCheckpointAndResumeConverges(t *testing.T) {
 	if len(diffs) != 0 || len(degraded) != 0 {
 		t.Fatalf("resumed run diverged from uninterrupted run:\ndiffs: %v\ndegraded: %v", diffs, degraded)
 	}
+}
+
+// TestResumeTablesMatchFreshRun: a table rendered from -resume must equal
+// the one the run that wrote the checkpoint printed, because a checkpoint
+// record carries the instance's whole summary — circuit shape (Table 1),
+// query workers (Table 2's caption) and the counterexample values (Table 4).
+// Shard 1/8 keeps each run short and still holds a vulnerability instance
+// with a witness pair, so the Table 4 comparison is not vacuous.
+func TestResumeTablesMatchFreshRun(t *testing.T) {
+	bin := buildBench(t)
+	dir := t.TempDir()
+	run := func(table string, resume bool) string {
+		t.Helper()
+		args := benchArgs("-shard", "1/8", "-table", table, "-checkpoint", filepath.Join(dir, "ck"+table+".jsonl"))
+		if resume {
+			args = append(args, "-resume")
+		}
+		var stdout, stderr strings.Builder
+		cmd := exec.Command(bin, args...)
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		if err := cmd.Run(); err != nil {
+			t.Fatalf("qed2bench -table %s (resume=%v): %v\n%s", table, resume, err, stderr.String())
+		}
+		if resume && !strings.Contains(stderr.String(), "resuming:") {
+			t.Fatalf("-table %s -resume analyzed afresh instead of resuming:\n%s", table, stderr.String())
+		}
+		return stdout.String()
+	}
+	for _, table := range []string{"1", "2", "4"} {
+		fresh, resumed := run(table, false), run(table, true)
+		if table == "2" {
+			const caption = "(query workers: 1)"
+			if !strings.Contains(fresh, caption) || !strings.Contains(resumed, caption) {
+				t.Errorf("Table 2 caption lost %q:\n--- fresh\n%s--- resumed\n%s", caption, fresh, resumed)
+			}
+			continue
+		}
+		if fresh != resumed {
+			t.Errorf("Table %s differs after -resume:\n--- fresh\n%s--- resumed\n%s", table, fresh, resumed)
+		}
+		if table == "4" && !hasWitnessRow(fresh) {
+			t.Errorf("Table 4 of the shard has no unsafe row with a witness pair:\n%s", fresh)
+		}
+	}
+}
+
+// hasWitnessRow reports whether a rendered Table 4 lists an unsafe verdict
+// with its output and witness values filled in.
+func hasWitnessRow(table string) bool {
+	for _, line := range strings.Split(table, "\n") {
+		f := strings.Fields(line)
+		if len(f) == 7 && f[3] == "unsafe" && f[4] != "-" && f[5] != "-" && f[6] != "-" {
+			return true
+		}
+	}
+	return false
 }
 
 func TestResumeRequiresCheckpoint(t *testing.T) {

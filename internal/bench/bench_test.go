@@ -86,7 +86,7 @@ func TestSuiteVerdictsSound(t *testing.T) {
 			t.Errorf("%s: compile error: %v", r.Instance.Name, r.CompileErr)
 			continue
 		}
-		switch r.Report.Verdict {
+		switch v, _ := core.ParseVerdict(r.Summary.Verdict); v {
 		case core.VerdictSafe:
 			if r.Instance.Expect == ExpectUnsafe {
 				t.Errorf("%s: UNSOUND Safe verdict on a known-unsafe circuit", r.Instance.Name)
@@ -95,13 +95,13 @@ func TestSuiteVerdictsSound(t *testing.T) {
 			if r.Instance.Expect == ExpectSafe {
 				t.Errorf("%s: UNSOUND Unsafe verdict on a known-safe circuit", r.Instance.Name)
 			}
-			if r.CEOutput == "" {
+			if r.Summary.CEOutput == "" {
 				t.Errorf("%s: unsafe verdict without counterexample summary", r.Instance.Name)
 			}
 		}
-		if r.Instance.Vuln && r.Report.Verdict != core.VerdictUnsafe {
+		if r.Instance.Vuln && r.Summary.Verdict != core.VerdictUnsafe.String() {
 			t.Errorf("%s: vulnerability not flagged (verdict %s, %s)",
-				r.Instance.Name, r.Report.Verdict, r.Report.Reason)
+				r.Instance.Name, r.Summary.Verdict, r.Summary.Reason)
 		}
 	}
 	tal := TallyOf(results)
@@ -118,20 +118,16 @@ func TestSuiteVerdictsSound(t *testing.T) {
 // fakeResults builds a small synthetic result set for formatter tests.
 func fakeResults() []Result {
 	mk := func(name, cat string, verdict core.Verdict, vuln bool, cons int, d time.Duration) Result {
-		rep := &core.Report{Verdict: verdict}
-		rep.Stats.Queries = 2
-		rep.Stats.PropagationUnique = 3
-		rep.Stats.SMTUnique = 1
 		r := Result{
 			Instance:    Instance{Name: name, Category: cat, Vuln: vuln, Expect: ExpectSafe},
-			Report:      rep,
 			AnalyzeTime: d,
+			Summary: core.Summary{
+				Verdict: verdict.String(), Queries: 2, ByPropagation: 3, BySMT: 1,
+				Constraints: cons, Signals: cons + 2,
+			},
 		}
-		r.System.Constraints = cons
-		r.System.Signals = cons + 2
 		if verdict == core.VerdictUnsafe {
-			r.CEOutput, r.CEVal1, r.CEVal2 = "out", "0", "1"
-			rep.Counter = &core.CounterExample{}
+			r.Summary.CEOutput, r.Summary.CEValues = "out", [2]string{"0", "1"}
 		}
 		return r
 	}
@@ -223,7 +219,7 @@ func TestRunnerParallelMatchesSerial(t *testing.T) {
 	serial := Run(insts, &RunOptions{Config: cfg, Workers: 1})
 	parallel := Run(insts, &RunOptions{Config: cfg, Workers: 4})
 	for i := range insts {
-		sv, pv := serial[i].Report.Verdict, parallel[i].Report.Verdict
+		sv, pv := serial[i].Summary.Verdict, parallel[i].Summary.Verdict
 		if sv != pv {
 			t.Errorf("%s: serial %v != parallel %v", insts[i].Name, sv, pv)
 		}

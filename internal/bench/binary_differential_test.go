@@ -49,17 +49,17 @@ func TestBinaryDifferentialSuite(t *testing.T) {
 			t.Errorf("%s: compile outcome differs: %v vs %v", name, a.CompileErr, b.CompileErr)
 			continue
 		}
-		if a.Report == nil || b.Report == nil {
+		if a.CompileErr != nil {
 			continue
 		}
-		if a.Report.Verdict != b.Report.Verdict || a.Report.Reason != b.Report.Reason {
+		sa, sb := a.Summary, b.Summary
+		if sa.Verdict != sb.Verdict || sa.Reason != sb.Reason {
 			t.Errorf("%s: verdict differs: direct (%v, %q), via binary (%v, %q)",
-				name, a.Report.Verdict, a.Report.Reason, b.Report.Verdict, b.Report.Reason)
+				name, sa.Verdict, sa.Reason, sb.Verdict, sb.Reason)
 		}
-		if a.CEOutput != b.CEOutput || a.CEVal1 != b.CEVal1 || a.CEVal2 != b.CEVal2 ||
-			!reflect.DeepEqual(a.CEDiffers, b.CEDiffers) {
-			t.Errorf("%s: counterexample summary differs:\ndirect     %s=%s/%s %v\nvia binary %s=%s/%s %v",
-				name, a.CEOutput, a.CEVal1, a.CEVal2, a.CEDiffers, b.CEOutput, b.CEVal1, b.CEVal2, b.CEDiffers)
+		if sa.CEOutput != sb.CEOutput || sa.CEValues != sb.CEValues || !reflect.DeepEqual(sa.CESignals, sb.CESignals) {
+			t.Errorf("%s: counterexample summary differs:\ndirect     %s=%v %v\nvia binary %s=%v %v",
+				name, sa.CEOutput, sa.CEValues, sa.CESignals, sb.CEOutput, sb.CEValues, sb.CESignals)
 		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 
 	"qed2/internal/core"
 	"qed2/internal/faultinject"
+	"qed2/internal/obs"
 )
 
 // chaosConfig keeps chaos runs fast: step budgets small enough that the full
@@ -22,7 +23,7 @@ func verdictOf(r Result) string {
 	if r.CompileErr != nil {
 		return "compile-error"
 	}
-	return r.Report.Verdict.String()
+	return r.Summary.Verdict
 }
 
 // assertMonotoneDegradation checks the fault-tolerance invariant between a
@@ -85,19 +86,18 @@ func TestChaosSolvePanicsMonotoneDegradation(t *testing.T) {
 		{Site: "smt.solve", Kind: faultinject.KindPanic, Rate: 0.15},
 	}})
 	defer faultinject.Disable()
-	chaos := Run(insts, &RunOptions{Config: cfg})
+	reg := obs.NewMetrics()
+	chaos := Run(insts, &RunOptions{Config: cfg, Metrics: reg})
 	faultinject.Disable()
 	assertNoGoroutineLeak(t, before)
 
 	assertMonotoneDegradation(t, base, chaos)
 
-	var queries, panics int
+	var queries int
 	for _, r := range chaos {
-		if r.Report != nil {
-			queries += r.Report.Stats.Queries
-			panics += r.Report.Stats.QueryPanics
-		}
+		queries += r.Summary.Queries
 	}
+	panics := int(reg.Counters()["core.query.panics"])
 	if queries == 0 {
 		t.Fatal("chaos run issued no solver queries")
 	}
@@ -174,7 +174,7 @@ func TestChaosInstancePanicIsolation(t *testing.T) {
 	for i, r := range chaos {
 		if (i+1)%4 == 0 {
 			crashed++
-			if r.CompileErr == nil || r.Report != nil {
+			if r.CompileErr == nil || r.Summary.Verdict != "" {
 				t.Errorf("%s: expected contained instance crash, got %+v", r.Instance.Name, r)
 			}
 			continue

@@ -235,26 +235,19 @@ func LoadCheckpoint(path string, cfg core.Config) (map[string]InstanceRecord, er
 	return out, nil
 }
 
-// resultFromRecord rehydrates a checkpointed record into a Result carrying
-// everything the tables, tallies and golden diff consume. Witnesses and the
-// compiled system statistics are not persisted; the rehydrated Result
-// reflects that (System is zero, Report.Counter is nil). rec.Verdict has
-// been validated by LoadCheckpoint.
+// resultFromRecord rehydrates a checkpointed record into a Result. The
+// record carries the instance's whole Summary, so a resumed run renders the
+// same tables as a fresh one; only the witnesses themselves are not
+// persisted. rec.Verdict has been validated by LoadCheckpoint.
 func resultFromRecord(inst Instance, rec InstanceRecord) Result {
 	res := Result{
 		Instance:    inst,
 		AnalyzeTime: time.Duration(rec.AnalyzeMS * float64(time.Millisecond)),
+		Summary:     rec.Summary,
 	}
 	if rec.Verdict == "compile-error" {
 		res.CompileErr = errors.New(rec.Reason)
-		return res
+		res.Summary = core.Summary{}
 	}
-	v, _ := core.ParseVerdict(rec.Verdict)
-	res.Report = &core.Report{Verdict: v, Reason: rec.Reason, Degraded: core.Degradation(rec.Degraded)}
-	res.Report.Stats.Queries = rec.Queries
-	res.Report.Stats.SolverSteps = rec.SolverSteps
-	res.Report.Stats.CacheHits = rec.CacheHits
-	res.CEOutput = rec.CEOutput
-	res.CEDiffers = rec.CESignals
 	return res
 }

@@ -3,8 +3,10 @@ package bench
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"qed2/internal/core"
 )
@@ -21,10 +23,17 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w.Append(InstanceRecord{Name: "a", Verdict: "safe", Queries: 3})
-	w.Append(InstanceRecord{Name: "b", Verdict: "unsafe", CEOutput: "out", CESignals: []string{"out", "tmp"}})
-	w.Append(InstanceRecord{Name: "c", Verdict: "compile-error", Reason: "bench: c: boom"})
-	w.Append(InstanceRecord{Name: "d", Verdict: "unknown", Reason: "internal error: boom", Degraded: string(core.DegradedInternal)})
+	// b carries every field the tables read, so a resumed run renders the
+	// same Table 1/2/4 as the run that wrote the checkpoint.
+	unsafe := core.Summary{
+		Verdict: "unsafe", CEOutput: "out", CEValues: [2]string{"1", "0"}, CESignals: []string{"out", "tmp"},
+		Signals: 7, Constraints: 4, UniqueSignals: 5, ByPropagation: 2, ByBitsRule: 1, BySMT: 1,
+		Queries: 3, SolverSteps: 40, CacheHits: 1, Workers: 1, DurationMS: 0.5, Version: "v",
+	}
+	w.Append(InstanceRecord{Name: "a", Summary: core.Summary{Verdict: "safe", Queries: 3}})
+	w.Append(InstanceRecord{Name: "b", AnalyzeMS: 2, Summary: unsafe})
+	w.Append(InstanceRecord{Name: "c", Summary: core.Summary{Verdict: "compile-error", Reason: "bench: c: boom"}})
+	w.Append(InstanceRecord{Name: "d", Summary: core.InternalError("boom").Summary(nil)})
 	if err := w.Err(); err != nil {
 		t.Fatal(err)
 	}
@@ -44,19 +53,19 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	}
 
 	res := resultFromRecord(Instance{Name: "b"}, got["b"])
-	if res.Report == nil || res.Report.Verdict != core.VerdictUnsafe {
-		t.Fatalf("rehydrated b = %+v", res)
+	if !reflect.DeepEqual(res.Summary, unsafe) || res.AnalyzeTime != 2*time.Millisecond {
+		t.Fatalf("rehydrated b = %+v, want summary %+v", res, unsafe)
 	}
-	if res.CEOutput != "out" || len(res.CEDiffers) != 2 {
-		t.Fatalf("rehydrated b counterexample = %q %v", res.CEOutput, res.CEDiffers)
+	if rec := instanceRecordOf(res); !reflect.DeepEqual(rec, got["b"]) {
+		t.Fatalf("re-recorded b = %+v, want %+v", rec, got["b"])
 	}
 	res = resultFromRecord(Instance{Name: "c"}, got["c"])
-	if res.CompileErr == nil || res.Report != nil {
+	if res.CompileErr == nil || res.Summary.Verdict != "" {
 		t.Fatalf("rehydrated c = %+v", res)
 	}
 	res = resultFromRecord(Instance{Name: "d"}, got["d"])
-	if res.Report == nil || res.Report.Degraded != core.DegradedInternal {
-		t.Fatalf("rehydrated d lost its degradation flag: %+v", res.Report)
+	if res.Summary.Verdict != "unknown" || res.Summary.Degraded != core.DegradedInternal {
+		t.Fatalf("rehydrated d lost its degradation flag: %+v", res.Summary)
 	}
 }
 
@@ -69,7 +78,7 @@ func TestCheckpointHeaderWrittenOncePerFile(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		w.Append(InstanceRecord{Name: string(rune('a' + i)), Verdict: "safe"})
+		w.Append(InstanceRecord{Name: string(rune('a' + i)), Summary: core.Summary{Verdict: "safe"}})
 		if err := w.Close(); err != nil {
 			t.Fatal(err)
 		}
@@ -99,7 +108,7 @@ func TestLoadCheckpointRejectsConfigMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w.Append(InstanceRecord{Name: "a", Verdict: "safe"})
+	w.Append(InstanceRecord{Name: "a", Summary: core.Summary{Verdict: "safe"}})
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -160,8 +169,8 @@ func TestLoadCheckpointRejectsCorruptVerdict(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		w.Append(InstanceRecord{Name: "a", Verdict: bad})
-		w.Append(InstanceRecord{Name: "b", Verdict: "safe"})
+		w.Append(InstanceRecord{Name: "a", Summary: core.Summary{Verdict: bad}})
+		w.Append(InstanceRecord{Name: "b", Summary: core.Summary{Verdict: "safe"}})
 		if err := w.Close(); err != nil {
 			t.Fatal(err)
 		}
@@ -177,8 +186,8 @@ func TestLoadCheckpointTornFinalLine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w.Append(InstanceRecord{Name: "a", Verdict: "safe"})
-	w.Append(InstanceRecord{Name: "b", Verdict: "unsafe"})
+	w.Append(InstanceRecord{Name: "a", Summary: core.Summary{Verdict: "safe"}})
+	w.Append(InstanceRecord{Name: "b", Summary: core.Summary{Verdict: "unsafe"}})
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +229,7 @@ func TestLoadCheckpointRejectsGarbageMidFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w.Append(InstanceRecord{Name: "a", Verdict: "safe"})
+	w.Append(InstanceRecord{Name: "a", Summary: core.Summary{Verdict: "safe"}})
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}

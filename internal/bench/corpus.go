@@ -102,18 +102,18 @@ func CheckGroundTruth(results []Result) GroundTruth {
 			gt.Violations = append(gt.Violations, fmt.Sprintf("%s: generation failed: %v", r.Instance.Name, r.CompileErr))
 			continue
 		}
-		verdict := r.Report.Verdict
+		verdict, _ := core.ParseVerdict(r.Summary.Verdict)
 		switch label {
 		case gen.ProfileSafe:
 			if verdict == core.VerdictUnsafe {
 				gt.Violations = append(gt.Violations, fmt.Sprintf("%s: unsafe verdict on a label-safe instance (claimed counterexample on %s)",
-					r.Instance.Name, r.CEOutput))
+					r.Instance.Name, r.Summary.CEOutput))
 			}
 		case gen.ProfileUnsafe:
 			if verdict == core.VerdictSafe {
 				gt.Violations = append(gt.Violations, fmt.Sprintf("%s: safe verdict on a label-unsafe instance (a planted witness pair exists)", r.Instance.Name))
 			} else if verdict != core.VerdictUnsafe {
-				gt.Misses = append(gt.Misses, fmt.Sprintf("%s: planted bug not found (verdict %s: %s)", r.Instance.Name, verdict, r.Report.Reason))
+				gt.Misses = append(gt.Misses, fmt.Sprintf("%s: planted bug not found (verdict %s: %s)", r.Instance.Name, verdict, r.Summary.Reason))
 			}
 		case gen.ProfileUnknown:
 			if verdict == core.VerdictSafe {

@@ -84,20 +84,20 @@ func TestCheckGroundTruthClassification(t *testing.T) {
 	mk := func(label string, verdict core.Verdict) Result {
 		return Result{
 			Instance: Instance{Name: label + "/" + verdict.String(), CorpusLabel: label},
-			Report:   &core.Report{Verdict: verdict, Reason: "r"},
+			Summary:  core.Summary{Verdict: verdict.String(), Reason: "r"},
 		}
 	}
 	results := []Result{
-		mk(gen.ProfileSafe, core.VerdictSafe),                                                         // ok
-		mk(gen.ProfileSafe, core.VerdictUnknown),                                                      // ok (incomplete, not unsound)
-		mk(gen.ProfileSafe, core.VerdictUnsafe),                                                       // violation
-		mk(gen.ProfileUnsafe, core.VerdictUnsafe),                                                     // ok
-		mk(gen.ProfileUnsafe, core.VerdictSafe),                                                       // violation
-		mk(gen.ProfileUnsafe, core.VerdictUnknown),                                                    // miss
-		mk(gen.ProfileUnknown, core.VerdictUnknown),                                                   // ok
-		mk(gen.ProfileUnknown, core.VerdictUnsafe),                                                    // ok (completeness win)
-		mk(gen.ProfileUnknown, core.VerdictSafe),                                                      // violation
-		{Instance: Instance{Name: "suite-instance"}, Report: &core.Report{Verdict: core.VerdictSafe}}, // skipped
+		mk(gen.ProfileSafe, core.VerdictSafe),                                                // ok
+		mk(gen.ProfileSafe, core.VerdictUnknown),                                             // ok (incomplete, not unsound)
+		mk(gen.ProfileSafe, core.VerdictUnsafe),                                              // violation
+		mk(gen.ProfileUnsafe, core.VerdictUnsafe),                                            // ok
+		mk(gen.ProfileUnsafe, core.VerdictSafe),                                              // violation
+		mk(gen.ProfileUnsafe, core.VerdictUnknown),                                           // miss
+		mk(gen.ProfileUnknown, core.VerdictUnknown),                                          // ok
+		mk(gen.ProfileUnknown, core.VerdictUnsafe),                                           // ok (completeness win)
+		mk(gen.ProfileUnknown, core.VerdictSafe),                                             // violation
+		{Instance: Instance{Name: "suite-instance"}, Summary: core.Summary{Verdict: "safe"}}, // skipped
 	}
 	gt := CheckGroundTruth(results)
 	if gt.Checked != 9 {

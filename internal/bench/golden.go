@@ -70,7 +70,7 @@ func GoldenFromResults(cfg core.Config, results []Result) *GoldenFile {
 		}
 		if gv.Verdict == core.VerdictUnknown.String() {
 			gv.Reason = ir.Reason
-			gv.Degraded = ir.Degraded
+			gv.Degraded = string(ir.Degraded)
 		}
 		g.Verdicts = append(g.Verdicts, gv)
 	}

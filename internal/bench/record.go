@@ -66,48 +66,29 @@ type SectionRecord struct {
 	Results []InstanceRecord `json:"results,omitempty"`
 }
 
-// InstanceRecord is the per-instance row of a run section: the verdict,
-// the counterexample signal set (what the golden gate diffs), and the
-// per-instance effort.
+// InstanceRecord is the per-instance row of a run section and the line
+// format of a -checkpoint file: the instance, its analysis wall clock, and
+// its Summary (verdict, counterexample signal set — what the golden gate
+// diffs — circuit shape and effort). A compile error is recorded as the
+// pseudo-verdict "compile-error" with the error as its reason.
 type InstanceRecord struct {
-	Name     string `json:"name"`
-	Category string `json:"category"`
-	Verdict  string `json:"verdict"`
-	Reason   string `json:"reason,omitempty"`
-	// Degraded carries core.Report.Degraded: non-empty when an unknown
-	// verdict is a fault-tolerance artifact (cancellation, panic
-	// quarantine) rather than a budget outcome. Machine-readable so
-	// consumers never classify by parsing Reason.
-	Degraded  string   `json:"degraded,omitempty"`
-	CEOutput  string   `json:"ce_output,omitempty"`
-	CESignals []string `json:"ce_signals,omitempty"`
-
-	AnalyzeMS   float64 `json:"analyze_ms"`
-	Queries     int     `json:"queries"`
-	SolverSteps int64   `json:"solver_steps"`
-	CacheHits   int     `json:"cache_hits"`
+	Name      string  `json:"name"`
+	Category  string  `json:"category"`
+	AnalyzeMS float64 `json:"analyze_ms"`
+	core.Summary
 }
 
-// instanceRecordOf summarizes one result.
+// instanceRecordOf records one result.
 func instanceRecordOf(r Result) InstanceRecord {
 	ir := InstanceRecord{
 		Name:      r.Instance.Name,
 		Category:  r.Instance.Category,
 		AnalyzeMS: float64(r.AnalyzeTime) / float64(time.Millisecond),
+		Summary:   r.Summary,
 	}
 	if r.CompileErr != nil {
-		ir.Verdict = "compile-error"
-		ir.Reason = r.CompileErr.Error()
-		return ir
+		ir.Summary = core.Summary{Verdict: "compile-error", Reason: r.CompileErr.Error()}
 	}
-	ir.Verdict = r.Report.Verdict.String()
-	ir.Reason = r.Report.Reason
-	ir.Degraded = string(r.Report.Degraded)
-	ir.CEOutput = r.CEOutput
-	ir.CESignals = r.CEDiffers
-	ir.Queries = r.Report.Stats.Queries
-	ir.SolverSteps = r.Report.Stats.SolverSteps
-	ir.CacheHits = r.Report.Stats.CacheHits
 	return ir
 }
 
@@ -134,12 +115,9 @@ func (rec *RunRecord) AddSection(name string, d time.Duration, results []Result)
 	s.Safe, s.Unsafe, s.Unknown, s.CompileErrors = t.Safe, t.Unsafe, t.Unknown, t.CompileErrors
 	for _, r := range results {
 		s.AnalyzeMS += float64(r.AnalyzeTime) / float64(time.Millisecond)
-		if r.Report == nil {
-			continue
-		}
-		s.Queries += r.Report.Stats.Queries
-		s.SolverSteps += r.Report.Stats.SolverSteps
-		s.CacheHits += r.Report.Stats.CacheHits
+		s.Queries += r.Summary.Queries
+		s.SolverSteps += r.Summary.SolverSteps
+		s.CacheHits += r.Summary.CacheHits
 	}
 	if strings.HasPrefix(name, "run:") {
 		s.Results = make([]InstanceRecord, 0, len(results))

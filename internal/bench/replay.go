@@ -82,27 +82,13 @@ func (o ReplayOptions) withDefaults() ReplayOptions {
 }
 
 // replayJob mirrors the daemon's JobView wire shape (the fields the replay
-// consumes).
+// consumes); the report is the daemon's core.Summary, decoded as is.
 type replayJob struct {
 	ID        string        `json:"id"`
 	Status    string        `json:"status"`
 	Retriable bool          `json:"retriable"`
 	Error     string        `json:"error"`
-	Report    *replayReport `json:"report"`
-}
-
-// replayReport mirrors the daemon's report wire shape.
-type replayReport struct {
-	Verdict     string    `json:"verdict"`
-	Reason      string    `json:"reason"`
-	Degraded    string    `json:"degraded"`
-	CEOutput    string    `json:"ce_output"`
-	CEValues    [2]string `json:"ce_values"`
-	CESignals   []string  `json:"ce_signals"`
-	Queries     int       `json:"queries"`
-	SolverSteps int64     `json:"solver_steps"`
-	CacheHits   int       `json:"cache_hits"`
-	DurationMS  float64   `json:"duration_ms"`
+	Report    *core.Summary `json:"report"`
 }
 
 // ReplayHTTP analyzes every instance through the daemon at opts.BaseURL,
@@ -189,7 +175,13 @@ func replayOne(ctx context.Context, inst Instance, o ReplayOptions) (Result, err
 		}
 		switch final.Status {
 		case "done":
-			return resultFromReplay(inst, final.Report, time.Since(t0)), nil
+			res := Result{Instance: inst, AnalyzeTime: time.Since(t0)}
+			if final.Report == nil {
+				res.Summary = core.InternalError("daemon returned no report").Summary(nil)
+			} else {
+				res.Summary = *final.Report
+			}
+			return res, nil
 		case "canceled":
 			if final.Retriable {
 				// Shed by a drain; the restarted daemon takes the resubmit.
@@ -209,13 +201,8 @@ func replayOne(ctx context.Context, inst Instance, o ReplayOptions) (Result, err
 			}
 			// Persistently failing instance: record the degradation rather
 			// than wedge the suite, mirroring the in-process panic boundary.
-			res := Result{Instance: inst, AnalyzeTime: time.Since(t0)}
-			res.Report = &core.Report{
-				Verdict:  core.VerdictUnknown,
-				Reason:   final.Error,
-				Degraded: core.DegradedInternal,
-			}
-			return res, nil
+			sum := core.Summary{Verdict: core.VerdictUnknown.String(), Reason: final.Error, Degraded: core.DegradedInternal}
+			return Result{Instance: inst, AnalyzeTime: time.Since(t0), Summary: sum}, nil
 		default:
 			return Result{}, fmt.Errorf("job %s reached unexpected status %q", final.ID, final.Status)
 		}
@@ -375,27 +362,6 @@ func pollJob(ctx context.Context, o ReplayOptions, job replayJob) (replayJob, er
 
 func terminalStatus(s string) bool {
 	return s == "done" || s == "failed" || s == "canceled"
-}
-
-// resultFromReplay rehydrates a wire report into the Result shape the
-// golden gate consumes (mirroring resultFromRecord: witnesses and system
-// stats are not carried over HTTP).
-func resultFromReplay(inst Instance, rep *replayReport, elapsed time.Duration) Result {
-	res := Result{Instance: inst, AnalyzeTime: elapsed}
-	if rep == nil {
-		res.Report = &core.Report{Verdict: core.VerdictUnknown, Reason: "daemon returned no report", Degraded: core.DegradedInternal}
-		return res
-	}
-	v, _ := core.ParseVerdict(rep.Verdict)
-	res.Report = &core.Report{Verdict: v, Reason: rep.Reason, Degraded: core.Degradation(rep.Degraded)}
-	res.Report.Stats.Queries = rep.Queries
-	res.Report.Stats.SolverSteps = rep.SolverSteps
-	res.Report.Stats.CacheHits = rep.CacheHits
-	res.CEOutput = rep.CEOutput
-	res.CEVal1 = rep.CEValues[0]
-	res.CEVal2 = rep.CEValues[1]
-	res.CEDiffers = rep.CESignals
-	return res
 }
 
 // sleepCtx sleeps, honoring cancellation.

@@ -11,7 +11,6 @@ import (
 	"qed2/internal/core"
 	"qed2/internal/faultinject"
 	"qed2/internal/obs"
-	"qed2/internal/r1cs"
 	"qed2/internal/smt"
 )
 
@@ -21,29 +20,17 @@ type Result struct {
 	// CompileErr is set when the front-end rejected the instance (a harness
 	// bug, not an analysis outcome).
 	CompileErr error
-	// Stats describes the compiled system.
-	System r1cs.Stats
-	// Report is the analysis report (nil if compilation failed).
-	Report *core.Report
+	// Summary is the analysis outcome (zero if compilation failed). It is
+	// the same value whether the instance was analyzed in this run,
+	// rehydrated from a checkpoint, or replayed through a qed2d daemon.
+	Summary core.Summary
 	// CompileTime and AnalyzeTime split the wall clock.
 	CompileTime time.Duration
 	AnalyzeTime time.Duration
-	// CEOutput/CEVal1/CEVal2 summarize the counterexample (unsafe verdicts
-	// only): the differing output's name and its two witnessed values.
-	CEOutput string
-	CEVal1   string
-	CEVal2   string
-	// CEDiffers lists (in signal-ID order) the names of every signal on
-	// which the two counterexample witnesses disagree — the signal set the
-	// golden-verdict regression gate pins.
-	CEDiffers []string
 }
 
 // Solved reports whether the analysis reached a definite verdict.
-func (r Result) Solved() bool {
-	return r.Report != nil &&
-		(r.Report.Verdict == core.VerdictSafe || r.Report.Verdict == core.VerdictUnsafe)
-}
+func (r Result) Solved() bool { return r.Summary.Decided() }
 
 // RunOptions configures a suite run.
 type RunOptions struct {
@@ -148,24 +135,18 @@ func RunContext(ctx context.Context, insts []Instance, opts *RunOptions) []Resul
 // canceledResult stamps an instance that was never analyzed because the run
 // was canceled first.
 func canceledResult(inst Instance) Result {
-	return Result{
-		Instance: inst,
-		Report: &core.Report{
-			Verdict:  core.VerdictUnknown,
-			Reason:   smt.Canceled,
-			Degraded: core.DegradedCanceled,
-		},
-	}
+	sum := core.Summary{Verdict: core.VerdictUnknown.String(), Reason: smt.Canceled, Degraded: core.DegradedCanceled}
+	return Result{Instance: inst, Summary: sum}
 }
 
 // degradedByCancel reports whether a result's unknown verdict is an
 // artifact of cancellation rather than a real budget outcome. Such results
 // must not be checkpointed — resuming re-analyzes them. The check is on the
-// structured Report.Degraded flag, not the Reason string: core wraps
-// mid-round cancellations into "output X undecided: canceled" phrases that
-// no string equality would survive.
+// structured Degraded flag, not the Reason string: core wraps mid-round
+// cancellations into "output X undecided: canceled" phrases that no string
+// equality would survive.
 func degradedByCancel(r Result) bool {
-	return r.Report != nil && r.Report.Degraded == core.DegradedCanceled
+	return r.Summary.Degraded == core.DegradedCanceled
 }
 
 func runOne(ctx context.Context, inst Instance, cfg core.Config, tr *obs.Tracer, parent *obs.Span, metrics *obs.Metrics) Result {
@@ -195,12 +176,8 @@ func runInstance(ctx context.Context, inst Instance, res *Result, cfg core.Confi
 				verdict = "compile-error"
 				return
 			}
-			res.Report = &core.Report{
-				Verdict:  core.VerdictUnknown,
-				Reason:   fmt.Sprintf("internal error: %v", r),
-				Degraded: core.DegradedInternal,
-			}
-			verdict = core.VerdictUnknown.String()
+			res.Summary = core.InternalError(r).Summary(nil)
+			verdict = res.Summary.Verdict
 		}
 	}()
 	if faultinject.Enabled() {
@@ -214,25 +191,14 @@ func runInstance(ctx context.Context, inst Instance, res *Result, cfg core.Confi
 		return "compile-error"
 	}
 	compiled = true
-	res.System = prog.System.Stats()
 	cfg.Obs = tr
 	cfg.ObsParent = is
 	cfg.Metrics = metrics
 	t1 := time.Now()
-	res.Report = core.AnalyzeContext(ctx, prog.System, &cfg)
+	rep := core.AnalyzeContext(ctx, prog.System, &cfg)
 	res.AnalyzeTime = time.Since(t1)
-	if ce := res.Report.Counter; ce != nil {
-		f := prog.System.Field()
-		res.CEOutput = prog.System.Name(ce.Signal)
-		res.CEVal1 = f.String(ce.W1[ce.Signal])
-		res.CEVal2 = f.String(ce.W2[ce.Signal])
-		for id := 1; id < prog.System.NumSignals(); id++ {
-			if ce.W1[id] != ce.W2[id] {
-				res.CEDiffers = append(res.CEDiffers, prog.System.Name(id))
-			}
-		}
-	}
-	return res.Report.Verdict.String()
+	res.Summary = rep.Summary(prog.System)
+	return res.Summary.Verdict
 }
 
 // Tally aggregates verdicts over a result set.
@@ -246,9 +212,9 @@ func (t *Tally) Add(r Result) {
 	switch {
 	case r.CompileErr != nil:
 		t.CompileErrors++
-	case r.Report.Verdict == core.VerdictSafe:
+	case r.Summary.Verdict == core.VerdictSafe.String():
 		t.Safe++
-	case r.Report.Verdict == core.VerdictUnsafe:
+	case r.Summary.Verdict == core.VerdictUnsafe.String():
 		t.Unsafe++
 	default:
 		t.Unknown++

@@ -68,8 +68,8 @@ func TestRunContextCanceledStampsEveryInstance(t *testing.T) {
 		t.Fatalf("final Progress done = %d, want %d (canceled instances must be reported)", last, len(insts))
 	}
 	for _, r := range results {
-		if r.Report == nil || r.Report.Degraded != core.DegradedCanceled {
-			t.Fatalf("%s: result = %+v, want cancellation-degraded unknown", r.Instance.Name, r.Report)
+		if r.Summary.Verdict != "unknown" || r.Summary.Degraded != core.DegradedCanceled {
+			t.Fatalf("%s: result = %+v, want cancellation-degraded unknown", r.Instance.Name, r.Summary)
 		}
 	}
 	got, err := LoadCheckpoint(path, cfg)

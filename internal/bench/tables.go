@@ -55,11 +55,11 @@ func ms(d time.Duration) string {
 
 // workersNote renders the query-worker configuration of a result set for
 // table captions, so regenerated tables record the parallelism they were
-// measured under. Empty when the result set carries no reports.
+// measured under. Empty when no instance of the set compiled.
 func workersNote(results []Result) string {
 	for _, r := range results {
-		if r.Report != nil {
-			return fmt.Sprintf(" (query workers: %d)", r.Report.Stats.Workers)
+		if r.CompileErr == nil {
+			return fmt.Sprintf(" (query workers: %d)", r.Summary.Workers)
 		}
 	}
 	return ""
@@ -93,13 +93,13 @@ func Table1(results []Result) string {
 		rs := groups[cat]
 		var sig, con, mxs, mxc int
 		for _, r := range rs {
-			sig += r.System.Signals
-			con += r.System.Constraints
-			if r.System.Signals > mxs {
-				mxs = r.System.Signals
+			sig += r.Summary.Signals
+			con += r.Summary.Constraints
+			if r.Summary.Signals > mxs {
+				mxs = r.Summary.Signals
 			}
-			if r.System.Constraints > mxc {
-				mxc = r.System.Constraints
+			if r.Summary.Constraints > mxc {
+				mxc = r.Summary.Constraints
 			}
 			totalT.Add(r)
 		}
@@ -143,9 +143,7 @@ func Table2(results []Result) string {
 		for _, r := range rs {
 			ct.Add(r)
 			dt += r.AnalyzeTime
-			if r.Report != nil {
-				q += r.Report.Stats.Queries
-			}
+			q += r.Summary.Queries
 		}
 		tot.Total += ct.Total
 		tot.Safe += ct.Safe
@@ -202,13 +200,11 @@ func Table4(results []Result) string {
 		}
 		i++
 		verdict, output, v1, v2 := "-", "-", "-", "-"
-		if r.Report != nil {
-			verdict = r.Report.Verdict.String()
-			if ce := r.Report.Counter; ce != nil {
-				output = r.CEOutput
-				v1 = r.CEVal1
-				v2 = r.CEVal2
-			}
+		if r.CompileErr == nil {
+			verdict = r.Summary.Verdict
+		}
+		if s := r.Summary; s.CEOutput != "" {
+			output, v1, v2 = s.CEOutput, s.CEValues[0], s.CEValues[1]
 		}
 		t.add(fmt.Sprint(i), r.Instance.Name, r.Instance.Category, verdict, output, v1, v2)
 	}
@@ -263,11 +259,9 @@ func Figure2(byRadius map[int][]Result) string {
 		var prop, smtFacts, queries int
 		var dt time.Duration
 		for _, r := range rs {
-			if r.Report != nil {
-				prop += r.Report.Stats.PropagationUnique
-				smtFacts += r.Report.Stats.SMTUnique
-				queries += r.Report.Stats.Queries
-			}
+			prop += r.Summary.ByPropagation
+			smtFacts += r.Summary.BySMT
+			queries += r.Summary.Queries
 			dt += r.AnalyzeTime
 		}
 		t.add(fmt.Sprint(k), fmt.Sprintf("%d/%d", tal.Solved(), tal.Total),
@@ -284,14 +278,14 @@ func Figure3(results []Result) string {
 	t := &textTable{header: []string{"Circuit", "Constraints", "Signals", "Time(ms)", "Verdict"}}
 	sorted := append([]Result(nil), results...)
 	sort.Slice(sorted, func(i, j int) bool {
-		return sorted[i].System.Constraints < sorted[j].System.Constraints
+		return sorted[i].Summary.Constraints < sorted[j].Summary.Constraints
 	})
 	for _, r := range sorted {
 		v := "error"
-		if r.Report != nil {
-			v = r.Report.Verdict.String()
+		if r.CompileErr == nil {
+			v = r.Summary.Verdict
 		}
-		t.add(r.Instance.Name, fmt.Sprint(r.System.Constraints), fmt.Sprint(r.System.Signals),
+		t.add(r.Instance.Name, fmt.Sprint(r.Summary.Constraints), fmt.Sprint(r.Summary.Signals),
 			ms(r.AnalyzeTime), v)
 	}
 	return "Figure 3: analysis time vs circuit size (scatter data)\n\n" + t.String()
@@ -318,12 +312,10 @@ func Figure4(byConfig map[string][]Result, order []string) string {
 		var prop, bits, smtFacts, queries int
 		var dt time.Duration
 		for _, r := range rs {
-			if r.Report != nil {
-				prop += r.Report.Stats.PropagationUnique
-				bits += r.Report.Stats.BitsUnique
-				smtFacts += r.Report.Stats.SMTUnique
-				queries += r.Report.Stats.Queries
-			}
+			prop += r.Summary.ByPropagation
+			bits += r.Summary.ByBitsRule
+			smtFacts += r.Summary.BySMT
+			queries += r.Summary.Queries
 			dt += r.AnalyzeTime
 		}
 		t.add(name, fmt.Sprintf("%d/%d", tal.Solved(), tal.Total),

@@ -135,15 +135,14 @@ type Config struct {
 	Seed int64
 	// DisableSolveRule / DisableBitsRule switch off individual propagation
 	// rules (rule-ablation experiments). With both set, the analysis still
-	// seeds inputs and issues sliced SMT queries.
+	// seeds inputs and issues sliced SMT queries. Either one also switches
+	// off the static-analysis pre-pass (internal/sa), which otherwise runs
+	// before the SMT rounds of ModeFull, pruning, ordering and shrinking the
+	// scheduler's queries. The baselines (ModePropagationOnly, ModeSMTOnly)
+	// never run the pre-pass so they stay faithful to the systems the paper
+	// compares against.
 	DisableSolveRule bool
 	DisableBitsRule  bool
-	// DisableStatic switches off the static-analysis pre-pass (internal/sa)
-	// that otherwise runs before the SMT rounds of ModeFull, pruning,
-	// ordering and shrinking the scheduler's queries. The baselines
-	// (ModePropagationOnly, ModeSMTOnly) never run the pre-pass so they stay
-	// faithful to the systems the paper compares against.
-	DisableStatic bool
 	// Obs, when non-nil, receives hierarchical spans for every phase of
 	// the analysis (rounds, queries, confirmations); ObsParent optionally
 	// nests the whole analysis under a caller-owned span (the bench runner
@@ -256,7 +255,7 @@ type Stats struct {
 	// solver queries (the round-1 slice query, plus the final whole-circuit
 	// query for outputs) never issued because a range-domain fact had
 	// already decided the target's uniqueness. All are zero when the
-	// pre-pass is disabled or its replay check failed — see DESIGN.md §12.
+	// pre-pass did not run or its replay check failed — see DESIGN.md §12.
 	StaticUnique         int
 	StaticRangeUnique    int
 	StaticQueriesAvoided int
@@ -308,8 +307,8 @@ type Report struct {
 	Degraded Degradation
 	// Static is the static-analysis pre-pass result (lint findings,
 	// dependency graph, abstract state); nil when the pre-pass did not run
-	// (baselines, DisableStatic). Findings are advisory context — they never
-	// decide the Verdict.
+	// (baselines, rule ablations). Findings are advisory context — they
+	// never decide the Verdict.
 	Static *sa.Result
 	Stats  Stats
 }
@@ -423,7 +422,7 @@ func AnalyzeContext(ctx context.Context, sys *r1cs.System, cfg *Config) *Report 
 		// Rule-ablation configs suppress the pre-pass too: its abstract
 		// interpretation re-derives the same rule classes (D-Solve ≈ R-Solve,
 		// D-Bits ≈ R-Bits), so leaving it on would quietly undo the ablation.
-		if !c.DisableStatic && !c.DisableSolveRule && !c.DisableBitsRule {
+		if !c.DisableSolveRule && !c.DisableBitsRule {
 			a.runStaticPrePass()
 			a.emitProgress("static", 0, 0, "")
 		}

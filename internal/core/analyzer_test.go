@@ -3,6 +3,7 @@ package core
 import (
 	"math/big"
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
@@ -108,6 +109,27 @@ func TestAnalyzeIsZeroBuggyUnsafe(t *testing.T) {
 	}
 	if p.System.Signal(ce.Signal).Kind != r1cs.KindOutput {
 		t.Error("flagged signal is not an output")
+	}
+	// The summary names the output, its two values and every differing
+	// signal in ID order, and carries the stats the tables read.
+	s := r.Summary(p.System)
+	f := p.System.Field()
+	if s.Verdict != "unsafe" || s.CEOutput != p.System.Name(ce.Signal) ||
+		s.CEValues != [2]string{f.String(ce.W1[ce.Signal]), f.String(ce.W2[ce.Signal])} {
+		t.Errorf("summary = %+v", s)
+	}
+	var differ []string
+	for id := 1; id < p.System.NumSignals(); id++ {
+		if ce.W1[id] != ce.W2[id] {
+			differ = append(differ, p.System.Name(id))
+		}
+	}
+	if !reflect.DeepEqual(s.CESignals, differ) {
+		t.Errorf("ce_signals = %v, want %v", s.CESignals, differ)
+	}
+	if s.Signals != r.Stats.SignalsTotal || s.Constraints != r.Stats.Constraints || s.Workers != r.Stats.Workers ||
+		s.Queries != r.Stats.Queries || s.ByPropagation != r.Stats.PropagationUnique || s.BySMT != r.Stats.SMTUnique {
+		t.Errorf("summary stats = %+v, report stats = %+v", s, r.Stats)
 	}
 }
 

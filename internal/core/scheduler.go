@@ -125,9 +125,9 @@ func (a *analysis) admit(t *queryTask, sigs []int, snap *uniq.Snapshot) {
 }
 
 // internalErrPrefix prefixes the Reason of outcomes fabricated by the
-// panic-quarantine boundary (runQuery, and the bench runner's instance
-// boundary). It is the vocabulary outcomeDegradation classifies on, so the
-// composer and the classifier can never drift apart.
+// panic-quarantine boundary (runQuery) and of InternalError reports. It is
+// the vocabulary outcomeDegradation and cacheable classify on, so the
+// composers and the classifiers can never drift apart.
 const internalErrPrefix = "internal error"
 
 // outcomeDegradation classifies one query outcome against the reason
@@ -328,10 +328,10 @@ func (a *analysis) accountTask(t *queryTask) {
 // under. Caching one would let a budget-starved first query poison a
 // well-funded re-query of the same slice signature forever; see
 // TestCacheDoesNotReplayResourceLimitedUnknowns. Quarantine products
-// ("internal …") are likewise transient and never retained.
+// (internalErrPrefix) are likewise transient and never retained.
 func cacheable(out smt.Outcome) bool {
 	if out.Status != smt.StatusUnknown {
 		return true
 	}
-	return !out.ResourceLimited && !strings.HasPrefix(out.Reason, "internal")
+	return !out.ResourceLimited && !strings.HasPrefix(out.Reason, internalErrPrefix)
 }

@@ -33,6 +33,9 @@ func TestCacheDoesNotReplayResourceLimitedUnknowns(t *testing.T) {
 		{"resource-limited unknown", limited, false},
 		{"deterministic unknown", deterministic, true},
 		{"quarantined unknown", quarantined, false},
+		// A solver self-check failure is deterministic for the slice
+		// signature (which pins the seed), not a quarantine product.
+		{"solver self-check unknown", smt.Outcome{Status: smt.StatusUnknown, Reason: "internal: model check failed"}, true},
 	} {
 		if got := cacheable(tc.out); got != tc.want {
 			t.Errorf("cacheable(%s) = %v, want %v", tc.name, got, tc.want)

@@ -6,7 +6,6 @@ import (
 
 	"qed2/internal/core"
 	"qed2/internal/r1cs"
-	"qed2/internal/store"
 )
 
 // Status is a job's lifecycle state.
@@ -57,7 +56,7 @@ type Job struct {
 
 	mu        sync.Mutex
 	status    Status
-	report    *store.Report
+	report    *core.Summary
 	errMsg    string
 	retriable bool // terminal state is safe to resubmit (drain shedding)
 	cached    bool // report came from the store, no solver run
@@ -103,7 +102,7 @@ type JobView struct {
 	Cached    bool          `json:"cached,omitempty"`
 	Retriable bool          `json:"retriable,omitempty"`
 	Error     string        `json:"error,omitempty"`
-	Report    *store.Report `json:"report,omitempty"`
+	Report    *core.Summary `json:"report,omitempty"`
 	// Timestamps in Unix milliseconds (0 = not reached).
 	SubmittedMS int64 `json:"submitted_ms"`
 	StartedMS   int64 `json:"started_ms,omitempty"`
@@ -145,7 +144,7 @@ func (j *Job) Status() Status {
 }
 
 // Report returns the terminal report (nil unless status is done).
-func (j *Job) Report() *store.Report {
+func (j *Job) Report() *core.Summary {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.report
@@ -217,7 +216,7 @@ func (j *Job) setRunning(cancel func()) {
 // finish moves the job to a terminal state. It is a no-op if the job is
 // already terminal (a drain racing a natural completion keeps whichever
 // outcome landed first — a decided verdict is never revoked).
-func (j *Job) finish(st Status, rep *store.Report, errMsg string, retriable bool) bool {
+func (j *Job) finish(st Status, rep *core.Summary, errMsg string, retriable bool) bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.status.Terminal() {
@@ -234,7 +233,7 @@ func (j *Job) finish(st Status, rep *store.Report, errMsg string, retriable bool
 }
 
 // markCached stamps a store-hit job: born terminal, report attached.
-func (j *Job) markCached(rep *store.Report) {
+func (j *Job) markCached(rep *core.Summary) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	j.cached = true

@@ -21,7 +21,6 @@ import (
 	"qed2/internal/faultinject"
 	"qed2/internal/obs"
 	"qed2/internal/r1cs"
-	"qed2/internal/store"
 )
 
 // Sandboxed execution (qed2d -sandbox). The engine's in-process panic
@@ -48,7 +47,7 @@ import (
 // *HardFaultError return means the execution vehicle died — the analysis
 // outcome is unknown and must not be cached; any other error is an
 // internal failure of the runner itself.
-type JobRunner func(ctx context.Context, sys *r1cs.System, cfg core.Config) (*store.Report, error)
+type JobRunner func(ctx context.Context, sys *r1cs.System, cfg core.Config) (*core.Summary, error)
 
 // HardFaultError reports that an isolated worker process died without
 // delivering a verdict: killed by the kernel (OOM), by a fatal runtime
@@ -121,7 +120,6 @@ type workerConfig struct {
 	Workers     int    `json:"workers"`
 	NoSolveRule bool   `json:"no_solve_rule,omitempty"`
 	NoBitsRule  bool   `json:"no_bits_rule,omitempty"`
-	NoStatic    bool   `json:"no_static,omitempty"`
 	MemMB       int    `json:"mem_mb,omitempty"`
 	// Chaos, set by the parent when a worker.kill / worker.hang fault fires
 	// at spawn, tells the child to die or wedge mid-analysis — the
@@ -133,7 +131,7 @@ type workerConfig struct {
 type workerLine struct {
 	Kind     string              `json:"kind"` // "progress" | "report"
 	Progress *core.ProgressEvent `json:"progress,omitempty"`
-	Report   *store.Report       `json:"report,omitempty"`
+	Report   *core.Summary       `json:"report,omitempty"`
 }
 
 // maxWorkerLine bounds one NDJSON line from the child (reports carry
@@ -141,7 +139,7 @@ type workerLine struct {
 const maxWorkerLine = 8 << 20
 
 // Run executes one job in a worker subprocess; it satisfies JobRunner.
-func (s *Sandbox) Run(ctx context.Context, sys *r1cs.System, cfg core.Config) (*store.Report, error) {
+func (s *Sandbox) Run(ctx context.Context, sys *r1cs.System, cfg core.Config) (*core.Summary, error) {
 	spawns := s.Metrics.Counter("service.sandbox.spawns")
 	hardFaults := s.Metrics.Counter("service.sandbox.hard_faults")
 	wallKills := s.Metrics.Counter("service.sandbox.wall_kills")
@@ -157,7 +155,6 @@ func (s *Sandbox) Run(ctx context.Context, sys *r1cs.System, cfg core.Config) (*
 		Workers:     cfg.Workers,
 		NoSolveRule: cfg.DisableSolveRule,
 		NoBitsRule:  cfg.DisableBitsRule,
-		NoStatic:    cfg.DisableStatic,
 		MemMB:       s.MemMB,
 	}
 	// The chaos sites are checked in the parent, once per spawn, so their
@@ -250,7 +247,7 @@ func (s *Sandbox) Run(ctx context.Context, sys *r1cs.System, cfg core.Config) (*
 	}()
 
 	// Read the child's stream until EOF (its death closes the pipe).
-	var report *store.Report
+	var report *core.Summary
 	var lineErr error
 	sc := bufio.NewScanner(stdout)
 	sc.Buffer(make([]byte, 64<<10), maxWorkerLine)
@@ -416,7 +413,6 @@ func WorkerMain(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		Workers:          wc.Workers,
 		DisableSolveRule: wc.NoSolveRule,
 		DisableBitsRule:  wc.NoBitsRule,
-		DisableStatic:    wc.NoStatic,
 	}
 	switch wc.Mode {
 	case core.ModeFull.String(), "":
@@ -451,7 +447,8 @@ func WorkerMain(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	}
 
 	rep := core.AnalyzeContext(context.Background(), sys, &cfg)
-	if err := enc.Encode(workerLine{Kind: "report", Report: store.FromCore(rep, sys)}); err != nil {
+	sum := rep.Summary(sys)
+	if err := enc.Encode(workerLine{Kind: "report", Report: &sum}); err != nil {
 		fmt.Fprintln(stderr, "qed2d worker: writing report:", err)
 		return 3
 	}

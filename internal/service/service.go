@@ -39,6 +39,7 @@ import (
 	"qed2/internal/faultinject"
 	"qed2/internal/obs"
 	"qed2/internal/r1cs"
+	"qed2/internal/smt"
 	"qed2/internal/store"
 )
 
@@ -379,7 +380,7 @@ func (e *Engine) runJob(j *Job) {
 	defer cancel()
 	j.setRunning(cancel)
 
-	var sr *store.Report
+	var sr *core.Summary
 	if e.cfg.Runner != nil {
 		sr = e.runSandboxed(jobCtx, j)
 	} else {
@@ -398,7 +399,7 @@ func (e *Engine) runJob(j *Job) {
 	}
 	e.mu.Unlock()
 
-	switch core.Degradation(sr.Degraded) {
+	switch sr.Degraded {
 	case core.DegradedCanceled:
 		// Shut down mid-analysis (drain): shed as retriable so a client —
 		// or Resume — re-analyzes it.
@@ -432,16 +433,12 @@ func (e *Engine) runJob(j *Job) {
 
 // runInProcess is the classic path: core.AnalyzeContext on this worker
 // goroutine behind a panic boundary.
-func (e *Engine) runInProcess(ctx context.Context, j *Job) *store.Report {
+func (e *Engine) runInProcess(ctx context.Context, j *Job) *core.Summary {
 	var rep *core.Report
 	func() {
 		defer func() {
 			if r := recover(); r != nil {
-				rep = &core.Report{
-					Verdict:  core.VerdictUnknown,
-					Reason:   fmt.Sprintf("internal error: %v", r),
-					Degraded: core.DegradedInternal,
-				}
+				rep = core.InternalError(r)
 			}
 		}()
 		cfg := e.cfg.Analyzer
@@ -449,43 +446,33 @@ func (e *Engine) runInProcess(ctx context.Context, j *Job) *store.Report {
 		cfg.Progress = j.emitProgress
 		rep = core.AnalyzeContext(ctx, j.sys, &cfg)
 	}()
-	return store.FromCore(rep, j.sys)
+	sum := rep.Summary(j.sys)
+	return &sum
 }
 
 // runSandboxed delegates the analysis to the configured Runner (a worker
 // subprocess) and maps its error space onto the degradation vocabulary:
 // context cancellation → canceled (drain semantics, identical to
 // in-process), *HardFaultError → hard-fault, anything else → internal.
-func (e *Engine) runSandboxed(ctx context.Context, j *Job) *store.Report {
+func (e *Engine) runSandboxed(ctx context.Context, j *Job) *core.Summary {
 	cfg := e.cfg.Analyzer
 	cfg.Progress = j.emitProgress
 	sr, err := e.cfg.Runner(ctx, j.sys, cfg)
+	var rep *core.Report
 	switch hf := (*HardFaultError)(nil); {
 	case err == nil && sr != nil:
 		return sr
 	case ctx.Err() != nil:
-		return &store.Report{
-			Verdict:  core.VerdictUnknown.String(),
-			Reason:   "canceled",
-			Degraded: string(core.DegradedCanceled),
-		}
+		rep = &core.Report{Verdict: core.VerdictUnknown, Reason: smt.Canceled, Degraded: core.DegradedCanceled}
 	case errors.As(err, &hf):
-		return &store.Report{
-			Verdict:  core.VerdictUnknown.String(),
-			Reason:   hf.Error(),
-			Degraded: string(core.DegradedHardFault),
-		}
+		rep = &core.Report{Verdict: core.VerdictUnknown, Reason: hf.Error(), Degraded: core.DegradedHardFault}
+	case err == nil:
+		rep = core.InternalError("runner returned no report")
 	default:
-		reason := "internal error: runner returned no report"
-		if err != nil {
-			reason = "internal error: " + err.Error()
-		}
-		return &store.Report{
-			Verdict:  core.VerdictUnknown.String(),
-			Reason:   reason,
-			Degraded: string(core.DegradedInternal),
-		}
+		rep = core.InternalError(err)
 	}
+	sum := rep.Summary(nil)
+	return &sum
 }
 
 // QuarantineOpenCount reports how many digests are currently quarantined,

@@ -38,73 +38,13 @@ import (
 	"qed2/internal/core"
 	"qed2/internal/faultinject"
 	"qed2/internal/obs"
-	"qed2/internal/r1cs"
 )
-
-// Report is the serializable summary of one analysis, the unit the store
-// caches and the jobs API returns. It carries the verdict, the
-// counterexample rendered in the same shape the bench golden gate pins
-// (output name, witnessed values, differing-signal names in ID order), and
-// an effort summary.
-type Report struct {
-	Verdict  string `json:"verdict"`
-	Reason   string `json:"reason,omitempty"`
-	Degraded string `json:"degraded,omitempty"`
-	// CEOutput/CEValues/CESignals summarize the counterexample of an unsafe
-	// verdict: the differing output with its two witnessed values, and the
-	// names of every signal on which the witness pair disagrees (ID order).
-	CEOutput  string    `json:"ce_output,omitempty"`
-	CEValues  [2]string `json:"ce_values,omitempty"`
-	CESignals []string  `json:"ce_signals,omitempty"`
-	// Circuit shape and analysis effort.
-	Signals       int     `json:"signals"`
-	Constraints   int     `json:"constraints"`
-	UniqueSignals int     `json:"unique_signals"`
-	Queries       int     `json:"queries"`
-	SolverSteps   int64   `json:"solver_steps"`
-	CacheHits     int     `json:"cache_hits"`
-	DurationMS    float64 `json:"duration_ms"`
-	// Version stamps the build that produced the report (informational).
-	Version string `json:"version,omitempty"`
-}
-
-// FromCore summarizes a core report against its system (needed to name the
-// counterexample signals).
-func FromCore(rep *core.Report, sys *r1cs.System) *Report {
-	out := &Report{
-		Verdict:       rep.Verdict.String(),
-		Reason:        rep.Reason,
-		Degraded:      string(rep.Degraded),
-		Signals:       rep.Stats.SignalsTotal,
-		Constraints:   rep.Stats.Constraints,
-		UniqueSignals: rep.Stats.UniqueTotal,
-		Queries:       rep.Stats.Queries,
-		SolverSteps:   rep.Stats.SolverSteps,
-		CacheHits:     rep.Stats.CacheHits,
-		DurationMS:    float64(rep.Stats.Duration.Microseconds()) / 1000,
-		Version:       buildinfo.Get().String(),
-	}
-	if ce := rep.Counter; ce != nil {
-		f := sys.Field()
-		out.CEOutput = sys.Name(ce.Signal)
-		out.CEValues = [2]string{f.String(ce.W1[ce.Signal]), f.String(ce.W2[ce.Signal])}
-		for id := 1; id < sys.NumSignals(); id++ {
-			if ce.W1[id] != ce.W2[id] {
-				out.CESignals = append(out.CESignals, sys.Name(id))
-			}
-		}
-	}
-	return out
-}
 
 // Cacheable reports whether a report may be served from the store: only
 // decided verdicts (safe/unsafe) that are not degraded. Every flavor of
 // Unknown re-analyzes.
-func Cacheable(r *Report) bool {
-	if r == nil || r.Degraded != "" {
-		return false
-	}
-	return r.Verdict == core.VerdictSafe.String() || r.Verdict == core.VerdictUnsafe.String()
+func Cacheable(r *core.Summary) bool {
+	return r != nil && r.Degraded == core.DegradedNone && r.Decided()
 }
 
 // ErrUncacheable is returned by Put for reports Cacheable rejects.
@@ -147,7 +87,7 @@ type Store struct {
 
 type entry struct {
 	digest string
-	rep    *Report
+	rep    *core.Summary
 }
 
 // stampFile is the disk-tier stamp marker inside Options.Dir.
@@ -258,7 +198,7 @@ func Open(opts Options) (*Store, error) {
 // miss — including when fault injection (site service.store.get) poisons
 // the lookup: a store fault degrades to a re-analysis, never to a wrong or
 // missing verdict.
-func (s *Store) Get(digest string) (*Report, bool) {
+func (s *Store) Get(digest string) (*core.Summary, bool) {
 	if faultinject.Enabled() {
 		if f := faultinject.Check("service.store.get"); f.Err != "" || f.Deadline {
 			s.misses.Inc()
@@ -284,7 +224,7 @@ func (s *Store) Get(digest string) (*Report, bool) {
 	return nil, false
 }
 
-func (s *Store) diskGet(digest string) (*Report, bool) {
+func (s *Store) diskGet(digest string) (*core.Summary, bool) {
 	if s.dir == "" || !validDigest(digest) {
 		return nil, false
 	}
@@ -316,7 +256,7 @@ func (s *Store) diskGet(digest string) (*Report, bool) {
 // checksum over the raw report bytes, and report decodability. The
 // store.corrupt fault-injection site flips a byte of what was read, driving
 // the real verification failure path rather than simulating its outcome.
-func (s *Store) loadEntry(path string) (*Report, error) {
+func (s *Store) loadEntry(path string) (*core.Summary, error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
@@ -340,7 +280,7 @@ func (s *Store) loadEntry(path string) (*Report, error) {
 	if got != env.SHA256 {
 		return nil, fmt.Errorf("store: %s: checksum mismatch (%s != %s)", path, got, env.SHA256)
 	}
-	rep := &Report{}
+	rep := &core.Summary{}
 	if err := json.Unmarshal(env.Report, rep); err != nil {
 		return nil, fmt.Errorf("store: %s: undecodable report: %w", path, err)
 	}
@@ -368,7 +308,7 @@ func (s *Store) quarantineCorrupt(path string) {
 // a set Degraded flag) are refused with ErrUncacheable — the cache-verdict
 // hygiene gate. Disk-tier write failures are reported but leave the memory
 // tier updated.
-func (s *Store) Put(digest string, rep *Report) error {
+func (s *Store) Put(digest string, rep *core.Summary) error {
 	if !Cacheable(rep) {
 		s.rejectedPuts.Inc()
 		return ErrUncacheable
@@ -459,7 +399,7 @@ func syncDir(dir string) error {
 	return err
 }
 
-func (s *Store) installMemory(digest string, rep *Report) {
+func (s *Store) installMemory(digest string, rep *core.Summary) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if el, ok := s.entries[digest]; ok {

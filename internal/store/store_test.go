@@ -4,6 +4,8 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -13,8 +15,8 @@ import (
 	"qed2/internal/obs"
 )
 
-func safeReport(tag string) *Report {
-	return &Report{Verdict: "safe", Reason: tag, Signals: 3, Constraints: 2}
+func safeReport(tag string) *core.Summary {
+	return &core.Summary{Verdict: "safe", Reason: tag, Signals: 3, Constraints: 2}
 }
 
 func digestN(n byte) string {
@@ -68,7 +70,7 @@ func TestStoreRejectsUncacheableReports(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	uncacheable := []*Report{
+	uncacheable := []*core.Summary{
 		nil,
 		{Verdict: "unknown", Reason: "analysis budget exhausted"},
 		{Verdict: "unknown", Reason: "canceled", Degraded: "canceled"},
@@ -88,7 +90,7 @@ func TestStoreRejectsUncacheableReports(t *testing.T) {
 	if got := m.Counters()["service.store.rejected_puts"]; got != int64(len(uncacheable)) {
 		t.Fatalf("rejected_puts = %d, want %d", got, len(uncacheable))
 	}
-	if err := s.Put(digestN(200), &Report{Verdict: "unsafe", CEOutput: "out"}); err != nil {
+	if err := s.Put(digestN(200), &core.Summary{Verdict: "unsafe", CEOutput: "out"}); err != nil {
 		t.Fatalf("decided unsafe verdict refused: %v", err)
 	}
 }
@@ -330,19 +332,77 @@ func TestStoreFaultInjectionDegradesToMiss(t *testing.T) {
 	}
 }
 
-func TestFromCoreCacheableSplit(t *testing.T) {
+func TestSummaryCacheableSplit(t *testing.T) {
 	rep := &core.Report{Verdict: core.VerdictSafe}
 	rep.Stats.SignalsTotal = 4
 	rep.Stats.Duration = 1500 * time.Microsecond
-	sr := FromCore(rep, nil)
-	if !Cacheable(sr) || sr.Verdict != "safe" || sr.Signals != 4 {
-		t.Fatalf("FromCore(safe) = %+v", sr)
+	sr := rep.Summary(nil)
+	if !Cacheable(&sr) || sr.Verdict != "safe" || sr.Signals != 4 || sr.DurationMS != 1.5 {
+		t.Fatalf("Summary(safe) = %+v", sr)
 	}
 	if sr.Version == "" {
 		t.Fatal("report not version-stamped")
 	}
-	deg := &core.Report{Verdict: core.VerdictUnknown, Reason: "canceled", Degraded: core.DegradedCanceled}
-	if Cacheable(FromCore(deg, nil)) {
+	deg := (&core.Report{Verdict: core.VerdictUnknown, Reason: "canceled", Degraded: core.DegradedCanceled}).Summary(nil)
+	if Cacheable(&deg) {
 		t.Fatal("degraded report marked cacheable")
+	}
+}
+
+// TestStoreServesParentFormatEntry: a format-2 entry written by a build
+// whose report carried no by_propagation/by_bits_rule/by_smt/workers fields
+// still verifies (the checksum covers the raw report bytes, not a
+// re-encoding), survives the startup scrub, and is served with every field
+// it did carry.
+func TestStoreServesParentFormatEntry(t *testing.T) {
+	dir := t.TempDir()
+	const stamp = `{"mode":"qed2","seed":1}`
+	payload := `{"format":2,"stamp":` + strconv.Quote(stamp) + `,"version":"(devel) go1.22.0"}` + "\n"
+	if err := os.WriteFile(filepath.Join(dir, "store_stamp.json"), []byte(payload), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	entry := `{
+  "format": 2,
+  "sha256": "687d2b61c998708ea1b52340ba3e7d889681f2d5825d6b29404f3b468f8aa11a",
+  "report": {
+    "verdict": "unsafe",
+    "ce_output": "main.out",
+    "ce_values": [
+      "1",
+      "0"
+    ],
+    "ce_signals": [
+      "main.inv",
+      "main.out"
+    ],
+    "signals": 5,
+    "constraints": 2,
+    "unique_signals": 3,
+    "queries": 1,
+    "solver_steps": 12,
+    "cache_hits": 0,
+    "duration_ms": 0.52,
+    "version": "(devel) go1.22.0"
+  }
+}
+`
+	if err := os.WriteFile(filepath.Join(dir, digestN(42)+".json"), []byte(entry), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(Options{Dir: dir, Stamp: stamp})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sc, _ := s.LastScrub(); sc.Scanned != 1 || sc.Valid != 1 || sc.Corrupt != 0 {
+		t.Fatalf("scrub of a parent-format entry = %+v", sc)
+	}
+	got, ok := s.Get(digestN(42))
+	want := core.Summary{
+		Verdict: "unsafe", CEOutput: "main.out", CEValues: [2]string{"1", "0"},
+		CESignals: []string{"main.inv", "main.out"}, Signals: 5, Constraints: 2,
+		UniqueSignals: 3, Queries: 1, SolverSteps: 12, DurationMS: 0.52, Version: "(devel) go1.22.0",
+	}
+	if !ok || !reflect.DeepEqual(*got, want) {
+		t.Fatalf("parent-format entry served as %+v ok=%v, want %+v", got, ok, want)
 	}
 }

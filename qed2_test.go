@@ -170,24 +170,20 @@ func TestSuiteDeterministicAcrossWorkerCounts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-suite run skipped with -short")
 	}
-	insts := bench.Suite()
-	cfg := core.Config{QuerySteps: 10_000, GlobalSteps: 100_000, Seed: 1}
-	run := func(workers int) []bench.Result {
-		c := cfg
-		c.Workers = workers
-		return bench.Run(insts, &bench.RunOptions{Config: c, Workers: 4})
-	}
-	one := run(1)
-	eight := run(8)
-	for i := range insts {
-		if one[i].CompileErr != nil || eight[i].CompileErr != nil {
-			t.Errorf("%s: compile error: %v / %v", insts[i].Name, one[i].CompileErr, eight[i].CompileErr)
+	for _, inst := range bench.Suite() {
+		prog, err := inst.Compile()
+		if err != nil {
+			t.Errorf("%s: compile error: %v", inst.Name, err)
 			continue
 		}
-		a, b := canonicalReport(one[i].Report), canonicalReport(eight[i].Report)
-		if a != b {
+		var reps [2]string
+		for i, workers := range []int{1, 8} {
+			cfg := core.Config{QuerySteps: 10_000, GlobalSteps: 100_000, Seed: 1, Workers: workers}
+			reps[i] = canonicalReport(core.Analyze(prog.System, &cfg))
+		}
+		if reps[0] != reps[1] {
 			t.Errorf("%s: report differs between 1 and 8 workers:\n--- workers=1\n%s--- workers=8\n%s",
-				insts[i].Name, a, b)
+				inst.Name, reps[0], reps[1])
 		}
 	}
 }
