@@ -7,9 +7,10 @@ import (
 	"qed2/internal/ff"
 )
 
-// BenchmarkPolySubst measures the substitution path the solver's Gaussian
-// elimination leans on: substituting a linear combination into a dense Quad,
-// and fixing a variable to a value.
+// BenchmarkPolySubst measures the paths the solver's Gaussian elimination
+// and pair derivation lean on: substituting into linear combinations and
+// Quads, fixing a variable to a value, and the sorted merges behind
+// LinComb.Add and Quad.Sub.
 func BenchmarkPolySubst(b *testing.B) {
 	f := ff.BN254()
 	rng := rand.New(rand.NewSource(7))
@@ -22,49 +23,37 @@ func BenchmarkPolySubst(b *testing.B) {
 		return lc
 	}
 	a, c := dense(), dense()
-	q := MulLin(a, c)
+	q, q2 := MulLin(a, c), MulLin(c, dense())
 	repl := dense().SubstituteValue(3, f.Zero())
 	val := f.RandFrom(rng)
+	m := map[int]ff.Element{}
+	for v := 0; v < nVars; v++ {
+		m[v] = f.RandFrom(rng)
+	}
 
-	b.Run("lincomb-substitute", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			sinkLC = a.Substitute(3, repl)
-		}
-	})
-	b.Run("lincomb-substitute-value", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			sinkLC = a.SubstituteValue(3, val)
-		}
-	})
-	b.Run("quad-substitute-value", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			sinkQuad = q.SubstituteValue(3, val)
-		}
-	})
-	b.Run("quad-eval", func(b *testing.B) {
-		m := map[int]ff.Element{}
-		for v := 0; v < nVars; v++ {
-			m[v] = f.RandFrom(rng)
-		}
-		for i := 0; i < b.N; i++ {
-			sinkElt = q.EvalMap(m)
-		}
-	})
-	b.Run("mullin", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			sinkQuad = MulLin(a, c)
-		}
-	})
-	b.Run("key", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			sinkString = q.Key()
-		}
-	})
+	for _, bc := range []struct {
+		name string
+		run  func()
+	}{
+		{"lincomb-add", func() { sinkLC = a.Add(c) }},
+		{"lincomb-substitute", func() { sinkLC = a.Substitute(3, repl) }},
+		{"lincomb-substitute-value", func() { sinkLC = a.SubstituteValue(3, val) }},
+		{"quad-substitute-value", func() { sinkQuad = q.SubstituteValue(3, val) }},
+		{"quad-eval", func() { sinkElt = q.EvalMap(m) }},
+		{"quad-sub", func() { sinkQuad = q.Sub(q2) }},
+		{"mullin", func() { sinkQuad = MulLin(a, c) }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				bc.run()
+			}
+		})
+	}
 }
 
 var (
-	sinkLC     *LinComb
-	sinkQuad   *Quad
-	sinkElt    ff.Element
-	sinkString string
+	sinkLC   *LinComb
+	sinkQuad *Quad
+	sinkElt  ff.Element
 )

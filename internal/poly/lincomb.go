@@ -14,35 +14,39 @@
 package poly
 
 import (
+	"cmp"
 	"fmt"
 	"math/big" //qed2:allow-mathbig — rendering and signed-magnitude display only
-	"sort"
+	"slices"
 	"strings"
 
 	"qed2/internal/ff"
 )
 
 // LinComb is a sparse linear combination  c₀ + Σᵢ cᵢ·xᵢ  with coefficients
-// in F_p. The zero coefficient is never stored. LinComb values are mutable;
-// operations return new values and never mutate their receivers unless the
-// method name says so (the *InPlace variants).
+// in F_p. LinComb values are immutable: every operation returns a new value
+// (or the receiver itself when nothing changes) and never writes to its
+// operands, so values may be shared freely between constraints, search
+// states and goroutines.
 type LinComb struct {
 	f     *ff.Field
-	konst ff.Element         // constant term
-	terms map[int]ff.Element // var → nonzero coefficient
+	konst ff.Element // constant term
+	// terms is ascending by variable and holds no zero coefficient. The
+	// slice is never written after construction, so results may share it.
+	terms []term
+}
+
+// term is one monomial c·x of a linear combination.
+type term struct {
+	v int
+	c ff.Element
 }
 
 // NewLinComb returns the zero linear combination over field f.
-func NewLinComb(f *ff.Field) *LinComb {
-	return &LinComb{f: f, terms: map[int]ff.Element{}}
-}
+func NewLinComb(f *ff.Field) *LinComb { return &LinComb{f: f} }
 
 // Const returns the constant linear combination v.
-func Const(f *ff.Field, v ff.Element) *LinComb {
-	lc := NewLinComb(f)
-	lc.konst = v
-	return lc
-}
+func Const(f *ff.Field, v ff.Element) *LinComb { return &LinComb{f: f, konst: v} }
 
 // ConstBig returns the constant linear combination for a *big.Int, reduced
 // into the field. Parse/deserialize boundary helper.
@@ -53,67 +57,65 @@ func ConstInt(f *ff.Field, v int64) *LinComb { return Const(f, f.NewElement(v)) 
 
 // Var returns the linear combination consisting of the single variable x
 // with coefficient 1.
-func Var(f *ff.Field, x int) *LinComb {
-	lc := NewLinComb(f)
-	lc.terms[x] = f.One()
-	return lc
-}
+func Var(f *ff.Field, x int) *LinComb { return Term(f, x, f.One()) }
 
 // Term returns the linear combination coeff·x.
 func Term(f *ff.Field, x int, coeff ff.Element) *LinComb {
-	lc := NewLinComb(f)
-	if !coeff.IsZero() {
-		lc.terms[x] = coeff
+	if coeff.IsZero() {
+		return NewLinComb(f)
 	}
-	return lc
+	return &LinComb{f: f, terms: []term{{x, coeff}}}
 }
 
 // Field returns the coefficient field.
 func (lc *LinComb) Field() *ff.Field { return lc.f }
 
-// Clone returns a deep copy.
-func (lc *LinComb) Clone() *LinComb {
-	out := &LinComb{f: lc.f, konst: lc.konst, terms: make(map[int]ff.Element, len(lc.terms))}
-	for v, c := range lc.terms {
-		out.terms[v] = c
-	}
-	return out
-}
-
 // Constant returns the constant term.
 func (lc *LinComb) Constant() ff.Element { return lc.konst }
 
+// find returns the index of x in lc.terms, or -1 when x does not occur.
+func (lc *LinComb) find(x int) int {
+	lo, hi := 0, len(lc.terms)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if lc.terms[m].v < x {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	if lo < len(lc.terms) && lc.terms[lo].v == x {
+		return lo
+	}
+	return -1
+}
+
 // Coeff returns the coefficient of variable x (zero if absent).
-func (lc *LinComb) Coeff(x int) ff.Element { return lc.terms[x] }
+func (lc *LinComb) Coeff(x int) ff.Element {
+	if i := lc.find(x); i >= 0 {
+		return lc.terms[i].c
+	}
+	return ff.Element{}
+}
 
 // NumTerms returns the number of variables with nonzero coefficient.
 func (lc *LinComb) NumTerms() int { return len(lc.terms) }
 
 // Vars returns the variables with nonzero coefficients, in ascending order.
+// The slice is fresh; the caller may modify it.
 func (lc *LinComb) Vars() []int {
-	vs := make([]int, 0, len(lc.terms))
-	for v := range lc.terms {
-		vs = append(vs, v)
+	vs := make([]int, len(lc.terms))
+	for i, t := range lc.terms {
+		vs[i] = t.v
 	}
-	sort.Ints(vs)
 	return vs
 }
 
 // VisitTerms calls fn for every (variable, coefficient) pair in ascending
-// variable order.
+// variable order, without allocating.
 func (lc *LinComb) VisitTerms(fn func(x int, coeff ff.Element)) {
-	for _, v := range lc.Vars() {
-		fn(v, lc.terms[v])
-	}
-}
-
-// VisitTermsUnordered calls fn for every (variable, coefficient) pair in
-// unspecified order. Unlike VisitTerms it neither sorts nor allocates, so
-// it is safe in hot paths as long as the caller folds the visits with an
-// order-independent operation (a multiset hash, a minimum, a sum).
-func (lc *LinComb) VisitTermsUnordered(fn func(x int, coeff ff.Element)) {
-	for v, c := range lc.terms {
-		fn(v, c)
+	for _, t := range lc.terms {
+		fn(t.v, t.c)
 	}
 }
 
@@ -129,76 +131,122 @@ func (lc *LinComb) IsSingleVar() (x int, ok bool) {
 	if len(lc.terms) != 1 {
 		return 0, false
 	}
-	for v := range lc.terms {
-		return v, true
-	}
-	return 0, false // unreachable
+	return lc.terms[0].v, true
 }
 
-// setCoeff installs coeff for x, deleting the entry when zero.
-func (lc *LinComb) setCoeff(x int, coeff ff.Element) {
-	if coeff.IsZero() {
-		delete(lc.terms, x)
-	} else {
-		lc.terms[x] = coeff
+// mergeOp selects how merge folds the second operand's coefficients in.
+type mergeOp int
+
+const (
+	opAdd  mergeOp = iota // a + b
+	opSub                 // a − b
+	opAxpy                // a + k·b
+)
+
+// merge returns the terms of a — without index skip, when skip ≥ 0 — merged
+// with the terms of b under op, in one linear pass. Cancelled coefficients
+// are dropped, so the result is again sorted and zero-free.
+func merge(f *ff.Field, a []term, skip int, b []term, op mergeOp, k ff.Element) []term {
+	out := make([]term, 0, len(a)+len(b))
+	i, j := 0, 0
+	for i < len(a) || j < len(b) {
+		if i == skip {
+			i++
+			continue
+		}
+		switch {
+		case j == len(b) || (i < len(a) && a[i].v < b[j].v):
+			out = append(out, a[i])
+			i++
+			continue
+		case i == len(a) || b[j].v < a[i].v:
+			out = append(out, term{b[j].v, op.apply(f, b[j].c, k)})
+		default:
+			if c := f.Add(a[i].c, op.apply(f, b[j].c, k)); !c.IsZero() {
+				out = append(out, term{a[i].v, c})
+			}
+			i++
+		}
+		j++
 	}
+	return out
+}
+
+func (op mergeOp) apply(f *ff.Field, c, k ff.Element) ff.Element {
+	switch op {
+	case opSub:
+		return f.Neg(c)
+	case opAxpy:
+		return f.Mul(c, k)
+	}
+	return c
 }
 
 // Add returns lc + other.
 func (lc *LinComb) Add(other *LinComb) *LinComb {
-	out := lc.Clone()
-	out.konst = lc.f.Add(out.konst, other.konst)
-	for v, c := range other.terms {
-		out.setCoeff(v, lc.f.Add(out.terms[v], c))
+	konst := lc.f.Add(lc.konst, other.konst)
+	switch {
+	case len(other.terms) == 0:
+		return &LinComb{f: lc.f, konst: konst, terms: lc.terms}
+	case len(lc.terms) == 0:
+		return &LinComb{f: lc.f, konst: konst, terms: other.terms}
 	}
-	return out
+	return &LinComb{f: lc.f, konst: konst, terms: merge(lc.f, lc.terms, -1, other.terms, opAdd, ff.Element{})}
 }
 
 // Sub returns lc - other.
 func (lc *LinComb) Sub(other *LinComb) *LinComb {
-	out := lc.Clone()
-	out.konst = lc.f.Sub(out.konst, other.konst)
-	for v, c := range other.terms {
-		out.setCoeff(v, lc.f.Sub(out.terms[v], c))
+	konst := lc.f.Sub(lc.konst, other.konst)
+	if len(other.terms) == 0 {
+		return &LinComb{f: lc.f, konst: konst, terms: lc.terms}
 	}
-	return out
+	return &LinComb{f: lc.f, konst: konst, terms: merge(lc.f, lc.terms, -1, other.terms, opSub, ff.Element{})}
 }
 
 // Neg returns -lc.
 func (lc *LinComb) Neg() *LinComb {
-	out := NewLinComb(lc.f)
-	out.konst = lc.f.Neg(lc.konst)
-	for v, c := range lc.terms {
-		out.terms[v] = lc.f.Neg(c)
+	out := &LinComb{f: lc.f, konst: lc.f.Neg(lc.konst), terms: make([]term, len(lc.terms))}
+	for i, t := range lc.terms {
+		out.terms[i] = term{t.v, lc.f.Neg(t.c)}
 	}
 	return out
 }
 
 // Scale returns k·lc for a field constant k.
 func (lc *LinComb) Scale(k ff.Element) *LinComb {
-	out := NewLinComb(lc.f)
 	if k.IsZero() {
-		return out
+		return NewLinComb(lc.f)
 	}
-	out.konst = lc.f.Mul(lc.konst, k)
-	for v, c := range lc.terms {
-		out.terms[v] = lc.f.Mul(c, k)
+	return &LinComb{f: lc.f, konst: lc.f.Mul(lc.konst, k), terms: scaleTerms(lc.f, lc.terms, -1, k)}
+}
+
+// scaleTerms returns k·ts without index skip (when skip ≥ 0); k ≠ 0, so no
+// coefficient vanishes.
+func scaleTerms(f *ff.Field, ts []term, skip int, k ff.Element) []term {
+	n := len(ts)
+	if skip >= 0 {
+		n--
+	}
+	out := make([]term, 0, n)
+	for i, t := range ts {
+		if i != skip {
+			out = append(out, term{t.v, f.Mul(t.c, k)})
+		}
 	}
 	return out
 }
 
 // AddTerm returns lc + coeff·x.
 func (lc *LinComb) AddTerm(x int, coeff ff.Element) *LinComb {
-	out := lc.Clone()
-	out.setCoeff(x, lc.f.Add(out.terms[x], coeff))
-	return out
+	if coeff.IsZero() {
+		return lc
+	}
+	return &LinComb{f: lc.f, konst: lc.konst, terms: merge(lc.f, lc.terms, -1, []term{{x, coeff}}, opAdd, ff.Element{})}
 }
 
 // AddConst returns lc + v.
 func (lc *LinComb) AddConst(v ff.Element) *LinComb {
-	out := lc.Clone()
-	out.konst = lc.f.Add(out.konst, v)
-	return out
+	return &LinComb{f: lc.f, konst: lc.f.Add(lc.konst, v), terms: lc.terms}
 }
 
 // Eval evaluates the combination under the assignment fn (variable → value).
@@ -206,8 +254,8 @@ func (lc *LinComb) AddConst(v ff.Element) *LinComb {
 // is allocation-free.
 func (lc *LinComb) Eval(fn func(x int) ff.Element) ff.Element {
 	acc := lc.konst
-	for v, c := range lc.terms {
-		acc = lc.f.Add(acc, lc.f.Mul(c, fn(v)))
+	for _, t := range lc.terms {
+		acc = lc.f.Add(acc, lc.f.Mul(t.c, fn(t.v)))
 	}
 	return acc
 }
@@ -218,77 +266,57 @@ func (lc *LinComb) EvalMap(m map[int]ff.Element) ff.Element {
 	return lc.Eval(func(x int) ff.Element { return m[x] })
 }
 
-// SubstituteValue returns lc with variable x replaced by the constant v.
+// without returns the terms of lc minus index i.
+func (lc *LinComb) without(i int) []term {
+	out := make([]term, 0, len(lc.terms)-1)
+	out = append(out, lc.terms[:i]...)
+	return append(out, lc.terms[i+1:]...)
+}
+
+// SubstituteValue returns lc with variable x replaced by the constant v. It
+// returns lc itself when x does not occur.
 func (lc *LinComb) SubstituteValue(x int, v ff.Element) *LinComb {
-	c, ok := lc.terms[x]
-	if !ok {
-		return lc.Clone()
+	i := lc.find(x)
+	if i < 0 {
+		return lc
 	}
-	out := lc.Clone()
-	delete(out.terms, x)
-	out.konst = lc.f.Add(out.konst, lc.f.Mul(c, v))
-	return out
+	konst := lc.f.Add(lc.konst, lc.f.Mul(lc.terms[i].c, v))
+	return &LinComb{f: lc.f, konst: konst, terms: lc.without(i)}
 }
 
 // Substitute returns lc with variable x replaced by the linear combination
-// repl (which must not mention x).
+// repl (which must not mention x). It returns lc itself when x does not
+// occur.
 func (lc *LinComb) Substitute(x int, repl *LinComb) *LinComb {
-	c, ok := lc.terms[x]
-	if !ok {
-		return lc.Clone()
+	i := lc.find(x)
+	if i < 0 {
+		return lc
 	}
-	out := lc.Clone()
-	delete(out.terms, x)
-	return out.Add(repl.Scale(c))
+	c := lc.terms[i].c
+	konst := lc.f.Add(lc.konst, lc.f.Mul(c, repl.konst))
+	return &LinComb{f: lc.f, konst: konst, terms: merge(lc.f, lc.terms, i, repl.terms, opAxpy, c)}
 }
 
 // SolveFor rewrites the equation lc = 0 as x = expr when the coefficient of
 // x is nonzero, returning expr (which does not mention x). ok is false when
 // x does not occur in lc.
 func (lc *LinComb) SolveFor(x int) (expr *LinComb, ok bool) {
-	c, found := lc.terms[x]
-	if !found {
+	i := lc.find(x)
+	if i < 0 {
 		return nil, false
 	}
 	// c·x + rest = 0  ⇒  x = -rest / c
-	rest := lc.Clone()
-	delete(rest.terms, x)
+	c := lc.terms[i].c
+	if c == lc.f.Neg(lc.f.One()) {
+		return &LinComb{f: lc.f, konst: lc.konst, terms: lc.without(i)}, true
+	}
 	scale := lc.f.Neg(lc.f.MustInv(c))
-	return rest.Scale(scale), true
+	return &LinComb{f: lc.f, konst: lc.f.Mul(lc.konst, scale), terms: scaleTerms(lc.f, lc.terms, i, scale)}, true
 }
 
 // Equal reports structural equality (same field, same coefficients).
 func (lc *LinComb) Equal(other *LinComb) bool {
-	if !lc.f.SameField(other.f) || lc.konst != other.konst || len(lc.terms) != len(other.terms) {
-		return false
-	}
-	for v, c := range lc.terms {
-		if oc, ok := other.terms[v]; !ok || c != oc {
-			return false
-		}
-	}
-	return true
-}
-
-// Key returns a canonical key for deduplication. The encoding is the raw
-// fixed-width limb bytes of each coefficient (cheap to produce, never
-// printed), so it is canonical per field but not meaningful across fields.
-func (lc *LinComb) Key() string {
-	buf := make([]byte, 0, (len(lc.terms)+1)*(8*ff.ElementLimbs+8))
-	buf = lc.konst.AppendRawBytes(buf)
-	for _, v := range lc.Vars() {
-		buf = appendVarID(buf, v)
-		buf = lc.terms[v].AppendRawBytes(buf)
-	}
-	return string(buf)
-}
-
-// appendVarID appends a fixed-width encoding of a variable ID to a key.
-func appendVarID(dst []byte, v int) []byte {
-	u := uint64(v)
-	return append(dst,
-		byte(u), byte(u>>8), byte(u>>16), byte(u>>24),
-		byte(u>>32), byte(u>>40), byte(u>>48), byte(u>>56))
+	return lc.f.SameField(other.f) && lc.konst == other.konst && slices.Equal(lc.terms, other.terms)
 }
 
 // String renders the combination with signed coefficients, e.g.
@@ -300,17 +328,17 @@ func (lc *LinComb) String() string {
 // StringNamed renders the combination using the provided variable namer.
 func (lc *LinComb) StringNamed(name func(x int) string) string {
 	var parts []string
-	for _, v := range lc.Vars() {
-		c := lc.f.Signed(lc.terms[v])
+	for _, t := range lc.terms {
+		c := lc.f.Signed(t.c)
 		switch {
 		case c.Cmp(oneInt) == 0:
-			parts = append(parts, "+ "+name(v))
+			parts = append(parts, "+ "+name(t.v))
 		case c.Cmp(minusOneInt) == 0:
-			parts = append(parts, "- "+name(v))
+			parts = append(parts, "- "+name(t.v))
 		case c.Sign() < 0:
-			parts = append(parts, fmt.Sprintf("- %v*%s", new(big.Int).Neg(c), name(v)))
+			parts = append(parts, fmt.Sprintf("- %v*%s", new(big.Int).Neg(c), name(t.v)))
 		default:
-			parts = append(parts, fmt.Sprintf("+ %v*%s", c, name(v)))
+			parts = append(parts, fmt.Sprintf("+ %v*%s", c, name(t.v)))
 		}
 	}
 	if !lc.konst.IsZero() || len(parts) == 0 {
@@ -337,13 +365,15 @@ var (
 // RenameVars returns lc with every variable x replaced by rename(x).
 // rename must be injective on the variables of lc.
 func (lc *LinComb) RenameVars(rename func(x int) int) *LinComb {
-	out := NewLinComb(lc.f)
-	out.konst = lc.konst
-	for v, c := range lc.terms {
-		out.terms[rename(v)] = c
+	out := &LinComb{f: lc.f, konst: lc.konst, terms: make([]term, len(lc.terms))}
+	for i, t := range lc.terms {
+		out.terms[i] = term{rename(t.v), t.c}
 	}
-	if len(out.terms) != len(lc.terms) {
-		panic("poly: RenameVars with non-injective renaming")
+	slices.SortFunc(out.terms, func(a, b term) int { return cmp.Compare(a.v, b.v) })
+	for i := 1; i < len(out.terms); i++ {
+		if out.terms[i].v == out.terms[i-1].v {
+			panic("poly: RenameVars with non-injective renaming")
+		}
 	}
 	return out
 }

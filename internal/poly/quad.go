@@ -1,9 +1,10 @@
 package poly
 
 import (
+	"cmp"
 	"fmt"
 	"math/big" //qed2:allow-mathbig — rendering and signed-magnitude display only
-	"sort"
+	"slices"
 	"strings"
 
 	"qed2/internal/ff"
@@ -19,23 +20,37 @@ func orderedPair(a, b int) VarPair {
 	return VarPair{a, b}
 }
 
+// cmpPair orders monomials canonically: by X, then by Y.
+func cmpPair(a, b VarPair) int {
+	if c := cmp.Compare(a.X, b.X); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Y, b.Y)
+}
+
+// pairTerm is one bilinear monomial c·x·y of a Quad.
+type pairTerm struct {
+	p VarPair
+	c ff.Element
+}
+
 // Quad is a canonical multivariate polynomial of total degree ≤ 2:
 //
 //	Σ q_{ij}·xᵢ·xⱼ + Σ cᵢ·xᵢ + c₀
 //
-// The quadratic part is stored sparsely with ordered variable pairs. Quads
-// are the expanded, canonical view of rank-1 constraints ⟨A,s⟩·⟨B,s⟩−⟨C,s⟩:
-// two constraints are semantically identical iff their Quads are equal.
+// Quads are the expanded, canonical view of rank-1 constraints
+// ⟨A,s⟩·⟨B,s⟩−⟨C,s⟩: two constraints are semantically identical iff their
+// Quads are equal. Like LinComb, a Quad is immutable.
 type Quad struct {
-	f    *ff.Field
-	lin  *LinComb
-	quad map[VarPair]ff.Element // nonzero coefficients only
+	f   *ff.Field
+	lin *LinComb
+	// quad is ascending in canonical pair order and holds no zero
+	// coefficient; it is never written after construction.
+	quad []pairTerm
 }
 
 // NewQuad returns the zero quadratic polynomial.
-func NewQuad(f *ff.Field) *Quad {
-	return &Quad{f: f, lin: NewLinComb(f), quad: map[VarPair]ff.Element{}}
-}
+func NewQuad(f *ff.Field) *Quad { return QuadFromLin(NewLinComb(f)) }
 
 // ConstQuad returns the constant quadratic polynomial v.
 func ConstQuad(f *ff.Field, v int64) *Quad {
@@ -43,55 +58,57 @@ func ConstQuad(f *ff.Field, v int64) *Quad {
 }
 
 // QuadFromLin lifts a linear combination to a Quad.
-func QuadFromLin(lc *LinComb) *Quad {
-	q := NewQuad(lc.f)
-	q.lin = lc.Clone()
-	return q
-}
+func QuadFromLin(lc *LinComb) *Quad { return &Quad{f: lc.f, lin: lc} }
 
-// MulLin returns the product a·b of two linear combinations as a Quad.
+// MulLin returns the product a·b of two linear combinations as a Quad. The
+// n·m bilinear products are collected, sorted, and merged.
 func MulLin(a, b *LinComb) *Quad {
 	if !a.f.SameField(b.f) {
 		panic("poly: MulLin across fields")
 	}
 	f := a.f
-	q := NewQuad(f)
-	// constant × everything
-	q.lin = b.Scale(a.konst).Add(a.Scale(b.konst))
-	// The product of the constants was added twice; remove one copy.
-	q.lin.konst = f.Sub(q.lin.konst, f.Mul(a.konst, b.konst))
-	for va, ca := range a.terms {
-		for vb, cb := range b.terms {
-			p := orderedPair(va, vb)
-			c := f.Mul(ca, cb)
-			if cur, ok := q.quad[p]; ok {
-				c = f.Add(cur, c)
-			}
-			if c.IsZero() {
-				delete(q.quad, p)
-			} else {
-				q.quad[p] = c
-			}
+	// (a₀ + Σaᵢxᵢ)(b₀ + Σbⱼxⱼ) = a₀b₀ + (b₀·Σaᵢxᵢ + a₀·Σbⱼxⱼ) + ΣΣ aᵢbⱼ·xᵢxⱼ
+	var lin []term
+	switch {
+	case a.konst.IsZero() && b.konst.IsZero():
+	case b.konst.IsZero():
+		lin = scaleTerms(f, b.terms, -1, a.konst)
+	case a.konst.IsZero():
+		lin = scaleTerms(f, a.terms, -1, b.konst)
+	default:
+		lin = merge(f, scaleTerms(f, a.terms, -1, b.konst), -1, b.terms, opAxpy, a.konst)
+	}
+	q := &Quad{f: f, lin: &LinComb{f: f, konst: f.Mul(a.konst, b.konst), terms: lin}}
+	if len(a.terms) == 0 || len(b.terms) == 0 {
+		return q
+	}
+	prods := make([]pairTerm, 0, len(a.terms)*len(b.terms))
+	for _, ta := range a.terms {
+		for _, tb := range b.terms {
+			prods = append(prods, pairTerm{orderedPair(ta.v, tb.v), f.Mul(ta.c, tb.c)})
 		}
 	}
+	slices.SortFunc(prods, func(x, y pairTerm) int { return cmpPair(x.p, y.p) })
+	// Fold runs of equal monomials in place; prods is still private here.
+	n := 0
+	for i := 0; i < len(prods); {
+		t := prods[i]
+		for i++; i < len(prods) && prods[i].p == t.p; i++ {
+			t.c = f.Add(t.c, prods[i].c)
+		}
+		if !t.c.IsZero() {
+			prods[n] = t
+			n++
+		}
+	}
+	q.quad = prods[:n:n]
 	return q
 }
 
 // Field returns the coefficient field.
 func (q *Quad) Field() *ff.Field { return q.f }
 
-// Clone returns a deep copy.
-func (q *Quad) Clone() *Quad {
-	out := NewQuad(q.f)
-	out.lin = q.lin.Clone()
-	for p, c := range q.quad {
-		out.quad[p] = c
-	}
-	return out
-}
-
-// Lin returns the linear (plus constant) part. The result aliases internal
-// state and must not be mutated.
+// Lin returns the linear (plus constant) part.
 func (q *Quad) Lin() *LinComb { return q.lin }
 
 // IsZero reports whether q is identically zero.
@@ -119,70 +136,90 @@ func (q *Quad) Degree() int {
 	return 0
 }
 
-// Add returns q + other.
-func (q *Quad) Add(other *Quad) *Quad {
-	out := q.Clone()
-	out.lin = q.lin.Add(other.lin)
-	for p, c := range other.quad {
-		s := q.f.Add(out.quad[p], c)
-		if s.IsZero() {
-			delete(out.quad, p)
-		} else {
-			out.quad[p] = s
+// mergePairs is merge for bilinear monomials: a + b, or a − b when sub.
+// With b empty the result is a itself (slices are never written).
+func mergePairs(f *ff.Field, a, b []pairTerm, sub bool) []pairTerm {
+	if len(b) == 0 {
+		return a
+	}
+	out := make([]pairTerm, 0, len(a)+len(b))
+	i, j := 0, 0
+	for i < len(a) || j < len(b) {
+		c := 1
+		switch {
+		case j == len(b):
+			c = -1
+		case i < len(a):
+			c = cmpPair(a[i].p, b[j].p)
 		}
+		if c < 0 {
+			out = append(out, a[i])
+			i++
+			continue
+		}
+		bc := b[j].c
+		if sub {
+			bc = f.Neg(bc)
+		}
+		if c > 0 {
+			out = append(out, pairTerm{b[j].p, bc})
+		} else {
+			if s := f.Add(a[i].c, bc); !s.IsZero() {
+				out = append(out, pairTerm{a[i].p, s})
+			}
+			i++
+		}
+		j++
 	}
 	return out
 }
 
+// Add returns q + other.
+func (q *Quad) Add(other *Quad) *Quad {
+	return &Quad{f: q.f, lin: q.lin.Add(other.lin), quad: mergePairs(q.f, q.quad, other.quad, false)}
+}
+
 // Sub returns q - other.
-func (q *Quad) Sub(other *Quad) *Quad { return q.Add(other.Neg()) }
+func (q *Quad) Sub(other *Quad) *Quad {
+	return &Quad{f: q.f, lin: q.lin.Sub(other.lin), quad: mergePairs(q.f, q.quad, other.quad, true)}
+}
 
 // Neg returns -q.
 func (q *Quad) Neg() *Quad {
-	out := NewQuad(q.f)
-	out.lin = q.lin.Neg()
-	for p, c := range q.quad {
-		out.quad[p] = q.f.Neg(c)
+	out := &Quad{f: q.f, lin: q.lin.Neg(), quad: make([]pairTerm, len(q.quad))}
+	for i, t := range q.quad {
+		out.quad[i] = pairTerm{t.p, q.f.Neg(t.c)}
 	}
 	return out
 }
 
 // Scale returns k·q.
 func (q *Quad) Scale(k ff.Element) *Quad {
-	out := NewQuad(q.f)
 	if k.IsZero() {
-		return out
+		return NewQuad(q.f)
 	}
-	out.lin = q.lin.Scale(k)
-	for p, c := range q.quad {
-		out.quad[p] = q.f.Mul(c, k)
+	out := &Quad{f: q.f, lin: q.lin.Scale(k), quad: make([]pairTerm, len(q.quad))}
+	for i, t := range q.quad {
+		out.quad[i] = pairTerm{t.p, q.f.Mul(t.c, k)}
 	}
 	return out
 }
 
 // Vars returns the set of variables occurring in q, ascending.
 func (q *Quad) Vars() []int {
-	seen := map[int]bool{}
-	for _, v := range q.lin.Vars() {
-		seen[v] = true
+	out := q.lin.Vars()
+	for _, t := range q.quad {
+		out = append(out, t.p.X, t.p.Y)
 	}
-	for p := range q.quad {
-		seen[p.X] = true
-		seen[p.Y] = true
-	}
-	out := make([]int, 0, len(seen))
-	for v := range seen {
-		out = append(out, v)
-	}
-	sort.Ints(out)
-	return out
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // Eval evaluates q under the assignment fn, allocation-free.
 func (q *Quad) Eval(fn func(x int) ff.Element) ff.Element {
 	acc := q.lin.Eval(fn)
-	for p, c := range q.quad {
-		acc = q.f.Add(acc, q.f.Mul(c, q.f.Mul(fn(p.X), fn(p.Y))))
+	for _, t := range q.quad {
+		acc = q.f.Add(acc, q.f.Mul(t.c, q.f.Mul(fn(t.p.X), fn(t.p.Y))))
 	}
 	return acc
 }
@@ -192,109 +229,74 @@ func (q *Quad) EvalMap(m map[int]ff.Element) ff.Element {
 	return q.Eval(func(x int) ff.Element { return m[x] })
 }
 
-// SubstituteValue returns q with variable x fixed to the constant v.
+// SubstituteValue returns q with variable x fixed to the constant v. It
+// returns q itself when x does not occur.
 func (q *Quad) SubstituteValue(x int, v ff.Element) *Quad {
-	out := NewQuad(q.f)
-	out.lin = q.lin.SubstituteValue(x, v)
-	for p, c := range q.quad {
-		switch {
-		case p.X == x && p.Y == x:
-			out.lin.konst = q.f.Add(out.lin.konst, q.f.Mul(c, q.f.Mul(v, v)))
-		case p.X == x:
-			out.lin = out.lin.AddTerm(p.Y, q.f.Mul(c, v))
-		case p.Y == x:
-			out.lin = out.lin.AddTerm(p.X, q.f.Mul(c, v))
-		default:
-			out.quad[p] = c
+	f := q.f
+	// Monomials y·x with y < x precede those x·y with y > x in pair order,
+	// so the linear terms they fold into come out ascending in y.
+	var kept []pairTerm
+	var folded []term
+	var sq ff.Element
+	touched := false
+	for i, t := range q.quad {
+		if t.p.X != x && t.p.Y != x {
+			if touched {
+				kept = append(kept, t)
+			}
+			continue
+		}
+		if !touched {
+			touched = true
+			kept = append(make([]pairTerm, 0, len(q.quad)-1), q.quad[:i]...)
+		}
+		if t.p.X == t.p.Y {
+			sq = f.Mul(t.c, f.Mul(v, v))
+			continue
+		}
+		y := t.p.Y
+		if y == x {
+			y = t.p.X
+		}
+		if c := f.Mul(t.c, v); !c.IsZero() {
+			folded = append(folded, term{y, c})
 		}
 	}
-	return out
+	lin := q.lin.SubstituteValue(x, v)
+	if !touched {
+		if lin == q.lin {
+			return q
+		}
+		return &Quad{f: f, lin: lin, quad: q.quad}
+	}
+	lin = lin.Add(&LinComb{f: f, konst: sq, terms: folded})
+	return &Quad{f: f, lin: lin, quad: kept}
 }
 
 // CoeffPair returns the coefficient of the monomial xᵢ·xⱼ.
 func (q *Quad) CoeffPair(i, j int) ff.Element {
-	return q.quad[orderedPair(i, j)]
+	p := orderedPair(i, j)
+	k, found := slices.BinarySearchFunc(q.quad, p, func(t pairTerm, p VarPair) int { return cmpPair(t.p, p) })
+	if !found {
+		return ff.Element{}
+	}
+	return q.quad[k].c
 }
 
 // NumQuadTerms returns the number of distinct bilinear monomials.
 func (q *Quad) NumQuadTerms() int { return len(q.quad) }
 
 // VisitQuadTerms calls fn for every bilinear monomial in canonical
-// (sorted-pair) order, so iteration is deterministic.
+// (sorted-pair) order, without allocating.
 func (q *Quad) VisitQuadTerms(fn func(p VarPair, coeff ff.Element)) {
-	for _, pr := range q.sortedPairs() {
-		fn(pr, q.quad[pr])
-	}
-}
-
-// VisitQuadTermsUnordered calls fn for every bilinear monomial in
-// unspecified order. Unlike VisitQuadTerms it neither sorts nor allocates;
-// callers must fold the visits with an order-independent operation.
-func (q *Quad) VisitQuadTermsUnordered(fn func(p VarPair, coeff ff.Element)) {
-	for p, c := range q.quad {
-		fn(p, c)
+	for _, t := range q.quad {
+		fn(t.p, t.c)
 	}
 }
 
 // Equal reports canonical equality of two quadratic polynomials.
 func (q *Quad) Equal(other *Quad) bool {
-	if !q.f.SameField(other.f) || !q.lin.Equal(other.lin) || len(q.quad) != len(other.quad) {
-		return false
-	}
-	for p, c := range q.quad {
-		if oc, ok := other.quad[p]; !ok || c != oc {
-			return false
-		}
-	}
-	return true
-}
-
-// sortedPairs returns the bilinear monomials in canonical pair order.
-func (q *Quad) sortedPairs() []VarPair {
-	pairs := make([]VarPair, 0, len(q.quad))
-	for p := range q.quad {
-		pairs = append(pairs, p)
-	}
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i].X != pairs[j].X {
-			return pairs[i].X < pairs[j].X
-		}
-		return pairs[i].Y < pairs[j].Y
-	})
-	return pairs
-}
-
-// Key returns a canonical string for hashing/deduplication, unique up to
-// polynomial identity. Like LinComb.Key it encodes raw limb bytes: cheap,
-// canonical per field, never printed.
-func (q *Quad) Key() string {
-	pairs := q.sortedPairs()
-	buf := make([]byte, 0, len(pairs)*(16+8*ff.ElementLimbs)+64)
-	for _, p := range pairs {
-		buf = appendVarID(buf, p.X)
-		buf = appendVarID(buf, p.Y)
-		buf = q.quad[p].AppendRawBytes(buf)
-	}
-	buf = append(buf, '#')
-	return string(buf) + q.lin.Key()
-}
-
-// NormalizeSign returns q scaled so that its leading coefficient (first
-// bilinear monomial in pair order, else first linear coefficient, else the
-// constant) equals 1, yielding a canonical representative of the equation
-// q = 0 modulo nonzero scaling. The zero polynomial is returned unchanged.
-func (q *Quad) NormalizeSign() *Quad {
-	var lead ff.Element
-	if pairs := q.sortedPairs(); len(pairs) > 0 {
-		lead = q.quad[pairs[0]]
-	} else if vs := q.lin.Vars(); len(vs) > 0 {
-		lead = q.lin.Coeff(vs[0])
-	} else if !q.lin.konst.IsZero() {
-		lead = q.lin.konst
-	} else {
-		return q.Clone()
-	}
-	return q.Scale(q.f.MustInv(lead))
+	return q.f.SameField(other.f) && q.lin.Equal(other.lin) && slices.Equal(q.quad, other.quad)
 }
 
 // String renders the polynomial; variables print as x<i>.
@@ -305,8 +307,8 @@ func (q *Quad) String() string {
 // StringNamed renders the polynomial with the given variable namer.
 func (q *Quad) StringNamed(name func(x int) string) string {
 	var parts []string
-	for _, p := range q.sortedPairs() {
-		c := q.f.Signed(q.quad[p])
+	for _, t := range q.quad {
+		p, c := t.p, q.f.Signed(t.c)
 		mono := name(p.X) + "*" + name(p.Y)
 		if p.X == p.Y {
 			mono = name(p.X) + "²"

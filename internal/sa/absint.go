@@ -230,15 +230,14 @@ func (st *AbsState) applyConsts(ci int) *poly.Quad {
 	for {
 		// The constant-one signal is itself a constant fact (value 1), so
 		// an explicit var-0 occurrence folds away here like any other
-		// constant. The unordered visits are a pure existence scan (the
-		// minimum matching variable), so the fold is order-independent.
+		// constant. The visits find the minimum matching variable.
 		found := -1
-		q.Lin().VisitTermsUnordered(func(x int, _ ff.Element) {
+		q.Lin().VisitTerms(func(x int, _ ff.Element) {
 			if st.isConst[x] && (found < 0 || x < found) {
 				found = x
 			}
 		})
-		q.VisitQuadTermsUnordered(func(p poly.VarPair, _ ff.Element) {
+		q.VisitQuadTerms(func(p poly.VarPair, _ ff.Element) {
 			if st.isConst[p.X] && (found < 0 || p.X < found) {
 				found = p.X
 			}
@@ -489,12 +488,12 @@ func (st *AbsState) ruleProject(ci int, q *poly.Quad) bool {
 	// Quick reject: with no informative interval anywhere in the
 	// constraint the window spans many multiples of p.
 	info := false
-	q.Lin().VisitTermsUnordered(func(x int, _ ff.Element) {
+	q.Lin().VisitTerms(func(x int, _ ff.Element) {
 		if st.ival[x] != nil {
 			info = true
 		}
 	})
-	q.VisitQuadTermsUnordered(func(p poly.VarPair, _ ff.Element) {
+	q.VisitQuadTerms(func(p poly.VarPair, _ ff.Element) {
 		if st.ival[p.X] != nil || st.ival[p.Y] != nil {
 			info = true
 		}
@@ -663,7 +662,7 @@ func (st *AbsState) ruleNonzeroProduct(ci int, q *poly.Quad) bool {
 		return false
 	}
 	var px, py int
-	q.VisitQuadTermsUnordered(func(p poly.VarPair, _ ff.Element) { px, py = p.X, p.Y })
+	q.VisitQuadTerms(func(p poly.VarPair, _ ff.Element) { px, py = p.X, p.Y })
 	lin := q.Lin()
 	changed := false
 	switch {
@@ -717,7 +716,7 @@ func (st *AbsState) ruleGuard(ci int, q *poly.Quad) bool {
 	}
 	var a, b int
 	var cq ff.Element
-	q.VisitQuadTermsUnordered(func(p poly.VarPair, c ff.Element) { a, b, cq = p.X, p.Y, c })
+	q.VisitQuadTerms(func(p poly.VarPair, c ff.Element) { a, b, cq = p.X, p.Y, c })
 	if a == b || cq.IsZero() {
 		return false
 	}
@@ -776,7 +775,7 @@ func (st *AbsState) ruleOneHot(ci int, q *poly.Quad) bool {
 	}
 	// Cheap bail: every summand needs at least one guard.
 	missing := false
-	lin.VisitTermsUnordered(func(v int, _ ff.Element) {
+	lin.VisitTerms(func(v int, _ ff.Element) {
 		if len(st.guards[v]) == 0 {
 			missing = true
 		}

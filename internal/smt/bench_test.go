@@ -13,58 +13,37 @@ import (
 // hardest deterministic UNSAT in the suite), and a small-field enumeration
 // core.
 func BenchmarkSolverCore(b *testing.B) {
-	b.Run("shared-denominator-unsat", func(b *testing.B) {
-		f := ff.BN254()
-		for i := 0; i < b.N; i++ {
-			x, xp, k := poly.Var(f, 0), poly.Var(f, 1), poly.Var(f, 2)
-			p := NewProblem(f)
-			p.AddEq(x, k, poly.ConstInt(f, 1))
-			p.AddEq(xp, k, poly.ConstInt(f, 1))
-			p.AddNeq(x.Sub(xp))
-			if out := Solve(p, &Options{Seed: 1}); out.Status != StatusUnsat {
-				b.Fatalf("status = %v", out.Status)
+	for _, c := range []struct {
+		name  string
+		build func() *Problem
+		opts  Options
+		want  Status
+	}{
+		{"shared-denominator-unsat", sharedDenominatorProblem, Options{Seed: 1}, StatusUnsat},
+		{"babyadd-xout-unsat", func() *Problem { return babyAddProblem(9) }, Options{MaxSteps: 200000, Seed: 1}, StatusUnsat},
+		{"small-field-enumeration", circleProblem, Options{Seed: 1}, StatusSat},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if out := Solve(c.build(), &c.opts); out.Status != c.want {
+					b.Fatalf("status = %v", out.Status)
+				}
 			}
-		}
-	})
-	b.Run("babyadd-xout-unsat", func(b *testing.B) {
-		f := ff.BN254()
-		a := f.NewElement(168700)
-		d := f.NewElement(168696)
-		for i := 0; i < b.N; i++ {
-			v := func(x int) *poly.LinComb { return poly.Var(f, x) }
-			p := NewProblem(f)
-			p.AddEq(v(1), v(4), v(5))
-			p.AddEq(v(2), v(3), v(6))
-			p.AddEq(v(1).Scale(f.Neg(a)).Add(v(2)), v(3).Add(v(4)), v(7))
-			p.AddEq(v(5), v(6), v(8))
-			onePlus := poly.ConstInt(f, 1).AddTerm(8, d)
-			oneMinus := poly.ConstInt(f, 1).AddTerm(8, f.Neg(d))
-			rhsY := v(7).Add(v(5).Scale(a)).Sub(v(6))
-			p.AddEq(onePlus, v(9), v(5).Add(v(6)))
-			p.AddEq(onePlus, v(29), v(5).Add(v(6)))
-			p.AddEq(oneMinus, v(10), rhsY)
-			p.AddEq(oneMinus, v(30), rhsY)
-			p.AddNeq(v(9).Sub(v(29)))
-			if out := Solve(p, &Options{MaxSteps: 200000, Seed: 1}); out.Status != StatusUnsat {
-				b.Fatalf("status = %v", out.Status)
-			}
-		}
-	})
-	b.Run("small-field-enumeration", func(b *testing.B) {
-		f := f97
-		for i := 0; i < b.N; i++ {
-			// x² + y² = 1 ∧ x ≠ 0 ∧ y ≠ 0: needs the enumeration fallback.
-			x, y := poly.Var(f, 0), poly.Var(f, 1)
-			p := NewProblem(f)
-			p.AddEq(x, x, poly.Var(f, 2))
-			p.AddEq(y, y, poly.ConstInt(f, 1).Sub(poly.Var(f, 2)))
-			p.AddNeq(x)
-			p.AddNeq(y)
-			if out := Solve(p, &Options{Seed: 1}); out.Status != StatusSat {
-				b.Fatalf("status = %v", out.Status)
-			}
-		}
-	})
+		})
+	}
+}
+
+// circleProblem is x² + y² = 1 ∧ x ≠ 0 ∧ y ≠ 0 over F_97: it needs the
+// enumeration fallback.
+func circleProblem() *Problem {
+	f := f97
+	x, y := poly.Var(f, 0), poly.Var(f, 1)
+	p := NewProblem(f)
+	p.AddEq(x, x, poly.Var(f, 2))
+	p.AddEq(y, y, poly.ConstInt(f, 1).Sub(poly.Var(f, 2)))
+	p.AddNeq(x)
+	p.AddNeq(y)
+	return p
 }
 
 // BenchmarkEquationFingerprint measures the structural dedup keys on the

@@ -1,28 +1,23 @@
 package smt
 
 // Allocation-free structural fingerprints for equation deduplication and
-// pair-derivation bucketing. The solver's inner loops used to build
-// canonical *string* keys (NormalizeSign + raw-byte Key) for every
-// equation they wanted to compare — a field inversion, a byte buffer and a
-// string-map insertion per equation. The fingerprints here replace that
-// with 64-bit multiset hashes folded over the unordered term maps:
+// pair-derivation bucketing: the solver buckets equations by 64-bit hashes
+// of their expanded polynomials.
 //
 //   - quadShapeFingerprint hashes only the *shape* of a polynomial (which
 //     monomials occur, not their coefficients), making it invariant under
-//     nonzero scaling — the equivalence the old NormalizeSign().Key()
-//     computed. Equality is confirmed exactly inside a bucket by
-//     equalModScale, so a fingerprint collision can never change the
-//     deduplication result.
+//     nonzero scaling. Equality modulo scaling is confirmed exactly inside
+//     a bucket by equalModScale, so a fingerprint collision can never
+//     change the deduplication result.
 //   - quadPartFingerprint hashes the bilinear monomials *with* their
-//     coefficients, replacing quadPartKey for deriveQuadDiff's bucketing.
-//     Equal quadratic parts always hash equally, so no candidate pair is
-//     ever missed; an (astronomically unlikely, but deterministic) bucket
-//     collision is harmless because the pair scan re-checks that the
-//     difference is linear before using it.
+//     coefficients, for deriveQuadDiff's bucketing. Equal quadratic parts
+//     always hash equally, so no candidate pair is ever missed; an
+//     (astronomically unlikely, but deterministic) bucket collision is
+//     harmless because the pair scan re-checks that the difference is
+//     linear before using it.
 //
-// Multiset (commutative) folding is what lets the hashes run off the raw
-// Go maps via the Unordered visitors: per-term hashes are combined with
-// addition, so map iteration order cannot leak into the result.
+// The hashes fold the per-term hashes with addition while walking the
+// sorted term slices through the ordered visitors.
 
 import (
 	"qed2/internal/ff"
@@ -56,12 +51,12 @@ func hashElem(h uint64, e ff.Element) uint64 {
 func quadShapeFingerprint(q *poly.Quad) uint64 {
 	var quadSum, linSum uint64
 	var nQuad, nLin uint64
-	q.VisitQuadTermsUnordered(func(p poly.VarPair, _ ff.Element) {
+	q.VisitQuadTerms(func(p poly.VarPair, _ ff.Element) {
 		quadSum += mix64(uint64(p.X)<<32 ^ uint64(p.Y) ^ 0x9e3779b97f4a7c15)
 		nQuad++
 	})
 	lin := q.Lin()
-	lin.VisitTermsUnordered(func(x int, _ ff.Element) {
+	lin.VisitTerms(func(x int, _ ff.Element) {
 		linSum += mix64(uint64(x) ^ 0xd1b54a32d192ed03)
 		nLin++
 	})
@@ -80,7 +75,7 @@ func quadShapeFingerprint(q *poly.Quad) uint64 {
 func quadPartFingerprint(q *poly.Quad) uint64 {
 	var sum uint64
 	var n uint64
-	q.VisitQuadTermsUnordered(func(p poly.VarPair, c ff.Element) {
+	q.VisitQuadTerms(func(p poly.VarPair, c ff.Element) {
 		h := mix64(uint64(p.X)<<32 ^ uint64(p.Y) ^ 0x9e3779b97f4a7c15)
 		sum += hashElem(h, c)
 		n++
@@ -88,43 +83,35 @@ func quadPartFingerprint(q *poly.Quad) uint64 {
 	return mix64(sum ^ n)
 }
 
-// leadCoeff returns the coefficient NormalizeSign would divide by: the
-// first bilinear monomial in canonical pair order, else the first linear
+// leadCoeff returns the coefficient a canonical scaling would divide by:
+// the first bilinear monomial in canonical pair order, else the first linear
 // coefficient, else the constant. Zero only for the zero polynomial.
 func leadCoeff(q *poly.Quad) ff.Element {
-	if q.NumQuadTerms() > 0 {
-		var best poly.VarPair
-		var bestC ff.Element
-		first := true
-		q.VisitQuadTermsUnordered(func(p poly.VarPair, c ff.Element) {
-			if first || p.X < best.X || (p.X == best.X && p.Y < best.Y) {
-				best, bestC, first = p, c, false
-			}
-		})
-		return bestC
+	var lead ff.Element
+	found := false
+	q.VisitQuadTerms(func(_ poly.VarPair, c ff.Element) {
+		if !found {
+			lead, found = c, true
+		}
+	})
+	q.Lin().VisitTerms(func(_ int, c ff.Element) {
+		if !found {
+			lead, found = c, true
+		}
+	})
+	if !found {
+		return q.Lin().Constant()
 	}
-	lin := q.Lin()
-	if lin.NumTerms() > 0 {
-		bestV := -1
-		var bestC ff.Element
-		lin.VisitTermsUnordered(func(x int, c ff.Element) {
-			if bestV < 0 || x < bestV {
-				bestV, bestC = x, c
-			}
-		})
-		return bestC
-	}
-	return lin.Constant()
+	return lead
 }
 
-// equalModScale reports whether a = k·b for some nonzero field constant k.
-// This is exactly the equivalence the old NormalizeSign().Key() string
-// comparison decided, but with two scalings instead of a field inversion.
+// equalModScale reports whether a = k·b for some nonzero field constant k,
+// with two scalings instead of a field inversion.
 func equalModScale(a, b *poly.Quad) bool {
 	la, lb := leadCoeff(a), leadCoeff(b)
 	if la.IsZero() || lb.IsZero() {
-		// A zero lead means the whole polynomial is zero (coefficient maps
-		// never store zeros), so the only match is zero = zero.
+		// A zero lead means the whole polynomial is zero (term slices never
+		// store zeros), so the only match is zero = zero.
 		return la.IsZero() && lb.IsZero()
 	}
 	return a.Scale(lb).Equal(b.Scale(la))

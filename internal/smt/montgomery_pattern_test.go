@@ -13,6 +13,23 @@ import (
 // requires enumerating the root of a single-variable factor that is NOT
 // the busiest variable.
 func TestMontgomeryDoublePattern(t *testing.T) {
+	p := montgomeryDoubleProblem()
+	out := Solve(p, &Options{MaxSteps: 100000, Seed: 1})
+	if out.Status != StatusSat {
+		t.Fatalf("status=%v steps=%d reason=%s, want sat", out.Status, out.Steps, out.Reason)
+	}
+	if err := p.Check(out.Model); err != nil {
+		t.Fatal(err)
+	}
+	// The model must exercise the vanishing denominator.
+	if !out.Model.Eval(2).IsZero() {
+		t.Errorf("expected in[1] = 0 in the model, got %v", out.Model.Eval(2))
+	}
+}
+
+// montgomeryDoubleProblem is the uniqueness query of circomlib's
+// MontgomeryDouble for out[0].
+func montgomeryDoubleProblem() *Problem {
 	f := ff.BN254()
 	// vars: in0=1 in1=2 out0=3 out1=4 lamda=5 x1_2=6; primed +10
 	v := func(x int) *poly.LinComb { return poly.Var(f, x) }
@@ -32,15 +49,5 @@ func TestMontgomeryDoublePattern(t *testing.T) {
 	p.AddEq(v(5), v(1).Sub(v(3)), v(2).Add(v(4)))
 	p.AddEq(v(15), v(1).Sub(v(13)), v(2).Add(v(14)))
 	p.AddNeq(v(3).Sub(v(13)))
-	out := Solve(p, &Options{MaxSteps: 100000, Seed: 1})
-	if out.Status != StatusSat {
-		t.Fatalf("status=%v steps=%d reason=%s, want sat", out.Status, out.Steps, out.Reason)
-	}
-	if err := p.Check(out.Model); err != nil {
-		t.Fatal(err)
-	}
-	// The model must exercise the vanishing denominator.
-	if !out.Model.Eval(2).IsZero() {
-		t.Errorf("expected in[1] = 0 in the model, got %v", out.Model.Eval(2))
-	}
+	return p
 }

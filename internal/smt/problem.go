@@ -63,7 +63,7 @@ func (p *Problem) AddLinearEq(l *poly.LinComb) {
 
 // AddNeq appends the disequality l ≠ 0.
 func (p *Problem) AddNeq(l *poly.LinComb) {
-	p.Neqs = append(p.Neqs, l.Clone())
+	p.Neqs = append(p.Neqs, l)
 }
 
 // Vars returns every variable mentioned in the problem, ascending.

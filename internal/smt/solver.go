@@ -200,9 +200,8 @@ func (s *solver) outcome(res resultKind, model Model, p *Problem) Outcome {
 
 // newState builds the root search state for p: equations deduplicated
 // modulo nonzero scaling, freeHint set to the problem's variables. The
-// problem's LinCombs are referenced, not cloned: the solver never mutates a
-// LinComb in place (all poly operations are copy-on-write), so sharing them
-// with the caller is safe.
+// problem's LinCombs are referenced, not copied: poly values are immutable,
+// so sharing them with the caller is safe.
 func newState(p *Problem) *state {
 	st := &state{f: p.Field, complete: true}
 	seen := newQuadSet()
@@ -320,10 +319,8 @@ type state struct {
 
 // clone copies the state shallowly: the slices are fresh (both sides
 // overwrite elements in place), but the LinComb values they point at are
-// shared. That sharing is safe because every poly.LinComb operation is
-// copy-on-write — the solver only ever replaces an element with a newly
-// built expression, never mutates one it already holds. derived is the one
-// in-place-mutable structure (a fingerprint set) and is deep-copied.
+// shared, which is safe because poly values are immutable. derived is the
+// one in-place-mutable structure (a fingerprint set) and is deep-copied.
 func (st *state) clone() *state {
 	out := &state{f: st.f, complete: st.complete, freeHint: st.freeHint}
 	out.eqs = append([]Equation(nil), st.eqs...)
@@ -446,19 +443,11 @@ func linearView(f *ff.Field, e Equation) (*poly.LinComb, bool, bool) {
 	case bOk:
 		lin = e.A.Scale(bConst).Sub(e.C)
 	default:
-		// Both factors non-constant; check for full cancellation of the
-		// quadratic part (e.g. crafted products expanding to linear forms).
-		// The expansion is quadratic in the factor sizes, so huge products
-		// are conservatively treated as nonlinear (sound: we only miss a
-		// simplification opportunity).
-		if e.A.NumTerms()*e.B.NumTerms() > 1024 {
-			return nil, false, false
-		}
-		q := poly.MulLin(e.A, e.B).Sub(poly.QuadFromLin(e.C))
-		if !q.IsLinear() {
-			return nil, false, false
-		}
-		lin = q.Lin()
+		// Both factors non-constant: never linear. F_p[x] is an integral
+		// domain, so the product of the nonzero homogeneous linear parts of
+		// A and B is a nonzero quadratic form, and A·B − C keeps it (C is
+		// linear and cannot cancel it).
+		return nil, false, false
 	}
 	if lin.IsConst() {
 		if !lin.Constant().IsZero() {
@@ -490,29 +479,32 @@ func pickPivot(st *state, lin *poly.LinComb) int {
 	if len(vars) == 1 {
 		return vars[0]
 	}
-	counts := make(map[int]int, len(vars))
-	for _, v := range vars {
-		counts[v] = 0
-	}
+	// counts[k] tallies vars[k]; both vars and every term list ascend, so
+	// each side is one merge walk.
+	counts := make([]int, len(vars))
 	tally := func(lc *poly.LinComb) {
-		for _, v := range vars {
-			if !lc.Coeff(v).IsZero() {
-				counts[v]++
+		k := 0
+		lc.VisitTerms(func(v int, _ ff.Element) {
+			for k < len(vars) && vars[k] < v {
+				k++
 			}
-		}
+			if k < len(vars) && vars[k] == v {
+				counts[k]++
+			}
+		})
 	}
 	for _, e := range st.eqs {
 		tally(e.A)
 		tally(e.B)
 		tally(e.C)
 	}
-	best, bestN := vars[0], counts[vars[0]]
-	for _, v := range vars[1:] {
-		if counts[v] < bestN {
-			best, bestN = v, counts[v]
+	best := 0
+	for k := range vars {
+		if counts[k] < counts[best] {
+			best = k
 		}
 	}
-	return best
+	return vars[best]
 }
 
 // branch performs one case split and recurses.
@@ -570,13 +562,15 @@ func (s *solver) branch(st *state, depth int) (resultKind, Model) {
 	}
 
 	// Pattern 2: single-variable quadratic → explicit roots (complete).
+	// After propagation A and B are both non-constant, so by the argument in
+	// linearView no variable of A, B or C cancels from A·B − C: the
+	// equation is single-variable iff the three sides mention only x.
 	for i, e := range st.eqs {
-		q := poly.MulLin(e.A, e.B).Sub(poly.QuadFromLin(e.C))
-		vars := q.Vars()
-		if len(vars) != 1 {
+		x, ok := soleVar(e)
+		if !ok {
 			continue
 		}
-		x := vars[0]
+		q := expandEq(e)
 		q2 := q.CoeffPair(x, x)
 		q1 := q.Lin().Coeff(x)
 		q0 := q.Lin().Constant()
@@ -656,7 +650,7 @@ func (s *solver) derivePairs(st *state) bool {
 					if diff.IsZero() {
 						continue // 0 = 0, vacuous
 					}
-					ne := Equation{A: diff, B: hi.factor.Clone(), C: cDiff}
+					ne := Equation{A: diff, B: hi.factor, C: cDiff}
 					if !st.derived.add(expandEq(ne)) {
 						continue
 					}
@@ -756,6 +750,23 @@ func (s *solver) splitLinear(st *state, branches []*poly.LinComb, depth int) (re
 		return rUnknown, nil
 	}
 	return rUnsat, nil
+}
+
+// soleVar reports whether the sides of e mention exactly one variable x
+// between them, returning it.
+func soleVar(e Equation) (x int, ok bool) {
+	x = -1
+	for _, lc := range [...]*poly.LinComb{e.A, e.B, e.C} {
+		if lc.IsConst() {
+			continue
+		}
+		v, single := lc.IsSingleVar()
+		if !single || (x >= 0 && v != x) {
+			return 0, false
+		}
+		x = v
+	}
+	return x, x >= 0
 }
 
 // proportional reports whether A = k·B for a nonzero constant k, with both
@@ -900,10 +911,8 @@ func (s *solver) pickEnumVar(st *state) int {
 	count := map[int]int{}
 	factorVar := map[int]bool{}
 	for _, e := range st.eqs {
-		for _, lc := range []*poly.LinComb{e.A, e.B, e.C} {
-			for _, v := range lc.Vars() {
-				count[v]++
-			}
+		for _, lc := range [...]*poly.LinComb{e.A, e.B, e.C} {
+			lc.VisitTerms(func(v int, _ ff.Element) { count[v]++ })
 		}
 		for _, lc := range []*poly.LinComb{e.A, e.B} {
 			if v, ok := lc.IsSingleVar(); ok {
