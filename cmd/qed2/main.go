@@ -61,25 +61,21 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	}
 	fs := flag.NewFlagSet("qed2", flag.ContinueOnError)
 	fs.SetOutput(stderr)
+	cfg := &core.Config{}
+	cfg.RegisterFlags(fs)
+	fs.IntVar(&cfg.Workers, "workers", 0, "parallel slice-query workers (0 = GOMAXPROCS)")
 	var (
-		mode        = fs.String("mode", "qed2", "analysis mode: qed2 | propagation | smt")
-		radius      = fs.Int("radius", 2, "slice radius for local uniqueness queries")
-		querySteps  = fs.Int64("query-steps", 50_000, "solver step budget per SMT query")
-		globalSteps = fs.Int64("global-steps", 5_000_000, "total solver step budget")
-		timeout     = fs.Duration("timeout", 0, "wall-clock analysis timeout (0 = none)")
-		seed        = fs.Int64("seed", 0, "deterministic solver seed")
-		workers     = fs.Int("workers", 0, "parallel slice-query workers (0 = GOMAXPROCS)")
-		dumpR1CS    = fs.Bool("r1cs", false, "dump the compiled constraint system and exit")
-		statsOnly   = fs.Bool("stats", false, "print circuit statistics and exit")
-		lint        = fs.Bool("lint", false, "run only the static-analysis pass and print its findings, then exit")
-		lintFormat  = fs.String("format", "", "lint output format: text | json | sarif (default text; -json implies json)")
-		quiet       = fs.Bool("q", false, "print only the verdict")
-		jsonOut     = fs.Bool("json", false, "emit the analysis report as JSON")
-		witness     = fs.String("witness", "", `generate and check a witness for the given inputs, e.g. "a=3,in[0]=7", then exit`)
-		symPath     = fs.String("sym", "", "circom .sym file with signal names for a binary .r1cs input (default: the input path with a .sym extension, if present)")
-		trace       = fs.String("trace", "", "write a JSONL trace of the analysis pipeline (spans, counters) to this file")
-		metrics     = fs.Bool("metrics", false, "print pipeline counters and histograms to stderr after the analysis")
-		version     = fs.Bool("version", false, "print the build version and exit")
+		dumpR1CS   = fs.Bool("r1cs", false, "dump the compiled constraint system and exit")
+		statsOnly  = fs.Bool("stats", false, "print circuit statistics and exit")
+		lint       = fs.Bool("lint", false, "run only the static-analysis pass and print its findings, then exit")
+		lintFormat = fs.String("format", "", "lint output format: text | json | sarif (default text; -json implies json)")
+		quiet      = fs.Bool("q", false, "print only the verdict")
+		jsonOut    = fs.Bool("json", false, "emit the analysis report as JSON")
+		witness    = fs.String("witness", "", `generate and check a witness for the given inputs, e.g. "a=3,in[0]=7", then exit`)
+		symPath    = fs.String("sym", "", "circom .sym file with signal names for a binary .r1cs input (default: the input path with a .sym extension, if present)")
+		trace      = fs.String("trace", "", "write a JSONL trace of the analysis pipeline (spans, counters) to this file")
+		metrics    = fs.Bool("metrics", false, "print pipeline counters and histograms to stderr after the analysis")
+		version    = fs.Bool("version", false, "print the build version and exit")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 3
@@ -202,25 +198,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	cfg := &core.Config{
-		SliceRadius: *radius,
-		QuerySteps:  *querySteps,
-		GlobalSteps: *globalSteps,
-		Timeout:     *timeout,
-		Seed:        *seed,
-		Workers:     *workers,
-	}
-	switch *mode {
-	case "qed2":
-		cfg.Mode = core.ModeFull
-	case "propagation":
-		cfg.Mode = core.ModePropagationOnly
-	case "smt":
-		cfg.Mode = core.ModeSMTOnly
-	default:
-		fmt.Fprintf(stderr, "qed2: unknown mode %q\n", *mode)
-		return 3
-	}
 	var reg *obs.Metrics
 	if *trace != "" || *metrics {
 		reg = obs.NewMetrics()

@@ -85,15 +85,11 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	}
 	fs := flag.NewFlagSet("qed2d", flag.ContinueOnError)
 	fs.SetOutput(stderr)
+	var cfg core.Config
+	cfg.RegisterFlags(fs)
+	fs.IntVar(&cfg.Workers, "query-workers", 0, "parallel slice-query workers per analysis (0 = GOMAXPROCS)")
 	var (
 		addr         = fs.String("addr", "127.0.0.1:9555", "listen address (host:port, port 0 picks one)")
-		mode         = fs.String("mode", "qed2", "analysis mode: qed2 | propagation | smt")
-		radius       = fs.Int("radius", 2, "slice radius for local uniqueness queries")
-		querySteps   = fs.Int64("query-steps", 50_000, "solver step budget per SMT query")
-		globalSteps  = fs.Int64("global-steps", 5_000_000, "total solver step budget per job")
-		timeout      = fs.Duration("timeout", 0, "wall-clock analysis timeout per job (0 = none)")
-		seed         = fs.Int64("seed", 0, "deterministic solver seed")
-		queryWorkers = fs.Int("query-workers", 0, "parallel slice-query workers per analysis (0 = GOMAXPROCS)")
 		workers      = fs.Int("workers", 1, "concurrent analyses")
 		queueDepth   = fs.Int("queue-depth", 64, "maximum queued (not yet running) jobs")
 		tenantQuota  = fs.Int("tenant-quota", 0, "maximum queued jobs per tenant (0 = queue-depth)")
@@ -120,26 +116,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	if fs.NArg() != 0 {
 		fmt.Fprintln(stderr, "usage: qed2d [flags]")
 		fs.PrintDefaults()
-		return 3
-	}
-
-	cfg := core.Config{
-		SliceRadius: *radius,
-		QuerySteps:  *querySteps,
-		GlobalSteps: *globalSteps,
-		Timeout:     *timeout,
-		Seed:        *seed,
-		Workers:     *queryWorkers,
-	}
-	switch *mode {
-	case "qed2":
-		cfg.Mode = core.ModeFull
-	case "propagation":
-		cfg.Mode = core.ModePropagationOnly
-	case "smt":
-		cfg.Mode = core.ModeSMTOnly
-	default:
-		fmt.Fprintf(stderr, "qed2d: unknown mode %q\n", *mode)
 		return 3
 	}
 
@@ -176,7 +152,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		st, err = store.Open(store.Options{
 			Capacity: *storeSize,
 			Dir:      *storeDir,
-			Stamp:    service.Stamp(cfg),
+			Stamp:    cfg.Stamp(),
 			Metrics:  metrics,
 		})
 		if err != nil {

@@ -17,60 +17,28 @@ import (
 // instances complete, so a crashed or interrupted suite run can resume
 // (-resume) from the instances already decided instead of restarting. The
 // first line of the file is a header stamping the analyzer configuration
-// (like GoldenFile.Config): resuming under different budgets, seed, or mode
+// (core.Config.Stamp): resuming under different budgets, seed, or mode
 // would silently mix records from incomparable runs, so LoadCheckpoint
 // refuses a mismatched stamp. Record lines are append-only JSONL — a kill
 // can at worst tear the final line, which ReadStamped tolerates by
 // discarding it. The qed2d drain checkpoint shares the header and the
 // reader, with its own record type and writer.
 
-// CheckpointConfig pins the analyzer configuration a checkpoint's records
-// were produced under. It covers every Config field that determines
-// verdicts deterministically; Workers is deliberately absent (reports are
-// identical for any worker count) and so is the wall-clock Timeout (like
-// GoldenConfig: suite runs use a timeout far above what any instance needs,
-// so the step budgets decide).
-type CheckpointConfig struct {
-	Mode        string `json:"mode"`
-	SliceRadius int    `json:"slice_radius"`
-	QuerySteps  int64  `json:"query_steps"`
-	GlobalSteps int64  `json:"global_steps"`
-	Seed        int64  `json:"seed"`
-	NoSolveRule bool   `json:"no_solve_rule,omitempty"`
-	NoBitsRule  bool   `json:"no_bits_rule,omitempty"`
-}
-
-// StampOf derives the configuration stamp from an analyzer configuration.
-// It is shared with the qed2d service layer, whose drain checkpoint and
-// content-addressed report store key on the same stamp — one definition of
-// "same configuration" across every persisted artifact.
-func StampOf(cfg core.Config) CheckpointConfig {
-	return CheckpointConfig{
-		Mode:        cfg.Mode.String(),
-		SliceRadius: cfg.SliceRadius,
-		QuerySteps:  cfg.QuerySteps,
-		GlobalSteps: cfg.GlobalSteps,
-		Seed:        cfg.Seed,
-		NoSolveRule: cfg.DisableSolveRule,
-		NoBitsRule:  cfg.DisableBitsRule,
-	}
-}
-
 // CheckpointHeader is the first line of a stamped JSONL file: the bench
-// checkpoint here and the qed2d drain checkpoint. The non-nil Config
-// discriminates it from record lines. Version stamps the build that wrote
-// the file; it is informational — resumability is decided by the config
-// stamp alone, since verdicts are deterministic per configuration across
-// builds of the same source.
+// checkpoint here and the qed2d drain checkpoint. Config is written in
+// canonical form; the non-nil Config discriminates the header from record
+// lines. Version stamps the build that wrote the file; it is informational —
+// resumability is decided by the config stamp alone, since verdicts are
+// deterministic per configuration across builds of the same source.
 type CheckpointHeader struct {
-	Config  *CheckpointConfig `json:"config"`
-	Version string            `json:"version,omitempty"`
+	Config  *core.Config `json:"config"`
+	Version string       `json:"version,omitempty"`
 }
 
 // NewCheckpointHeader stamps cfg and the running build.
 func NewCheckpointHeader(cfg core.Config) CheckpointHeader {
-	stamp := StampOf(cfg)
-	return CheckpointHeader{Config: &stamp, Version: buildinfo.Get().String()}
+	canon := cfg.Canonical()
+	return CheckpointHeader{Config: &canon, Version: buildinfo.Get().String()}
 }
 
 // StampedReader words the errors of ReadStamped for the program reading
@@ -112,8 +80,8 @@ func ReadStamped[R any](r StampedReader, path string, cfg core.Config, each func
 	if err := json.Unmarshal([]byte(lines[0]), &hdr); err != nil || hdr.Config == nil {
 		return false, fmt.Errorf("%s: checkpoint %s has no config header (corrupt, or predates config stamping) — delete it and %s", r.Owner, path, r.Retry)
 	}
-	if want := StampOf(cfg); *hdr.Config != want {
-		return false, fmt.Errorf("%s: checkpoint %s was written under config %+v but %s %+v — delete it or %s with matching flags", r.Owner, path, *hdr.Config, r.Runs, want, r.Retry)
+	if got, want := hdr.Config.Stamp(), cfg.Stamp(); got != want {
+		return false, fmt.Errorf("%s: checkpoint %s was written under config %s but %s %s — delete it or %s with matching flags", r.Owner, path, got, r.Runs, want, r.Retry)
 	}
 	for i, line := range lines[1:] {
 		lineNo := i + 2 // 1-based, after the header

@@ -142,6 +142,44 @@ func TestLoadCheckpointRejectsConfigMismatch(t *testing.T) {
 	}
 }
 
+// TestLoadCheckpointParentFormatHeader: headers used to stamp the
+// configuration before defaults were applied, so a qed2bench run (which
+// leaves the slice radius at its default) wrote slice_radius 0. Such a
+// checkpoint must still resume: the header normalizes to the same stamp.
+func TestLoadCheckpointParentFormatHeader(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "ck.jsonl")
+	content := `{"config":{"mode":"qed2","slice_radius":0,"query_steps":500,"global_steps":10000,"seed":1},"version":"v0.0.0-20261017074515-e43b2c315a89 e43b2c315a89 go1.24.0"}
+{"name":"Num2Bits(1)","category":"Bitify","analyze_ms":0.122587,"verdict":"safe","ce_values":["",""],"signals":3,"constraints":2,"unique_signals":3,"by_propagation":1,"by_bits_rule":0,"by_smt":0,"queries":0,"solver_steps":0,"cache_hits":0,"workers":1,"duration_ms":0.117,"version":"v0.0.0-20261017074515-e43b2c315a89 e43b2c315a89 go1.24.0"}
+`
+	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, err := LoadCheckpoint(path, ckCfg())
+	if err != nil {
+		t.Fatalf("parent-format checkpoint refused: %v", err)
+	}
+	if rec := got["Num2Bits(1)"]; rec.Verdict != "safe" || rec.Signals != 3 {
+		t.Fatalf("rehydrated record = %+v", rec)
+	}
+	// A fresh header is written in canonical form, radius included.
+	fresh := filepath.Join(t.TempDir(), "ck.jsonl")
+	w, err := NewCheckpointWriter(fresh, ckCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(fresh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = `{"config":{"mode":"qed2","slice_radius":2,"query_steps":500,"global_steps":10000,"seed":1},`
+	if !strings.HasPrefix(string(b), want) {
+		t.Fatalf("fresh header %s, want prefix %s", b, want)
+	}
+}
+
 func TestLoadCheckpointRejectsMissingHeader(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ck.jsonl")
 	content := `{"name":"a","verdict":"safe"}

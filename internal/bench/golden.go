@@ -17,15 +17,6 @@ import (
 // budgets decide), which turns "identical reports" from a claim in a
 // commit message into a checked invariant.
 
-// GoldenConfig pins the analyzer configuration a golden file is valid
-// for. A diff against a run with a different configuration fails fast
-// instead of reporting meaningless verdict flips.
-type GoldenConfig struct {
-	QuerySteps  int64 `json:"query_steps"`
-	GlobalSteps int64 `json:"global_steps"`
-	Seed        int64 `json:"seed"`
-}
-
 // GoldenVerdict is one instance's pinned outcome.
 type GoldenVerdict struct {
 	Name    string `json:"name"`
@@ -47,19 +38,18 @@ type GoldenVerdict struct {
 }
 
 // GoldenFile is the checked-in golden-verdict snapshot
-// (testdata/golden_verdicts.json).
+// (testdata/golden_verdicts.json). Config is the analyzer configuration the
+// snapshot is valid for, written in canonical form: a diff or merge against
+// a different configuration stamp fails fast instead of reporting
+// meaningless verdict flips.
 type GoldenFile struct {
-	Config   GoldenConfig    `json:"config"`
+	Config   core.Config     `json:"config"`
 	Verdicts []GoldenVerdict `json:"verdicts"`
 }
 
 // GoldenFromResults snapshots a result set (sorted by instance name).
 func GoldenFromResults(cfg core.Config, results []Result) *GoldenFile {
-	g := &GoldenFile{Config: GoldenConfig{
-		QuerySteps:  cfg.QuerySteps,
-		GlobalSteps: cfg.GlobalSteps,
-		Seed:        cfg.Seed,
-	}}
+	g := &GoldenFile{Config: cfg.Canonical()}
 	for _, r := range results {
 		ir := instanceRecordOf(r)
 		gv := GoldenVerdict{
@@ -121,9 +111,8 @@ func (v GoldenVerdict) IsDegraded() bool {
 // fault-injected, not that the analysis changed. Instances are matched by
 // name; order within the files does not matter.
 func DiffGolden(golden, fresh *GoldenFile) (diffs, degraded []string) {
-	if golden.Config != fresh.Config {
-		diffs = append(diffs, fmt.Sprintf("config mismatch: golden %+v vs fresh %+v (the gate only compares equal configurations)",
-			golden.Config, fresh.Config))
+	if g, f := golden.Config.Stamp(), fresh.Config.Stamp(); g != f {
+		diffs = append(diffs, fmt.Sprintf("config mismatch: golden %s vs fresh %s (the gate only compares equal configurations)", g, f))
 		return diffs, nil
 	}
 	goldenBy := map[string]GoldenVerdict{}

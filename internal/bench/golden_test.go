@@ -1,15 +1,19 @@
 package bench
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
+
+	"qed2/internal/core"
 )
 
 func goldenFixture() *GoldenFile {
 	return &GoldenFile{
-		Config: GoldenConfig{QuerySteps: 20_000, GlobalSteps: 400_000, Seed: 1},
+		Config: goldenTestConfig(),
 		Verdicts: []GoldenVerdict{
 			{Name: "a", Verdict: "safe"},
 			{Name: "b", Verdict: "unsafe", CEOutput: "out", CESignals: []string{"main.out", "main.tmp"}},
@@ -89,12 +93,46 @@ func TestDiffGoldenDetectsMissingAndNewInstances(t *testing.T) {
 }
 
 func TestDiffGoldenConfigMismatchFailsFast(t *testing.T) {
-	fresh := goldenFixture()
-	fresh.Config.Seed = 2
-	fresh.Verdicts[0].Verdict = "unsafe" // must be masked by the config fast-fail
-	diffs, _ := DiffGolden(goldenFixture(), fresh)
-	if len(diffs) != 1 || !strings.Contains(diffs[0], "config mismatch") {
-		t.Fatalf("expected a single config-mismatch diff, got %v", diffs)
+	for _, tc := range []struct {
+		name   string
+		mutate func(*core.Config)
+	}{
+		{"seed", func(c *core.Config) { c.Seed = 2 }},
+		{"smt-only", func(c *core.Config) { c.Mode = core.ModeSMTOnly }},
+		{"no rules", func(c *core.Config) { c.DisableSolveRule, c.DisableBitsRule = true, true }},
+	} {
+		fresh := goldenFixture()
+		tc.mutate(&fresh.Config)
+		fresh.Verdicts[0].Verdict = "unsafe" // must be masked by the config fast-fail
+		diffs, _ := DiffGolden(goldenFixture(), fresh)
+		if len(diffs) != 1 || !strings.Contains(diffs[0], "config mismatch") {
+			t.Errorf("%s: expected a single config-mismatch diff, got %v", tc.name, diffs)
+		}
+	}
+}
+
+// TestGoldenConfigStampForm pins the golden header bytes: GoldenFromResults
+// writes the canonical configuration (mode and slice radius included, no
+// workers or timeout), and a header written before the golden file carried
+// mode and slice radius still diffs clean against it.
+func TestGoldenConfigStampForm(t *testing.T) {
+	cfg := goldenTestConfig()
+	cfg.Timeout, cfg.Workers = 120*time.Second, 1
+	g := GoldenFromResults(cfg, nil)
+	b, err := json.Marshal(g.Config)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = `{"mode":"qed2","slice_radius":2,"query_steps":20000,"global_steps":400000,"seed":1}`
+	if string(b) != want {
+		t.Fatalf("golden header %s, want %s", b, want)
+	}
+	var old GoldenFile
+	if err := json.Unmarshal([]byte(`{"config":{"query_steps":20000,"global_steps":400000,"seed":1},"verdicts":[]}`), &old); err != nil {
+		t.Fatal(err)
+	}
+	if diffs, _ := DiffGolden(&old, g); len(diffs) != 0 {
+		t.Fatalf("pre-stamp golden header does not diff clean: %v", diffs)
 	}
 }
 
@@ -127,9 +165,9 @@ func TestCheckedInGoldenMatchesSuite(t *testing.T) {
 	if err != nil {
 		t.Skipf("no checked-in golden file: %v", err)
 	}
-	want := GoldenConfig{QuerySteps: 20_000, GlobalSteps: 400_000, Seed: 1}
-	if g.Config != want {
-		t.Fatalf("golden config %+v does not pin the default budgets %+v", g.Config, want)
+	want := goldenTestConfig()
+	if got := g.Config.Stamp(); got != want.Stamp() {
+		t.Fatalf("golden config %s does not pin the default budgets %s", got, want.Stamp())
 	}
 	insts := Suite()
 	corpus, err := LoadCorpus(filepath.Join("..", "..", "testdata", "corpus", "manifest.json"))

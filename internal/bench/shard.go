@@ -54,12 +54,12 @@ func MergeGolden(parts []*GoldenFile) (*GoldenFile, error) {
 	if len(parts) == 0 {
 		return nil, fmt.Errorf("bench: merge: no shard files")
 	}
-	merged := &GoldenFile{Config: parts[0].Config}
+	merged := &GoldenFile{Config: parts[0].Config.Canonical()}
+	stamp := merged.Config.Stamp()
 	seen := map[string]int{}
 	for i, p := range parts {
-		if p.Config != merged.Config {
-			return nil, fmt.Errorf("bench: merge: shard %d config %+v differs from shard 0 config %+v",
-				i, p.Config, merged.Config)
+		if got := p.Config.Stamp(); got != stamp {
+			return nil, fmt.Errorf("bench: merge: shard %d config %s differs from shard 0 config %s", i, got, stamp)
 		}
 		for _, v := range p.Verdicts {
 			if prev, dup := seen[v.Name]; dup {

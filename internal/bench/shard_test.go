@@ -138,7 +138,7 @@ func TestGoldenRestrict(t *testing.T) {
 			t.Errorf("unexpected instance %s in restricted file", v.Name)
 		}
 	}
-	if r.Config != g.Config {
+	if r.Config.Stamp() != g.Config.Stamp() {
 		t.Error("Restrict dropped the config")
 	}
 }

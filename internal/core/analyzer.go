@@ -22,7 +22,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sync/atomic"
 	"time"
 
@@ -75,96 +74,6 @@ func ParseVerdict(s string) (Verdict, bool) {
 	return VerdictUnknown, false
 }
 
-// Mode selects the analysis configuration.
-type Mode int
-
-// Modes.
-const (
-	// ModeFull is the QED² combination: propagation + sliced SMT queries +
-	// full-circuit confirmation.
-	ModeFull Mode = iota
-	// ModePropagationOnly runs only the inference rules (Ecne-style
-	// baseline): it can prove Safe but never Unsafe.
-	ModePropagationOnly
-	// ModeSMTOnly issues one monolithic two-copy query per output without
-	// any propagation (naive SMT encoding baseline).
-	ModeSMTOnly
-)
-
-// String implements fmt.Stringer.
-func (m Mode) String() string {
-	switch m {
-	case ModeFull:
-		return "qed2"
-	case ModePropagationOnly:
-		return "propagation-only"
-	case ModeSMTOnly:
-		return "smt-only"
-	default:
-		return fmt.Sprintf("Mode(%d)", int(m))
-	}
-}
-
-// Config tunes the analysis.
-type Config struct {
-	// Mode selects full QED² or one of the baselines. Default ModeFull.
-	Mode Mode
-	// SliceRadius is the constraint-graph radius of local queries.
-	// Default 2.
-	SliceRadius int
-	// MaxSliceConstraints caps the size of a local query. Default 64.
-	MaxSliceConstraints int
-	// QuerySteps is the solver budget per SMT query. Default 50000.
-	QuerySteps int64
-	// GlobalSteps bounds total solver steps across all queries.
-	// Default 5,000,000.
-	GlobalSteps int64
-	// Timeout bounds wall-clock time for the whole analysis (0 = none).
-	// The deadline is enforced inside individual solver calls, not just
-	// between them, so a single hard query cannot overshoot it by more than
-	// one solver step-check interval.
-	Timeout time.Duration
-	// Workers is the number of slice queries solved concurrently per round.
-	// Default GOMAXPROCS. Reports are byte-identical (verdict, stats,
-	// counterexample) for any worker count as long as no wall-clock timeout
-	// cuts the run short: results are applied at a round barrier in
-	// canonical signal order, solver seeds derive from the target signal,
-	// and the shared global step budget is reserved deterministically.
-	Workers int
-	// Seed makes solver probing deterministic.
-	Seed int64
-	// DisableSolveRule / DisableBitsRule switch off individual propagation
-	// rules (rule-ablation experiments). With both set, the analysis still
-	// seeds inputs and issues sliced SMT queries. Either one also switches
-	// off the static-analysis pre-pass (internal/sa), which otherwise runs
-	// before the SMT rounds of ModeFull, pruning, ordering and shrinking the
-	// scheduler's queries. The baselines (ModePropagationOnly, ModeSMTOnly)
-	// never run the pre-pass so they stay faithful to the systems the paper
-	// compares against.
-	DisableSolveRule bool
-	DisableBitsRule  bool
-	// Obs, when non-nil, receives hierarchical spans for every phase of
-	// the analysis (rounds, queries, confirmations); ObsParent optionally
-	// nests the whole analysis under a caller-owned span (the bench runner
-	// uses it for per-instance grouping). Metrics, when non-nil, receives
-	// the core.*, uniq.* and smt.* counters and histograms. All three are
-	// pure observers: they never change verdicts, stats or determinism
-	// (though with Workers > 1 the interleaving of query events in the
-	// trace depends on scheduling).
-	Obs       *obs.Tracer
-	ObsParent *obs.Span
-	Metrics   *obs.Metrics
-	// Progress, when non-nil, receives coarse milestone events of the
-	// analysis: the static pre-pass, each slice-query round barrier, each
-	// final-stage round, and a terminal "done" event carrying the verdict.
-	// Like Obs/Metrics it is a pure observer — it never changes verdicts,
-	// stats or determinism. It is invoked sequentially from the analysis
-	// goroutine at round barriers (never from query workers), so it needs no
-	// locking of its own, but it must not block: the analysis stalls while
-	// the callback runs. qed2d feeds per-job event streams from this hook.
-	Progress func(ProgressEvent)
-}
-
 // ProgressEvent is one milestone reported through Config.Progress.
 type ProgressEvent struct {
 	// Phase is "static" (pre-pass finished), "round" (a slice-query round
@@ -181,29 +90,6 @@ type ProgressEvent struct {
 	SolverSteps int64
 	// Verdict is the final verdict string, set only on "done".
 	Verdict string
-}
-
-func (c *Config) withDefaults() Config {
-	out := Config{}
-	if c != nil {
-		out = *c
-	}
-	if out.SliceRadius == 0 {
-		out.SliceRadius = 2
-	}
-	if out.MaxSliceConstraints == 0 {
-		out.MaxSliceConstraints = 64
-	}
-	if out.QuerySteps == 0 {
-		out.QuerySteps = 50_000
-	}
-	if out.GlobalSteps == 0 {
-		out.GlobalSteps = 5_000_000
-	}
-	if out.Workers <= 0 {
-		out.Workers = runtime.GOMAXPROCS(0)
-	}
-	return out
 }
 
 // CounterExample is a checked pair of witnesses demonstrating
@@ -584,7 +470,7 @@ func (a *analysis) runFull() {
 				continue // nothing new since the last attempt
 			}
 			lastTried[s] = snap.NumUnique()
-			sl := a.sys.SliceAround(s, a.cfg.SliceRadius, a.cfg.MaxSliceConstraints)
+			sl := a.sys.SliceAround(s, a.cfg.SliceRadius, maxSliceConstraints)
 			t := &queryTask{
 				sig:  s,
 				cons: sl.Constraints,

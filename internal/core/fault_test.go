@@ -90,7 +90,7 @@ func TestAdmitOnExhaustedBudgetYieldsUnknownWithoutDispatch(t *testing.T) {
 func admitTasks(a *analysis, snap *uniq.Snapshot) []*queryTask {
 	var tasks []*queryTask
 	for _, s := range a.prop.Unknown() {
-		sl := a.sys.SliceAround(s, a.cfg.SliceRadius, a.cfg.MaxSliceConstraints)
+		sl := a.sys.SliceAround(s, a.cfg.SliceRadius, maxSliceConstraints)
 		t := &queryTask{sig: s, cons: sl.Constraints, full: len(sl.Constraints) == a.sys.NumConstraints()}
 		a.admit(t, sl.Signals, snap)
 		tasks = append(tasks, t)

@@ -95,8 +95,8 @@ func TestCacheKeysIsomorphicDisjointSlices(t *testing.T) {
 
 	a := newTestAnalysis(sys, Config{}, context.Background(), nil)
 	snap := a.prop.Snapshot()
-	slX := sys.SliceAround(x, a.cfg.SliceRadius, a.cfg.MaxSliceConstraints)
-	slY := sys.SliceAround(y, a.cfg.SliceRadius, a.cfg.MaxSliceConstraints)
+	slX := sys.SliceAround(x, a.cfg.SliceRadius, maxSliceConstraints)
+	slY := sys.SliceAround(y, a.cfg.SliceRadius, maxSliceConstraints)
 	keyX := sliceKey(x, slX.Constraints, slX.Signals, snap)
 	keyY := sliceKey(y, slY.Constraints, slY.Signals, snap)
 	if keyX == keyY {

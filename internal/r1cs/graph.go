@@ -30,10 +30,10 @@ func (s *System) ConstraintsOf(id int) []int {
 }
 
 // PrepareConcurrent eagerly builds the lazy adjacency index so that the
-// read-only graph operations (SliceAround, ConstraintsOf,
-// ConnectedComponents) are safe to call from multiple goroutines. Callers
-// that slice concurrently must invoke it once, before spawning workers, and
-// must not mutate the system while workers run.
+// read-only graph operations (SliceAround, ConstraintsOf) are safe to call
+// from multiple goroutines. Callers that slice concurrently must invoke it
+// once, before spawning workers, and must not mutate the system while
+// workers run.
 func (s *System) PrepareConcurrent() { s.buildAdjacency() }
 
 // Slice is a connected fragment of the system used for local uniqueness
@@ -104,56 +104,4 @@ func (s *System) SliceAround(target, radius, maxConstraints int) Slice {
 	}
 	sort.Ints(sl.Signals)
 	return sl
-}
-
-// ConnectedComponents partitions the non-constant signals into groups that
-// are transitively connected through shared constraints. Isolated signals
-// (mentioned by no constraint) form singleton components.
-func (s *System) ConnectedComponents() [][]int {
-	s.buildAdjacency()
-	n := len(s.signals)
-	parent := make([]int, n)
-	for i := range parent {
-		parent[i] = i
-	}
-	var find func(int) int
-	find = func(x int) int {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-	union := func(a, b int) {
-		ra, rb := find(a), find(b)
-		if ra != rb {
-			parent[ra] = rb
-		}
-	}
-	for ci := range s.constraints {
-		vars := s.constraints[ci].Vars()
-		var first = -1
-		for _, v := range vars {
-			if v == OneID {
-				continue
-			}
-			if first == -1 {
-				first = v
-			} else {
-				union(first, v)
-			}
-		}
-	}
-	groups := map[int][]int{}
-	for id := 1; id < n; id++ {
-		r := find(id)
-		groups[r] = append(groups[r], id)
-	}
-	out := make([][]int, 0, len(groups))
-	for _, g := range groups {
-		sort.Ints(g)
-		out = append(out, g)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i][0] < out[j][0] })
-	return out
 }

@@ -218,22 +218,6 @@ func TestSliceIsolatedSignal(t *testing.T) {
 	}
 }
 
-func TestConnectedComponents(t *testing.T) {
-	s := NewSystem(f97)
-	a := s.AddSignal("a", KindInput)
-	b := s.AddSignal("b", KindInternal)
-	c := s.AddSignal("c", KindInput)
-	d := s.AddSignal("d", KindOutput)
-	free := s.AddSignal("free", KindOutput)
-	s.AddConstraint(poly.Var(f97, a), poly.Var(f97, a), poly.Var(f97, b), "")
-	s.AddConstraint(poly.Var(f97, c), poly.Var(f97, c), poly.Var(f97, d), "")
-	comps := s.ConnectedComponents()
-	want := [][]int{{a, b}, {c, d}, {free}}
-	if !reflect.DeepEqual(comps, want) {
-		t.Errorf("components = %v, want %v", comps, want)
-	}
-}
-
 func TestMarshalRoundTrip(t *testing.T) {
 	s, a, b, out := buildMulSystem(t)
 	// Add a constraint with constants and a tag to exercise the format.

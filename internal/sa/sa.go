@@ -129,15 +129,6 @@ type Result struct {
 	PrunedSignals []int
 }
 
-// DeterminedSet returns the determined signals as a membership set.
-func (r *Result) DeterminedSet() map[int]bool {
-	out := make(map[int]bool, len(r.DeterminedSignals))
-	for _, s := range r.DeterminedSignals {
-		out[s] = true
-	}
-	return out
-}
-
 // PrunedSet returns the pruned signals as a membership set.
 func (r *Result) PrunedSet() map[int]bool {
 	out := make(map[int]bool, len(r.PrunedSignals))
@@ -145,18 +136,6 @@ func (r *Result) PrunedSet() map[int]bool {
 		out[s] = true
 	}
 	return out
-}
-
-// MaxSeverity returns the highest severity among the findings
-// (SeverityInfo when there are none).
-func (r *Result) MaxSeverity() Severity {
-	max := SeverityInfo
-	for _, f := range r.Findings {
-		if f.Severity > max {
-			max = f.Severity
-		}
-	}
-	return max
 }
 
 // Analyze runs the full static pass over a system. It never mutates sys

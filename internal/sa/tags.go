@@ -88,24 +88,3 @@ func (st *AbsState) TagString(id int) string {
 	}
 	return "{" + strings.Join(parts, ", ") + "}"
 }
-
-// MaxBitsOf returns the tightest maxbit(k) bound implied by the state
-// (binary signals are maxbit(1), constants their own bit length), and
-// whether any bound is known. This is the bound the overflow-prone-sum
-// detector folds over.
-func (st *AbsState) MaxBitsOf(id int) (int, bool) {
-	if st.isConst[id] {
-		s := st.sys.Field().Signed(st.constVal[id])
-		if s.Sign() < 0 {
-			return 0, false
-		}
-		return s.BitLen(), true
-	}
-	if iv := st.ival[id]; iv != nil {
-		return iv.maxBits()
-	}
-	if st.isBool[id] {
-		return 1, true
-	}
-	return 0, false
-}

@@ -142,7 +142,7 @@ func TestChaosSandboxFaultSites(t *testing.T) {
 	sandboxed := func(wall time.Duration) func(*Config) {
 		return func(cfg *Config) {
 			m := cfg.Metrics
-			st, err := store.Open(store.Options{Dir: dir, Stamp: Stamp(cfg.Analyzer), Metrics: m})
+			st, err := store.Open(store.Options{Dir: dir, Stamp: cfg.Analyzer.Stamp(), Metrics: m})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -25,17 +25,6 @@ import (
 // configuration; Resume refuses a mismatched stamp, so a restarted daemon
 // can only continue runs whose verdicts are comparable to its own.
 
-// stampJSON renders the configuration stamp shared by the report store and
-// the drain checkpoint: the JSON of the bench checkpoint config.
-func stampJSON(cfg core.Config) string {
-	b, err := json.Marshal(bench.StampOf(cfg))
-	if err != nil {
-		// CheckpointConfig is a flat struct of scalars; Marshal cannot fail.
-		panic(err)
-	}
-	return string(b)
-}
-
 // drainRecord is one interrupted in-flight job: everything needed to
 // re-create it in the next process.
 type drainRecord struct {

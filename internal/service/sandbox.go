@@ -107,20 +107,12 @@ func (s *Sandbox) rssPoll() time.Duration {
 }
 
 // workerConfig is the -config JSON handed to the child: the analyzer
-// configuration fields that determine verdicts, plus the sandbox knobs.
-// Progress/Obs/Metrics hooks deliberately do not cross the process
-// boundary — progress comes back over the pipe.
+// configuration in its wire form (core.Config's JSON, which leaves out the
+// Progress/Obs/Metrics hooks — progress comes back over the pipe), plus the
+// sandbox knobs.
 type workerConfig struct {
-	Mode        string `json:"mode"`
-	SliceRadius int    `json:"slice_radius"`
-	QuerySteps  int64  `json:"query_steps"`
-	GlobalSteps int64  `json:"global_steps"`
-	TimeoutMS   int64  `json:"timeout_ms"`
-	Seed        int64  `json:"seed"`
-	Workers     int    `json:"workers"`
-	NoSolveRule bool   `json:"no_solve_rule,omitempty"`
-	NoBitsRule  bool   `json:"no_bits_rule,omitempty"`
-	MemMB       int    `json:"mem_mb,omitempty"`
+	core.Config
+	MemMB int `json:"mem_mb,omitempty"`
 	// Chaos, set by the parent when a worker.kill / worker.hang fault fires
 	// at spawn, tells the child to die or wedge mid-analysis — the
 	// deterministic stand-in for a real OOM kill or runaway solver loop.
@@ -145,18 +137,7 @@ func (s *Sandbox) Run(ctx context.Context, sys *r1cs.System, cfg core.Config) (*
 	wallKills := s.Metrics.Counter("service.sandbox.wall_kills")
 	rssKills := s.Metrics.Counter("service.sandbox.rss_kills")
 
-	wc := workerConfig{
-		Mode:        cfg.Mode.String(),
-		SliceRadius: cfg.SliceRadius,
-		QuerySteps:  cfg.QuerySteps,
-		GlobalSteps: cfg.GlobalSteps,
-		TimeoutMS:   cfg.Timeout.Milliseconds(),
-		Seed:        cfg.Seed,
-		Workers:     cfg.Workers,
-		NoSolveRule: cfg.DisableSolveRule,
-		NoBitsRule:  cfg.DisableBitsRule,
-		MemMB:       s.MemMB,
-	}
+	wc := workerConfig{Config: cfg, MemMB: s.MemMB}
 	// The chaos sites are checked in the parent, once per spawn, so their
 	// deterministic hit counters advance across jobs (a per-child counter
 	// would make every child decide identically). A fired site rides to the
@@ -404,28 +385,7 @@ func WorkerMain(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		return 3
 	}
 
-	cfg := core.Config{
-		SliceRadius:      wc.SliceRadius,
-		QuerySteps:       wc.QuerySteps,
-		GlobalSteps:      wc.GlobalSteps,
-		Timeout:          time.Duration(wc.TimeoutMS) * time.Millisecond,
-		Seed:             wc.Seed,
-		Workers:          wc.Workers,
-		DisableSolveRule: wc.NoSolveRule,
-		DisableBitsRule:  wc.NoBitsRule,
-	}
-	switch wc.Mode {
-	case core.ModeFull.String(), "":
-		cfg.Mode = core.ModeFull
-	case core.ModePropagationOnly.String():
-		cfg.Mode = core.ModePropagationOnly
-	case core.ModeSMTOnly.String():
-		cfg.Mode = core.ModeSMTOnly
-	default:
-		fmt.Fprintf(stderr, "qed2d worker: unknown mode %q\n", wc.Mode)
-		return 3
-	}
-
+	cfg := wc.Config
 	enc := json.NewEncoder(stdout)
 	chaosArmed := wc.Chaos != ""
 	cfg.Progress = func(ev core.ProgressEvent) {

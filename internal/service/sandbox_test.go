@@ -1,15 +1,21 @@
 package service
 
 import (
+	"context"
 	"errors"
 	"os"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
 	"time"
 
+	"qed2/internal/bench"
+	"qed2/internal/circom"
+	"qed2/internal/core"
 	"qed2/internal/faultinject"
 	"qed2/internal/obs"
+	"qed2/internal/r1cs"
 )
 
 // TestMain doubles this test binary as the sandbox worker: when the harness
@@ -69,6 +75,58 @@ func TestSandboxRunDelivery(t *testing.T) {
 	}
 	if got := m.Counters()["service.sandbox.spawns"]; got < 2 {
 		t.Fatalf("service.sandbox.spawns = %d, want >= 2", got)
+	}
+}
+
+// TestSandboxRunsTheWireConfig: the child analyzes under exactly the
+// configuration the parent holds, so a sandboxed summary equals the
+// in-process one apart from its duration. Each variant changes one
+// verdict-relevant field and is checked to change some in-process summary,
+// so a field dropped on the -config wire cannot go unnoticed.
+func TestSandboxRunsTheWireConfig(t *testing.T) {
+	var systems []*r1cs.System
+	for _, name := range []string{"Num2BitsNeg(4)", "LessThan(8)"} {
+		in, _ := bench.ByName(bench.Suite(), name)
+		prog, err := circom.Compile(in.Source(), &circom.CompileOptions{Library: bench.Library()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		systems = append(systems, prog.System)
+	}
+	inProcess := func(sys *r1cs.System, cfg core.Config) core.Summary {
+		sum := core.AnalyzeContext(context.Background(), sys, &cfg).Summary(sys)
+		sum.DurationMS = 0
+		return sum
+	}
+	base := core.Config{QuerySteps: 2_000, GlobalSteps: 40_000, Seed: 1, Workers: 2}
+	sb := testSandbox(nil)
+	for _, variant := range []func(*core.Config){
+		func(*core.Config) {}, // the base configuration itself
+		func(c *core.Config) { c.Mode = core.ModeSMTOnly },
+		func(c *core.Config) { c.SliceRadius = 1 },
+		func(c *core.Config) { c.QuerySteps = 10 },
+		func(c *core.Config) { c.GlobalSteps = 50 },
+		func(c *core.Config) { c.DisableSolveRule = true },
+		func(c *core.Config) { c.DisableBitsRule = true },
+	} {
+		cfg := base
+		variant(&cfg)
+		changed := cfg.Stamp() == base.Stamp()
+		for _, sys := range systems {
+			got, err := sb.Run(context.Background(), sys, cfg)
+			if err != nil {
+				t.Fatalf("%s: %v", cfg.Stamp(), err)
+			}
+			got.DurationMS = 0
+			want := inProcess(sys, cfg)
+			if !reflect.DeepEqual(*got, want) {
+				t.Errorf("%s: sandboxed summary %+v, in-process %+v", cfg.Stamp(), *got, want)
+			}
+			changed = changed || !reflect.DeepEqual(want, inProcess(sys, base))
+		}
+		if !changed {
+			t.Errorf("%s: no test circuit's summary depends on this change — the variant proves nothing", cfg.Stamp())
+		}
 	}
 }
 

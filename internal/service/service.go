@@ -162,13 +162,10 @@ func New(cfg Config) *Engine {
 	return e
 }
 
-// Stamp returns the configuration stamp for an analyzer configuration —
-// the JSON of the bench checkpoint config. The store directory and the
-// drain checkpoint are both keyed by it.
-func Stamp(cfg core.Config) string { return stampJSON(cfg) }
-
-// ConfigStamp returns the engine's own configuration stamp.
-func (e *Engine) ConfigStamp() string { return stampJSON(e.cfg.Analyzer) }
+// ConfigStamp returns the engine's analyzer configuration stamp
+// (core.Config.Stamp), which keys the store directory and the drain
+// checkpoint.
+func (e *Engine) ConfigStamp() string { return e.cfg.Analyzer.Stamp() }
 
 // SubmitSource compiles circom source against the engine's library and
 // submits the resulting system. Compile errors are returned to the caller
