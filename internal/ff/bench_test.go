@@ -7,8 +7,8 @@ import (
 )
 
 // BenchmarkFFOps measures the Element hot-path operations against the
-// retained big.Int reference implementation. The refactor's acceptance bar
-// is ≥5× on BN254 mul/add (element vs bigint sub-benchmarks).
+// retained big.Int reference implementation (math/big's ModInverse and
+// ModSqrt for inv and sqrt).
 func BenchmarkFFOps(b *testing.B) {
 	for _, tc := range []struct {
 		name string
@@ -65,6 +65,22 @@ func BenchmarkFFOps(b *testing.B) {
 					b.Fatal(err)
 				}
 				sinkBig = r
+			}
+		})
+		sq := f.Square(ea)
+		b.Run(tc.name+"/sqrt/element", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				r, ok := f.Sqrt(sq)
+				if !ok {
+					b.Fatal("Sqrt of a square failed")
+				}
+				sinkElt = r
+			}
+		})
+		b.Run(tc.name+"/sqrt/bigint", func(b *testing.B) {
+			bsq := f.ToBig(sq)
+			for i := 0; i < b.N; i++ {
+				sinkBig = new(big.Int).ModSqrt(bsq, f.p)
 			}
 		})
 		b.Run(tc.name+"/exp/element", func(b *testing.B) {

@@ -1,6 +1,8 @@
 package ff
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"math/big"
 	"math/rand"
 	"testing"
@@ -13,13 +15,18 @@ import (
 // primes, including the edge values 0, 1, p-1 and Montgomery round-trips.
 
 // diffFields returns the fields the differential suite runs over: BN254
-// (4 limbs, the production field), primes occupying 1, 2 and 3 limbs (odd
-// limb counts exercise the zero high limbs of the representation), and tiny
-// primes on the small-field fast path.
+// (4 limbs, the production field), two more 4-limb primes near 2^256 that
+// drive the Mul/Inv/Sqrt carry paths up to MaxModulusBits, primes occupying
+// 1, 2 and 3 limbs (odd limb counts exercise the zero high limbs of the
+// representation), and tiny primes on the small-field fast path.
 func diffFields(t testing.TB) []*Field {
 	t.Helper()
 	return []*Field{
 		BN254(),
+		// 2^255 - 19 (p ≡ 5 mod 8: Tonelli–Shanks with s = 2).
+		MustField(new(big.Int).Sub(new(big.Int).Lsh(big.NewInt(1), 255), big.NewInt(19))),
+		// 2^256 - 189 (p ≡ 3 mod 4, all 64 bits of the top limb in use).
+		MustField(new(big.Int).Sub(new(big.Int).Lsh(big.NewInt(1), 256), big.NewInt(189))),
 		// 3-limb prime: 2^190 - 11.
 		MustField(new(big.Int).Sub(new(big.Int).Lsh(big.NewInt(1), 190), big.NewInt(11))),
 		// 2-limb prime: 2^127 - 1 (Mersenne).
@@ -201,13 +208,10 @@ func TestElementDifferentialAggregates(t *testing.T) {
 			for i := 0; i < 9; i++ {
 				v := randBig(f, rng)
 				if i == 0 {
-					v = big.NewInt(1) // BatchInv needs nonzero; include 1 and p-1
+					v = big.NewInt(1)
 				}
 				if i == 1 {
 					v = new(big.Int).Sub(f.Modulus(), big.NewInt(1))
-				}
-				if v.Sign() == 0 {
-					v = big.NewInt(1)
 				}
 				elts = append(elts, f.FromBig(v))
 				bigs = append(bigs, f.Reduce(v))
@@ -224,17 +228,41 @@ func TestElementDifferentialAggregates(t *testing.T) {
 			if got := f.ToBig(f.Prod(elts...)); got.Cmp(prod) != 0 {
 				t.Fatalf("Prod = %v, want %v", got, prod)
 			}
-			invs, err := f.BatchInv(elts)
-			if err != nil {
-				t.Fatalf("BatchInv: %v", err)
+		})
+	}
+}
+
+// TestElementDifferentialInvEdges checks Inv against the big.Int reference
+// on the values where a binary GCD's carries, borrows and early exits sit:
+// ±1, ±2, small k and p - k, and every power of two and its negation.
+func TestElementDifferentialInvEdges(t *testing.T) {
+	for _, f := range diffFields(t) {
+		f := f
+		t.Run(f.Name(), func(t *testing.T) {
+			p := f.Modulus()
+			var vals []*big.Int
+			for k := int64(1); k <= 64; k++ {
+				vals = append(vals, big.NewInt(k), new(big.Int).Sub(p, big.NewInt(k)))
 			}
-			for i, inv := range invs {
-				want, err := f.InvBig(bigs[i])
-				if err != nil {
-					t.Fatalf("InvBig(%v): %v", bigs[i], err)
+			for i := 0; i <= f.BitLen(); i++ {
+				pow := new(big.Int).Lsh(big.NewInt(1), uint(i))
+				vals = append(vals, pow, new(big.Int).Sub(p, pow))
+			}
+			for _, v := range vals {
+				rv := f.Reduce(v)
+				if rv.Sign() == 0 {
+					continue
 				}
-				if got := f.ToBig(inv); got.Cmp(want) != 0 {
-					t.Fatalf("BatchInv[%d] = %v, want %v", i, got, want)
+				want, err := f.InvBig(rv)
+				if err != nil {
+					t.Fatalf("InvBig(%v): %v", rv, err)
+				}
+				got, err := f.Inv(f.FromBig(rv))
+				if err != nil {
+					t.Fatalf("Inv(%v): %v", rv, err)
+				}
+				if f.ToBig(got).Cmp(want) != 0 {
+					t.Fatalf("Inv(%v) = %v, want %v", rv, f.ToBig(got), want)
 				}
 			}
 		})
@@ -263,9 +291,8 @@ func TestElementDifferentialSqrtLegendre(t *testing.T) {
 					if got := f.ToBig(f.Square(root)); got.Cmp(rv) != 0 {
 						t.Fatalf("Sqrt(%v)² = %v", rv, got)
 					}
-					// Cross-check the chosen root against big.Int ModSqrt up to sign:
-					// the solver's search tree depends on which root comes back, and
-					// both representations must keep choosing the same one.
+					// Cross-check the root against big.Int ModSqrt up to sign;
+					// TestSqrtRootPinned pins which of the two comes back.
 					ref := new(big.Int).ModSqrt(rv, f.Modulus())
 					if ref == nil {
 						t.Fatalf("ModSqrt(%v) = nil but Sqrt succeeded", rv)
@@ -300,5 +327,51 @@ func TestFieldCache(t *testing.T) {
 		if f, err := SmallField(97); err != nil || f != MustField(big.NewInt(97)) {
 			t.Fatalf("SmallField(97) iteration %d: %v %v", i, f, err)
 		}
+	}
+}
+
+// sqrtDigests pins the exact root Sqrt returns, not just its sign class: the
+// solver branches on that choice, so any change to it moves search trees.
+// Each digest is recorded from the original Tonelli–Shanks implementation.
+var sqrtDigests = map[string]string{
+	"F_2188…5617": "ef9e8805bc7c0ed9a289f8481dfccb5b4f8f2da61a3cf70999de8284db0647ca",
+	"F_5789…9949": "263239f972f6fb2e5ce3a31e11d97e4faa20755e5d005058d02fc090a9287e2d",
+	"F_1157…9747": "9b9d07c05c5f98c955831a826163df9f485a4c47c176363ef9daf1694d8bfd2b",
+	"F_1569…8213": "7ae7fe75db399e8ff6b027788a56fd18b14df9f092f8afdd2e016e37acc4d96f",
+	"F_1701…5727": "d9cf04218d3646379df898d44937bd053e430e3583acd4b3fb832774d8797a7e",
+	"F_1844…1557": "e25ef68c6f93f1f9120c685e1d0485599a5dade5777e0644d538c1ef357f6d1c",
+	"F_65537":     "dc73bd602f3edc8cc89d527cd86e5e55f3f8329f35ae382b2474cc53014ef1e8",
+	"F_97":        "29c3687e57cec6efaf134667b2e893cb98c8279dab19715420ee376722310644",
+	"F_3":         "ef6771049c3f44db0d4356902c3800b1447090d2e98d7fa45e7cfec50c06ae64",
+}
+
+// TestSqrtRootPinned hashes Sqrt's (ok, root) answers over seeded squares
+// and seeded arbitrary values (about half of them non-residues) on every
+// differential field, and compares against the recorded digests.
+func TestSqrtRootPinned(t *testing.T) {
+	for _, f := range diffFields(t) {
+		f := f
+		t.Run(f.Name(), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(17))
+			h := sha256.New()
+			vals := edgeValues(f)
+			for i := 0; i < 48; i++ {
+				v := randBig(f, rng)
+				vals = append(vals, v, f.MulBig(v, v))
+			}
+			for _, v := range vals {
+				root, ok := f.Sqrt(f.FromBig(v))
+				if ok {
+					h.Write([]byte{1})
+				} else {
+					h.Write([]byte{0})
+				}
+				h.Write(f.Bytes(root))
+			}
+			got := hex.EncodeToString(h.Sum(nil))
+			if want := sqrtDigests[f.Name()]; got != want {
+				t.Fatalf("Sqrt digest = %s, want %s", got, want)
+			}
+		})
 	}
 }

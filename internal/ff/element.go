@@ -78,16 +78,6 @@ func ltLimbs(a, b Element) bool {
 	return bw != 0
 }
 
-// shr1 shifts e right by one bit, with top entering as the new bit 255
-// (used when halving a 257-bit intermediate held as limbs plus carry).
-func shr1(e Element, top uint64) Element {
-	e[0] = e[0]>>1 | e[1]<<63
-	e[1] = e[1]>>1 | e[2]<<63
-	e[2] = e[2]>>1 | e[3]<<63
-	e[3] = e[3]>>1 | top<<63
-	return e
-}
-
 // invUint64 returns a⁻¹ mod p for 0 < a < p and odd prime p, by the binary
 // extended Euclidean algorithm (HAC 14.61 specialization for odd moduli).
 func invUint64(a, p uint64) uint64 {
@@ -156,51 +146,83 @@ func limbsToBig(e Element) *big.Int {
 // --- Montgomery multiplication (large-field path) -----------------------------
 
 // montMul returns a·b·R⁻¹ mod p for canonical Montgomery inputs, using the
-// textbook CIOS method (Koç–Acar–Kaliski) with an explicit overflow word,
-// which is correct for any odd modulus below 2^256. The result is reduced
+// textbook CIOS method (Koç–Acar–Kaliski), unrolled over the four limbs,
+// with an explicit overflow word t4, which makes it correct for any odd
+// modulus below 2^256 (the top limb may be full). The result is reduced
 // into [0, p).
 func (f *Field) montMul(a, b Element) Element {
-	var t [ElementLimbs + 2]uint64
-	p := &f.pLimbs
-	for i := 0; i < ElementLimbs; i++ {
-		// t += a * b[i]
-		var c uint64
-		for j := 0; j < ElementLimbs; j++ {
-			hi, lo := bits.Mul64(a[j], b[i])
-			var cc uint64
-			lo, cc = bits.Add64(lo, t[j], 0)
-			hi += cc
-			lo, cc = bits.Add64(lo, c, 0)
-			hi += cc
-			t[j] = lo
-			c = hi
-		}
-		var cc uint64
-		t[ElementLimbs], cc = bits.Add64(t[ElementLimbs], c, 0)
-		t[ElementLimbs+1] = cc
-
-		// Reduce: add m·p so the low word cancels, then shift down one word.
-		m := t[0] * f.pInv
-		hi, lo := bits.Mul64(m, p[0])
-		_, cc = bits.Add64(lo, t[0], 0)
-		c = hi + cc
-		for j := 1; j < ElementLimbs; j++ {
-			hi, lo = bits.Mul64(m, p[j])
-			lo, cc = bits.Add64(lo, t[j], 0)
-			hi += cc
-			lo, cc = bits.Add64(lo, c, 0)
-			hi += cc
-			t[j-1] = lo
-			c = hi
-		}
-		t[ElementLimbs-1], cc = bits.Add64(t[ElementLimbs], c, 0)
-		t[ElementLimbs] = t[ElementLimbs+1] + cc
-	}
-	r := Element{t[0], t[1], t[2], t[3]}
-	if t[ElementLimbs] != 0 || !ltLimbs(r, f.pLimbs) {
+	p0, p1, p2, p3 := f.pLimbs[0], f.pLimbs[1], f.pLimbs[2], f.pLimbs[3]
+	var t0, t1, t2, t3, t4, t5, c, m uint64
+	// Each round adds a·b[i] into t, then adds m·p so that the low word
+	// cancels, and shifts t down one word.
+	// Round 0.
+	c, t0 = madd(a[0], b[0], t0, 0)
+	c, t1 = madd(a[1], b[0], t1, c)
+	c, t2 = madd(a[2], b[0], t2, c)
+	c, t3 = madd(a[3], b[0], t3, c)
+	t4, t5 = bits.Add64(t4, c, 0)
+	m = t0 * f.pInv
+	c, _ = madd(m, p0, t0, 0)
+	c, t0 = madd(m, p1, t1, c)
+	c, t1 = madd(m, p2, t2, c)
+	c, t2 = madd(m, p3, t3, c)
+	t3, c = bits.Add64(t4, c, 0)
+	t4 = t5 + c
+	// Round 1.
+	c, t0 = madd(a[0], b[1], t0, 0)
+	c, t1 = madd(a[1], b[1], t1, c)
+	c, t2 = madd(a[2], b[1], t2, c)
+	c, t3 = madd(a[3], b[1], t3, c)
+	t4, t5 = bits.Add64(t4, c, 0)
+	m = t0 * f.pInv
+	c, _ = madd(m, p0, t0, 0)
+	c, t0 = madd(m, p1, t1, c)
+	c, t1 = madd(m, p2, t2, c)
+	c, t2 = madd(m, p3, t3, c)
+	t3, c = bits.Add64(t4, c, 0)
+	t4 = t5 + c
+	// Round 2.
+	c, t0 = madd(a[0], b[2], t0, 0)
+	c, t1 = madd(a[1], b[2], t1, c)
+	c, t2 = madd(a[2], b[2], t2, c)
+	c, t3 = madd(a[3], b[2], t3, c)
+	t4, t5 = bits.Add64(t4, c, 0)
+	m = t0 * f.pInv
+	c, _ = madd(m, p0, t0, 0)
+	c, t0 = madd(m, p1, t1, c)
+	c, t1 = madd(m, p2, t2, c)
+	c, t2 = madd(m, p3, t3, c)
+	t3, c = bits.Add64(t4, c, 0)
+	t4 = t5 + c
+	// Round 3.
+	c, t0 = madd(a[0], b[3], t0, 0)
+	c, t1 = madd(a[1], b[3], t1, c)
+	c, t2 = madd(a[2], b[3], t2, c)
+	c, t3 = madd(a[3], b[3], t3, c)
+	t4, t5 = bits.Add64(t4, c, 0)
+	m = t0 * f.pInv
+	c, _ = madd(m, p0, t0, 0)
+	c, t0 = madd(m, p1, t1, c)
+	c, t1 = madd(m, p2, t2, c)
+	c, t2 = madd(m, p3, t3, c)
+	t3, c = bits.Add64(t4, c, 0)
+	t4 = t5 + c
+	r := Element{t0, t1, t2, t3}
+	if t4 != 0 || !ltLimbs(r, f.pLimbs) {
 		r, _ = subLimbs(r, f.pLimbs)
 	}
 	return r
+}
+
+// madd returns a·b + c + d as a (hi, lo) pair; it cannot overflow.
+func madd(a, b, c, d uint64) (hi, lo uint64) {
+	hi, lo = bits.Mul64(a, b)
+	var cc uint64
+	lo, cc = bits.Add64(lo, c, 0)
+	hi += cc
+	lo, cc = bits.Add64(lo, d, 0)
+	hi += cc
+	return hi, lo
 }
 
 // toMont converts a plain limb value < p into Montgomery form.

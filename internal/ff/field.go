@@ -27,8 +27,6 @@ import (
 // A Field is immutable after construction and safe for concurrent use.
 type Field struct {
 	p        *big.Int // the modulus
-	pMinus1  *big.Int // p - 1
-	pMinus2  *big.Int // p - 2, exponent for Fermat inversion
 	half     *big.Int // (p - 1) / 2, threshold for signed interpretation
 	bitLen   int
 	byteLen  int
@@ -40,7 +38,13 @@ type Field struct {
 	pLimbs  Element // the modulus as limbs
 	pInv    uint64  // -p⁻¹ mod 2^64
 	rSquare Element // R² mod p (plain limbs), for conversion into Montgomery form
+	rCube   Element // R³ mod p (plain limbs): Inv's plain-to-Montgomery correction
 	one     Element // the multiplicative identity in the element representation
+
+	// Tonelli–Shanks constants, with p - 1 = q·2^s and q odd, and z the
+	// least quadratic non-residue.
+	tsRoots []Element // tsRoots[j] = z^(q·2^j) for j < s; len(tsRoots) = s
+	tsHalfQ *big.Int  // (q - 1) / 2
 }
 
 // ErrNotPrime is returned by NewField when the modulus fails the primality test.
@@ -80,9 +84,8 @@ func NewField(p *big.Int) (*Field, error) {
 		return nil, ErrNotPrime
 	}
 	f := &Field{p: new(big.Int).Set(p)}
-	f.pMinus1 = new(big.Int).Sub(f.p, big.NewInt(1))
-	f.pMinus2 = new(big.Int).Sub(f.p, big.NewInt(2))
-	f.half = new(big.Int).Rsh(f.pMinus1, 1)
+	pMinus1 := new(big.Int).Sub(f.p, big.NewInt(1))
+	f.half = new(big.Int).Rsh(pMinus1, 1)
 	f.bitLen = f.p.BitLen()
 	f.byteLen = (f.bitLen + 7) / 8
 	if f.p.IsUint64() {
@@ -99,9 +102,23 @@ func NewField(p *big.Int) (*Field, error) {
 		f.pInv = -inv
 		r2 := new(big.Int).Lsh(big.NewInt(1), 2*MaxModulusBits)
 		f.rSquare = limbsFromBig(r2.Mod(r2, f.p))
+		r3 := new(big.Int).Lsh(big.NewInt(1), 3*MaxModulusBits)
+		f.rCube = limbsFromBig(r3.Mod(r3, f.p))
 		r := new(big.Int).Lsh(big.NewInt(1), MaxModulusBits)
 		f.one = limbsFromBig(r.Mod(r, f.p))
 	}
+	s := int(pMinus1.TrailingZeroBits())
+	q := new(big.Int).Rsh(pMinus1, uint(s))
+	z := big.NewInt(2)
+	for big.Jacobi(z, f.p) != -1 {
+		z.Add(z, big.NewInt(1))
+	}
+	f.tsRoots = make([]Element, s)
+	f.tsRoots[0] = f.Exp(f.FromBig(z), q)
+	for j := 1; j < s; j++ {
+		f.tsRoots[j] = f.Square(f.tsRoots[j-1])
+	}
+	f.tsHalfQ = new(big.Int).Rsh(q, 1)
 	f.name = fmt.Sprintf("F_%s", shortModulus(f.p))
 	fieldCacheMu.Lock()
 	if prior, ok := fieldCache[key]; ok {

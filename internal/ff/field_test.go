@@ -172,38 +172,6 @@ func TestExp(t *testing.T) {
 	}
 }
 
-func TestBatchInv(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
-	for _, f := range testFields {
-		vs := make([]Element, 17)
-		for i := range vs {
-			for {
-				vs[i] = randElt(f, rng)
-				if !vs[i].IsZero() {
-					break
-				}
-			}
-		}
-		invs, err := f.BatchInv(vs)
-		if err != nil {
-			t.Fatalf("%s: BatchInv: %v", f.Name(), err)
-		}
-		for i := range vs {
-			if f.Mul(vs[i], invs[i]) != f.One() {
-				t.Fatalf("%s: BatchInv[%d] wrong", f.Name(), i)
-			}
-		}
-		// Zero inside the batch is rejected.
-		vs[5] = f.Zero()
-		if _, err := f.BatchInv(vs); err != ErrDivByZero {
-			t.Fatalf("%s: BatchInv with zero err=%v", f.Name(), err)
-		}
-	}
-	if out, err := BN254().BatchInv(nil); err != nil || out != nil {
-		t.Errorf("BatchInv(nil) = %v, %v", out, err)
-	}
-}
-
 func TestSqrtExhaustiveSmall(t *testing.T) {
 	f := MustField(big.NewInt(97)) // 97 ≡ 1 (mod 4): exercises Tonelli–Shanks
 	squares := map[int64]bool{}

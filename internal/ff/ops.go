@@ -206,9 +206,10 @@ func (f *Field) Square(a Element) Element { return f.Mul(a, a) }
 // Double returns 2a.
 func (f *Field) Double(a Element) Element { return f.Add(a, a) }
 
-// Inv returns a⁻¹, or ErrDivByZero if a ≡ 0. It runs the binary extended
-// Euclidean algorithm on limbs (HAC 14.61), which stays allocation-free and
-// is an order of magnitude faster than Fermat exponentiation.
+// Inv returns a⁻¹, or ErrDivByZero if a ≡ 0. Small fields run the binary
+// extended Euclidean algorithm on one word; large fields return ±1 as is
+// and otherwise run Pornin's batched binary GCD (invMont in inv.go). Both
+// paths are allocation-free.
 func (f *Field) Inv(a Element) (Element, error) {
 	if a.IsZero() {
 		return Element{}, ErrDivByZero
@@ -216,45 +217,10 @@ func (f *Field) Inv(a Element) (Element, error) {
 	if f.isSmall {
 		return Element{invUint64(a[0], f.smallMod)}, nil
 	}
-	u := f.fromMont(a) // plain value x
-	v := f.pLimbs
-	x1 := Element{1}
-	var x2 Element
-	one := Element{1}
-	for u != one && v != one {
-		for u[0]&1 == 0 {
-			u = shr1(u, 0)
-			if x1[0]&1 == 0 {
-				x1 = shr1(x1, 0)
-			} else {
-				s, c := addLimbs(x1, f.pLimbs)
-				x1 = shr1(s, c)
-			}
-		}
-		for v[0]&1 == 0 {
-			v = shr1(v, 0)
-			if x2[0]&1 == 0 {
-				x2 = shr1(x2, 0)
-			} else {
-				s, c := addLimbs(x2, f.pLimbs)
-				x2 = shr1(s, c)
-			}
-		}
-		// Mod-p subtraction keeps the coefficients canonical; it works on
-		// plain values because [0,p) arithmetic is representation-agnostic.
-		if !ltLimbs(u, v) {
-			u, _ = subLimbs(u, v)
-			x1 = f.Sub(x1, x2)
-		} else {
-			v, _ = subLimbs(v, u)
-			x2 = f.Sub(x2, x1)
-		}
+	if a == f.one || a == f.Neg(f.one) {
+		return a, nil // ±1 is its own inverse
 	}
-	r := x1
-	if u != one {
-		r = x2
-	}
-	return f.toMont(r), nil // plain x⁻¹ back into Montgomery form
+	return f.invMont(a), nil
 }
 
 // MustInv is Inv, panicking on division by zero.
@@ -307,8 +273,6 @@ func (f *Field) IsZero(a Element) bool { return a.IsZero() }
 // IsOne reports a ≡ 1.
 func (f *Field) IsOne(a Element) bool { return a == f.one }
 
-var oneInt = big.NewInt(1)
-
 // Signed returns the plain representative of a in (-(p-1)/2, (p-1)/2], the
 // conventional "signed" reading of field elements used in diagnostics
 // (e.g. printing -1 instead of p-1).
@@ -340,34 +304,6 @@ func (f *Field) Prod(vs ...Element) Element {
 		r = f.Mul(r, v)
 	}
 	return r
-}
-
-// BatchInv inverts every element of vs with a single field inversion
-// (Montgomery's trick). It returns ErrDivByZero if any element is zero.
-func (f *Field) BatchInv(vs []Element) ([]Element, error) {
-	n := len(vs)
-	if n == 0 {
-		return nil, nil
-	}
-	prefix := make([]Element, n)
-	acc := f.one
-	for i, v := range vs {
-		if v.IsZero() {
-			return nil, ErrDivByZero
-		}
-		prefix[i] = acc
-		acc = f.Mul(acc, v)
-	}
-	accInv, err := f.Inv(acc)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Element, n)
-	for i := n - 1; i >= 0; i-- {
-		out[i] = f.Mul(accInv, prefix[i])
-		accInv = f.Mul(accInv, vs[i])
-	}
-	return out, nil
 }
 
 // --- randomness ---------------------------------------------------------------
@@ -432,55 +368,36 @@ func (f *Field) Legendre(a Element) int {
 // with true; otherwise the zero Element and false. For a ≡ 0 it returns
 // 0, true. The chosen root is deterministic: callers branch the solver
 // search on it, so it must not vary between runs or representations.
+//
+// Write p - 1 = q·2^s with q odd. One exponentiation w = a^((q-1)/2)
+// yields the starting root r = a·w = a^((q+1)/2) and t = r·w = a^q. Each
+// round then finds the least i with t^(2^i) = 1 and multiplies r by
+// b = c^(2^(m-i-1)) for the current generator c = z^(q·2^(s-m)), which is
+// the precomputed tsRoots[s-i-1]. No separate Legendre test is needed: for
+// a non-residue, t has order exactly 2^s, so the first search for an i < s
+// runs out and reports false. For p ≡ 3 (mod 4), s = 1 and r is the
+// familiar a^((p+1)/4).
 func (f *Field) Sqrt(a Element) (Element, bool) {
 	if a.IsZero() {
 		return Element{}, true
 	}
-	if f.Legendre(a) != 1 {
-		return Element{}, false
-	}
-	// p ≡ 3 (mod 4): direct exponentiation.
-	if f.p.Bit(0) == 1 && f.p.Bit(1) == 1 {
-		e := new(big.Int).Add(f.p, oneInt)
-		e.Rsh(e, 2)
-		return f.Exp(a, e), true
-	}
-	// Tonelli–Shanks. Write p-1 = q·2^s with q odd.
-	q := new(big.Int).Set(f.pMinus1)
-	s := 0
-	for q.Bit(0) == 0 {
-		q.Rsh(q, 1)
-		s++
-	}
-	// Find a quadratic non-residue z.
-	zi := int64(2)
-	z := f.NewElement(zi)
-	for f.Legendre(z) != -1 {
-		zi++
-		z = f.NewElement(zi)
-	}
-	m := s
-	c := f.Exp(z, q)
-	t := f.Exp(a, q)
-	r := f.Exp(a, new(big.Int).Rsh(new(big.Int).Add(q, oneInt), 1))
-	for t != f.one {
+	w := f.Exp(a, f.tsHalfQ)
+	r := f.Mul(a, w)
+	t := f.Mul(r, w)
+	s := len(f.tsRoots)
+	for m := s; t != f.one; {
 		// Find least i in (0, m) with t^(2^i) == 1.
 		i := 0
-		t2 := t
-		for t2 != f.one {
+		for t2 := t; t2 != f.one; {
 			t2 = f.Square(t2)
 			i++
 			if i == m {
-				return Element{}, false // unreachable for residues; defensive
+				return Element{}, false // a is a non-residue
 			}
 		}
-		b := c
-		for j := 0; j < m-i-1; j++ {
-			b = f.Square(b)
-		}
+		b := f.tsRoots[s-i-1]
 		m = i
-		c = f.Square(b)
-		t = f.Mul(t, c)
+		t = f.Mul(t, f.tsRoots[s-i])
 		r = f.Mul(r, b)
 	}
 	return r, true

@@ -145,7 +145,8 @@ type System struct {
 	constraints []Constraint
 	byName      map[string]int
 	// adjacency caches, built lazily and invalidated by mutation
-	sigToCons [][]int
+	sigToCons [][]int // signal → constraints mentioning it, excluding OneID
+	consVars  [][]int // constraint → Constraint.Vars()
 }
 
 // NewSystem creates an empty system over the given field. The constant-one
@@ -178,7 +179,7 @@ func (s *System) AddSignal(name string, kind SignalKind) int {
 	}
 	s.signals = append(s.signals, Signal{ID: id, Name: name, Kind: kind})
 	s.byName[name] = id
-	s.sigToCons = nil
+	s.sigToCons, s.consVars = nil, nil
 	return id
 }
 
@@ -195,7 +196,7 @@ func (s *System) AddConstraint(a, b, c *poly.LinComb, tag string) {
 		}
 	}
 	s.constraints = append(s.constraints, Constraint{A: a, B: b, C: c, Tag: tag})
-	s.sigToCons = nil
+	s.sigToCons, s.consVars = nil, nil
 }
 
 // SetSignalLoc records the source location of a signal's declaration.
