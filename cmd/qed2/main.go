@@ -240,8 +240,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stdout, "  (%s)", report.Reason)
 		}
 		fmt.Fprintln(stdout)
-		fmt.Fprintf(stdout, "analysis:     %s, %d queries (%d cached), %d solver steps, %d workers\n",
-			time.Since(t0).Round(time.Millisecond), report.Stats.Queries, report.Stats.CacheHits,
+		fmt.Fprintf(stdout, "analysis:     %s, %d queries, %d solver steps, %d workers\n",
+			time.Since(t0).Round(time.Millisecond), report.Stats.Queries,
 			report.Stats.SolverSteps, report.Stats.Workers)
 		fmt.Fprintf(stdout, "uniqueness:   %d/%d signals proven unique (%d by propagation, %d by SMT)\n",
 			report.Stats.UniqueTotal, st.Signals, report.Stats.PropagationUnique, report.Stats.SMTUnique)
@@ -393,81 +393,24 @@ func runWitness(stdout, stderr io.Writer, prog *circom.Program, spec string) int
 	return 0
 }
 
-// jsonReport is the machine-readable analysis summary.
+// jsonReport is the machine-readable analysis report: the circuit and its
+// main template, every core.Summary key, and the witnessed input values of
+// a counterexample (which a summary does not carry).
 type jsonReport struct {
 	Circuit string `json:"circuit"`
 	Main    string `json:"main_template"`
-	Verdict string `json:"verdict"`
-	Reason  string `json:"reason,omitempty"`
-	// Degraded is non-empty ("canceled" / "internal-error") when an unknown
-	// verdict is a fault-tolerance artifact rather than a budget outcome.
-	Degraded    string       `json:"degraded,omitempty"`
-	Signals     int          `json:"signals"`
-	Constraints int          `json:"constraints"`
-	Stats       jsonStats    `json:"stats"`
-	Counter     *jsonCounter `json:"counterexample,omitempty"`
-}
-
-type jsonStats struct {
-	UniqueTotal       int   `json:"unique_signals"`
-	PropagationUnique int   `json:"by_propagation"`
-	BitsUnique        int   `json:"by_bits_rule"`
-	SMTUnique         int   `json:"by_smt"`
-	Queries           int   `json:"smt_queries"`
-	CacheHits         int   `json:"cache_hits"`
-	SolverSteps       int64 `json:"solver_steps"`
-	Workers           int   `json:"workers"`
-	DurationMS        int64 `json:"duration_ms"`
-	// The static pre-pass's contribution (zero when the pass is disabled or
-	// not in qed2 mode): classic-rule facts, range-domain facts, queries
-	// avoided by component pruning, and queries pruned by range facts.
-	StaticUnique         int `json:"static_unique"`
-	StaticRangeUnique    int `json:"static_range_unique"`
-	StaticQueriesAvoided int `json:"static_queries_avoided"`
-	StaticRangePruned    int `json:"static_range_pruned"`
-}
-
-type jsonCounter struct {
-	Output  string            `json:"output"`
-	Inputs  map[string]string `json:"inputs"`
-	Values  [2]string         `json:"values"`
-	Differs []string          `json:"differing_signals"`
+	core.Summary
+	CEInputs map[string]string `json:"ce_inputs,omitempty"`
 }
 
 func writeJSONReport(w io.Writer, path string, prog *circom.Program, report *core.Report) error {
-	sys := prog.System
-	f := sys.Field()
-	out := jsonReport{
-		Circuit:     path,
-		Main:        prog.MainTemplate,
-		Verdict:     report.Verdict.String(),
-		Reason:      report.Reason,
-		Degraded:    string(report.Degraded),
-		Signals:     report.Stats.SignalsTotal,
-		Constraints: report.Stats.Constraints,
-		Stats: jsonStats{
-			UniqueTotal:          report.Stats.UniqueTotal,
-			PropagationUnique:    report.Stats.PropagationUnique,
-			BitsUnique:           report.Stats.BitsUnique,
-			SMTUnique:            report.Stats.SMTUnique,
-			Queries:              report.Stats.Queries,
-			CacheHits:            report.Stats.CacheHits,
-			SolverSteps:          report.Stats.SolverSteps,
-			Workers:              report.Stats.Workers,
-			DurationMS:           report.Stats.Duration.Milliseconds(),
-			StaticUnique:         report.Stats.StaticUnique,
-			StaticRangeUnique:    report.Stats.StaticRangeUnique,
-			StaticQueriesAvoided: report.Stats.StaticQueriesAvoided,
-			StaticRangePruned:    report.Stats.StaticRangePruned,
-		},
-	}
+	out := jsonReport{Circuit: path, Main: prog.MainTemplate, Summary: report.Summary(prog.System)}
 	if ce := report.Counter; ce != nil {
-		s := report.Summary(sys)
-		jc := &jsonCounter{Output: s.CEOutput, Inputs: map[string]string{}, Values: s.CEValues, Differs: s.CESignals}
+		f := prog.System.Field()
+		out.CEInputs = map[string]string{}
 		for name, id := range prog.InputNames {
-			jc.Inputs[name] = f.String(ce.W1[id])
+			out.CEInputs[name] = f.String(ce.W1[id])
 		}
-		out.Counter = jc
 	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")

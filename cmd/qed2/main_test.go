@@ -92,23 +92,28 @@ func TestCLIJSON(t *testing.T) {
 	if err := json.Unmarshal([]byte(out), &rep); err != nil {
 		t.Fatalf("invalid JSON: %v\n%s", err, out)
 	}
-	if rep.Verdict != "unsafe" || rep.Counter == nil || rep.Counter.Output == "" {
+	if rep.Verdict != "unsafe" || rep.CEOutput == "" || len(rep.CEInputs) == 0 {
 		t.Errorf("json report incomplete: %+v", rep)
 	}
-	if rep.Counter.Values[0] == rep.Counter.Values[1] {
+	if rep.CEValues[0] == rep.CEValues[1] {
 		t.Error("counterexample values equal")
 	}
-	// The stats object carries no fields of the removed incremental solver.
-	var raw struct {
-		Stats map[string]json.RawMessage `json:"stats"`
-	}
+	// The report is core.Summary plus the circuit, its main template and
+	// the witnessed inputs: no nested stats block, and no fields of the
+	// removed incremental solver or memo cache.
+	var raw map[string]json.RawMessage
 	if err := json.Unmarshal([]byte(out), &raw); err != nil {
 		t.Fatal(err)
 	}
-	for _, k := range []string{"batch_groups", "incremental_reuses", "incremental_extends",
-		"incremental_fallbacks", "incremental_base_steps", "learned_facts", "facts_injected"} {
-		if _, ok := raw.Stats[k]; ok {
-			t.Errorf("stats still carries %q", k)
+	for _, k := range []string{"stats", "counterexample", "cache_hits", "batch_groups", "incremental_reuses",
+		"incremental_extends", "incremental_fallbacks", "incremental_base_steps", "learned_facts", "facts_injected"} {
+		if _, ok := raw[k]; ok {
+			t.Errorf("report still carries %q", k)
+		}
+	}
+	for _, k := range []string{"circuit", "main_template", "queries", "solver_steps", "static_unique", "ce_inputs"} {
+		if _, ok := raw[k]; !ok {
+			t.Errorf("report lacks %q", k)
 		}
 	}
 }
@@ -178,13 +183,13 @@ func TestCLIWorkersFlag(t *testing.T) {
 			t.Fatalf("workers=%s: invalid JSON: %v", w, err)
 		}
 	}
-	if reports[0].Stats.Workers != 1 || reports[1].Stats.Workers != 8 {
-		t.Errorf("workers not recorded: %d, %d", reports[0].Stats.Workers, reports[1].Stats.Workers)
+	if reports[0].Workers != 1 || reports[1].Workers != 8 {
+		t.Errorf("workers not recorded: %d, %d", reports[0].Workers, reports[1].Workers)
 	}
 	// Reports must be identical apart from timing and the worker count.
 	for i := range reports {
-		reports[i].Stats.Workers = 0
-		reports[i].Stats.DurationMS = 0
+		reports[i].Workers = 0
+		reports[i].DurationMS = 0
 	}
 	a, _ := json.Marshal(reports[0])
 	b, _ := json.Marshal(reports[1])

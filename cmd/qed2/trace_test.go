@@ -76,15 +76,12 @@ func TestCLITraceReconcilesWithStats(t *testing.T) {
 	// Structural checks: one core.analyze span bracketing the run, and a
 	// final metrics record.
 	spanEnds := map[string]int{}
-	events := map[string]int{}
 	var metrics *traceLine
 	for i := range lines {
 		l := &lines[i]
 		switch l.Ev {
 		case "span_end":
 			spanEnds[l.Name]++
-		case "event":
-			events[l.Name]++
 		case "metrics":
 			metrics = l
 		}
@@ -111,30 +108,24 @@ func TestCLITraceReconcilesWithStats(t *testing.T) {
 	if got := spanEnds["smt.solve"]; int64(got) != c["smt.queries"] {
 		t.Errorf("smt.solve span count = %d, smt.queries counter = %d", got, c["smt.queries"])
 	}
-	if c["smt.queries"] < int64(rep.Stats.Queries) {
-		t.Errorf("smt.queries counter = %d < %d accounted queries", c["smt.queries"], rep.Stats.Queries)
+	if c["smt.queries"] < int64(rep.Queries) {
+		t.Errorf("smt.queries counter = %d < %d accounted queries", c["smt.queries"], rep.Queries)
 	}
-	if c["smt.steps"] < rep.Stats.SolverSteps {
-		t.Errorf("smt.steps counter = %d < %d accounted steps", c["smt.steps"], rep.Stats.SolverSteps)
+	if c["smt.steps"] < rep.SolverSteps {
+		t.Errorf("smt.steps counter = %d < %d accounted steps", c["smt.steps"], rep.SolverSteps)
 	}
-	if got := events["core.cache_hit"]; got != rep.Stats.CacheHits {
-		t.Errorf("core.cache_hit event count = %d, report says %d cache hits", got, rep.Stats.CacheHits)
+	if c["uniq.external"] != int64(rep.BySMT) {
+		t.Errorf("uniq.external counter = %d, report says %d by SMT", c["uniq.external"], rep.BySMT)
 	}
-	if c["core.cache.hits"] != int64(rep.Stats.CacheHits) {
-		t.Errorf("core.cache.hits counter = %d, report says %d", c["core.cache.hits"], rep.Stats.CacheHits)
-	}
-	if c["uniq.external"] != int64(rep.Stats.SMTUnique) {
-		t.Errorf("uniq.external counter = %d, report says %d by SMT", c["uniq.external"], rep.Stats.SMTUnique)
-	}
-	if c["uniq.rule.bits.resolved"] != int64(rep.Stats.BitsUnique) {
-		t.Errorf("uniq.rule.bits.resolved = %d, report says %d by bits rule", c["uniq.rule.bits.resolved"], rep.Stats.BitsUnique)
+	if c["uniq.rule.bits.resolved"] != int64(rep.ByBitsRule) {
+		t.Errorf("uniq.rule.bits.resolved = %d, report says %d by bits rule", c["uniq.rule.bits.resolved"], rep.ByBitsRule)
 	}
 	// PropagationUnique = signals resolved by the syntactic rules (seeded
 	// constants are free facts, not rule firings).
 	prop := c["uniq.rule.solve.fired"] + c["uniq.rule.bits.resolved"]
-	if prop != int64(rep.Stats.PropagationUnique) {
+	if prop != int64(rep.ByPropagation) {
 		t.Errorf("uniq rule counters sum to %d, report says %d by propagation",
-			prop, rep.Stats.PropagationUnique)
+			prop, rep.ByPropagation)
 	}
 	if spanEnds["core.confirm"] == 0 {
 		t.Error("unsafe verdict with no core.confirm span")
@@ -150,7 +141,7 @@ func TestCLITraceReconcilesWithStats(t *testing.T) {
 
 // TestCLITraceExactReconciliationSafeCircuit: on a safe circuit nothing is
 // discarded early, so the trace counters must equal the report exactly —
-// query count, solver steps, and cache hits.
+// query count and solver steps.
 func TestCLITraceExactReconciliationSafeCircuit(t *testing.T) {
 	// IsZero is properly constrained but needs SMT (the inv hint defeats
 	// pure propagation), so the run exercises real queries.
@@ -168,7 +159,7 @@ component main = IsZero();
 	if err := json.Unmarshal([]byte(out), &rep); err != nil {
 		t.Fatalf("invalid JSON report: %v", err)
 	}
-	if rep.Stats.Queries == 0 {
+	if rep.Queries == 0 {
 		t.Fatal("expected a circuit that needs SMT queries")
 	}
 	lines := readTrace(t, tracePath)
@@ -182,17 +173,14 @@ component main = IsZero();
 			c = l.Counters
 		}
 	}
-	if spanEnds["core.query"] != rep.Stats.Queries {
-		t.Errorf("core.query span count = %d, report says %d queries", spanEnds["core.query"], rep.Stats.Queries)
+	if spanEnds["core.query"] != rep.Queries {
+		t.Errorf("core.query span count = %d, report says %d queries", spanEnds["core.query"], rep.Queries)
 	}
-	if c["smt.queries"] != int64(rep.Stats.Queries) {
-		t.Errorf("smt.queries = %d, report says %d", c["smt.queries"], rep.Stats.Queries)
+	if c["smt.queries"] != int64(rep.Queries) {
+		t.Errorf("smt.queries = %d, report says %d", c["smt.queries"], rep.Queries)
 	}
-	if c["smt.steps"] != rep.Stats.SolverSteps {
-		t.Errorf("smt.steps = %d, report says %d solver steps", c["smt.steps"], rep.Stats.SolverSteps)
-	}
-	if c["core.cache.hits"] != int64(rep.Stats.CacheHits) {
-		t.Errorf("core.cache.hits = %d, report says %d", c["core.cache.hits"], rep.Stats.CacheHits)
+	if c["smt.steps"] != rep.SolverSteps {
+		t.Errorf("smt.steps = %d, report says %d solver steps", c["smt.steps"], rep.SolverSteps)
 	}
 }
 

@@ -223,7 +223,7 @@ func main() {
 		if iw <= 0 {
 			iw = runtime.GOMAXPROCS(0)
 		}
-		rec = bench.NewRunRecord(len(insts), iw, *queryWorkers, baseCfg)
+		rec = bench.NewRunRecord(len(insts), iw, baseCfg)
 	}
 	// record appends a timed section to the -json run record (no-op without
 	// the flag); section wraps a block so runs and renders are both timed.

@@ -206,3 +206,44 @@ func TestCompareBaseline(t *testing.T) {
 		t.Fatal("missing run:full section in baseline should error")
 	}
 }
+
+// TestRunRecordReadsCheckedInBaseline: CI's bench guard compares a fresh
+// run record against the checked-in bench_table2.json, which predates the
+// embedded "config" object. The old file must still load with its run:full
+// section intact, and a record in the current format must round-trip its
+// configuration and pass the guard against it.
+func TestRunRecordReadsCheckedInBaseline(t *testing.T) {
+	base, err := LoadRunRecord(filepath.Join("..", "..", "bench_table2.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := base.Section("run:full")
+	if full == nil || full.Instances != SuiteSize || len(full.Results) != SuiteSize || full.AnalyzeMS <= 0 {
+		t.Fatalf("bench_table2.json run:full section not read back: %+v", full)
+	}
+
+	cfg := core.Config{QuerySteps: 20000, GlobalSteps: 400000, Timeout: 5 * time.Second, Seed: 1, Workers: 1}
+	rec := NewRunRecord(SuiteSize, 1, cfg)
+	if rec.Config.SliceRadius == 0 || rec.Config.Timeout != cfg.Timeout || rec.Config.Workers != 1 {
+		t.Fatalf("recorded config = %+v: want defaults applied, timeout and workers kept", rec.Config)
+	}
+	rec.Sections = append(rec.Sections, SectionRecord{Name: "run:full", AnalyzeMS: full.AnalyzeMS})
+	b, err := rec.Finish(time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "run.json")
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := LoadRunRecord(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fresh.Config.Stamp() != rec.Config.Stamp() || fresh.Config.Timeout != cfg.Timeout || fresh.Config.Workers != 1 {
+		t.Fatalf("config round trip = %+v, want %+v", fresh.Config, rec.Config)
+	}
+	if err := CompareBaseline(base, fresh, 1.5); err != nil {
+		t.Fatalf("guard against bench_table2.json: %v", err)
+	}
+}

@@ -20,15 +20,12 @@ type RunRecord struct {
 	// SuiteSize is the number of instances in the evaluation suite.
 	SuiteSize int `json:"suite_size"`
 	// InstanceWorkers is the -workers flag after defaulting (instances
-	// analyzed concurrently); QueryWorkers is the -query-workers flag
-	// (slice queries within one analysis).
+	// analyzed concurrently).
 	InstanceWorkers int `json:"instance_workers"`
-	QueryWorkers    int `json:"query_workers"`
-	// QuerySteps/GlobalSteps/TimeoutMS/Seed mirror the analyzer budgets.
-	QuerySteps  int64   `json:"query_steps"`
-	GlobalSteps int64   `json:"global_steps"`
-	TimeoutMS   float64 `json:"timeout_ms"`
-	Seed        int64   `json:"seed"`
+	// Config is the analyzer configuration of the full run, in its wire
+	// form: budgets, timeout, seed and the -query-workers flag (slice
+	// queries within one analysis) as Workers.
+	Config core.Config `json:"config"`
 	// Sections holds one entry per suite run ("run:full", ...) and per
 	// rendered artifact ("table2", "fig1", ...), in execution order.
 	Sections []SectionRecord `json:"sections"`
@@ -56,7 +53,6 @@ type SectionRecord struct {
 	// Aggregate solver effort over the result set.
 	Queries     int   `json:"queries"`
 	SolverSteps int64 `json:"solver_steps"`
-	CacheHits   int   `json:"cache_hits"`
 	// AnalyzeMS is the summed per-instance analysis wall clock (can exceed
 	// WallMS of a run section when instances execute in parallel).
 	AnalyzeMS float64 `json:"analyze_ms"`
@@ -93,16 +89,16 @@ func instanceRecordOf(r Result) InstanceRecord {
 }
 
 // NewRunRecord starts a record for an invocation over suiteSize instances.
-func NewRunRecord(suiteSize, instanceWorkers, queryWorkers int, cfg core.Config) *RunRecord {
+// The recorded configuration has the analyzer's defaults applied but keeps
+// cfg's Workers and Timeout as given.
+func NewRunRecord(suiteSize, instanceWorkers int, cfg core.Config) *RunRecord {
+	c := cfg.Canonical()
+	c.Workers, c.Timeout = cfg.Workers, cfg.Timeout
 	return &RunRecord{
 		Timestamp:       time.Now().UTC(),
 		SuiteSize:       suiteSize,
 		InstanceWorkers: instanceWorkers,
-		QueryWorkers:    queryWorkers,
-		QuerySteps:      cfg.QuerySteps,
-		GlobalSteps:     cfg.GlobalSteps,
-		TimeoutMS:       float64(cfg.Timeout) / float64(time.Millisecond),
-		Seed:            cfg.Seed,
+		Config:          c,
 	}
 }
 
@@ -117,7 +113,6 @@ func (rec *RunRecord) AddSection(name string, d time.Duration, results []Result)
 		s.AnalyzeMS += float64(r.AnalyzeTime) / float64(time.Millisecond)
 		s.Queries += r.Summary.Queries
 		s.SolverSteps += r.Summary.SolverSteps
-		s.CacheHits += r.Summary.CacheHits
 	}
 	if strings.HasPrefix(name, "run:") {
 		s.Results = make([]InstanceRecord, 0, len(results))

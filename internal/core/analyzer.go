@@ -119,10 +119,6 @@ type Stats struct {
 	// Queries and SolverSteps measure SMT effort.
 	Queries     int
 	SolverSteps int64
-	// CacheHits counts slice queries answered from the slice-signature memo
-	// cache instead of the solver (structurally identical re-queries across
-	// re-propagation rounds).
-	CacheHits int
 	// QueryPanics counts solver queries whose first attempt panicked and was
 	// quarantined (converted to Unknown); QueryRetries counts the reduced-
 	// budget retries issued for them at the round barrier. A panic can only
@@ -220,10 +216,6 @@ type analysis struct {
 	// goroutines. Folded into Stats at the end of the analysis.
 	nPanics  atomic.Int64
 	nRetries atomic.Int64
-	// cache memoizes query outcomes by slice signature (target, constraint
-	// set, shared-signal mask) so re-propagation rounds do not re-solve
-	// structurally identical queries. Accessed only at round barriers.
-	cache map[string]smt.Outcome
 	// staticPruned marks signals whose slice queries the static pre-pass
 	// proved irrelevant to every output verdict (nil when the pass did not
 	// run); staticUnreachable lists outputs the reachability analysis wants
@@ -235,8 +227,6 @@ type analysis struct {
 	// below are nil-safe no-ops when Config.Obs / Config.Metrics are unset.
 	span            *obs.Span
 	cRounds         *obs.Counter
-	cCacheHits      *obs.Counter
-	cCacheMisses    *obs.Counter
 	cConfirmAttempt *obs.Counter
 	cConfirmOK      *obs.Counter
 	cPanics         *obs.Counter
@@ -268,7 +258,6 @@ func AnalyzeContext(ctx context.Context, sys *r1cs.System, cfg *Config) *Report 
 		ctx:    ctx,
 		start:  time.Now(),
 		report: &Report{},
-		cache:  map[string]smt.Outcome{},
 	}
 	a.stepsRem.Store(c.GlobalSteps)
 	if c.Timeout > 0 {
@@ -287,8 +276,6 @@ func AnalyzeContext(ctx context.Context, sys *r1cs.System, cfg *Config) *Report 
 		obs.KV("mode", c.Mode.String()), obs.KV("workers", c.Workers),
 		obs.KV("signals", st.Signals), obs.KV("constraints", st.Constraints))
 	a.cRounds = c.Metrics.Counter("core.rounds")
-	a.cCacheHits = c.Metrics.Counter("core.cache.hits")
-	a.cCacheMisses = c.Metrics.Counter("core.cache.misses")
 	a.cConfirmAttempt = c.Metrics.Counter("core.confirm.attempts")
 	a.cConfirmOK = c.Metrics.Counter("core.confirm.ok")
 	a.cPanics = c.Metrics.Counter("core.query.panics")
@@ -334,7 +321,6 @@ func AnalyzeContext(ctx context.Context, sys *r1cs.System, cfg *Config) *Report 
 	a.span.End(
 		obs.KV("verdict", a.report.Verdict.String()),
 		obs.KV("queries", a.report.Stats.Queries),
-		obs.KV("cache_hits", a.report.Stats.CacheHits),
 		obs.KV("solver_steps", a.report.Stats.SolverSteps),
 		obs.KV("unique_total", a.report.Stats.UniqueTotal))
 	a.emitProgress("done", 0, 0, a.report.Verdict.String())
@@ -412,25 +398,6 @@ func (a *analysis) reserveN(want int64) int64 {
 // negative (a query's final step check can overshoot its grant by one).
 func (a *analysis) refund(n int64) { a.stepsRem.Add(n) }
 
-// solveSeq runs one SMT query synchronously against the global budget (the
-// sequential path used by the monolithic baseline), with the same panic
-// isolation and degrade-and-retry policy as the parallel slice path.
-func (a *analysis) solveSeq(p *smt.Problem, target int) smt.Outcome {
-	grant := a.reserve()
-	if grant <= 0 {
-		return smt.Outcome{Status: smt.StatusUnknown, Reason: "global budget exhausted"}
-	}
-	build := func() *smt.Problem { return p }
-	out, panicked := a.runQuery(build, target, len(p.Eqs)/2, true, grant, a.querySeed(target))
-	a.refund(grant - out.Steps)
-	if panicked {
-		out = a.retryOnce(build, target, len(p.Eqs)/2, true, out)
-	}
-	a.report.Stats.Queries++
-	a.report.Stats.SolverSteps += out.Steps
-	return out
-}
-
 func (a *analysis) finishPropagationOnly() {
 	if a.prop.OutputsUnique() {
 		a.report.Verdict = VerdictSafe
@@ -446,6 +413,9 @@ func (a *analysis) finishPropagationOnly() {
 // every still-unknown signal to the worker pool, and applies the results at
 // a barrier in canonical signal order, so the outcome is independent of the
 // worker count and of which query finishes first.
+// A signal is not re-asked while stale: lastTried[s] counts s's slice
+// signals known unique at its last settled query, and since the unique set
+// only grows, an equal count means the same query (DESIGN.md §8).
 func (a *analysis) runFull() {
 	a.sys.PrepareConcurrent()
 	lastTried := map[int]int{}
@@ -466,17 +436,23 @@ func (a *analysis) runFull() {
 			if a.skipPruned(s) {
 				continue // no output verdict can observe this signal
 			}
-			if lastTried[s] == snap.NumUnique() {
-				continue // nothing new since the last attempt
-			}
-			lastTried[s] = snap.NumUnique()
 			sl := a.sys.SliceAround(s, a.cfg.SliceRadius, maxSliceConstraints)
-			t := &queryTask{
-				sig:  s,
-				cons: sl.Constraints,
-				full: len(sl.Constraints) == a.sys.NumConstraints(),
+			known := 0
+			for _, v := range sl.Signals {
+				if snap.IsUnique(v) {
+					known++
+				}
 			}
-			a.admit(t, sl.Signals, snap)
+			if n, ok := lastTried[s]; ok && n == known {
+				continue // settled, and nothing new in its slice since
+			}
+			t := &queryTask{
+				sig:   s,
+				cons:  sl.Constraints,
+				full:  len(sl.Constraints) == a.sys.NumConstraints(),
+				known: known,
+			}
+			a.admit(t, len(sl.Signals))
 			tasks = append(tasks, t)
 		}
 		if len(tasks) == 0 {
@@ -487,10 +463,13 @@ func (a *analysis) runFull() {
 		a.cRounds.Inc()
 		rs := a.cfg.Obs.Start(a.span, "core.round",
 			obs.KV("round", round), obs.KV("tasks", len(tasks)))
-		a.runRound(tasks, snap)
+		a.runRound(tasks, snap.IsUnique)
 		before := a.prop.NumUnique()
 		for _, t := range tasks {
 			a.accountTask(t)
+			if t.ran && settled(t.out) {
+				lastTried[t.sig] = t.known
+			}
 			if t.out.Status == smt.StatusUnsat {
 				a.prop.AddUniqueExternal(t.sig)
 				continue
@@ -516,24 +495,25 @@ func (a *analysis) runFull() {
 	}
 }
 
+// allConstraints lists every constraint index, the constraint set of a
+// whole-circuit query.
+func (a *analysis) allConstraints() []int {
+	all := make([]int, a.sys.NumConstraints())
+	for i := range all {
+		all[i] = i
+	}
+	return all
+}
+
 // finalOutputsStage runs whole-circuit queries for every output still
 // unknown, confirming counterexamples or proving uniqueness outright. Like
 // the slice loop it proceeds in rounds: outputs proven unique in one round
 // enlarge the shared set, which can make the remaining outputs' queries
-// tractable in the next.
+// tractable in the next (so, unlike a slice round, no query is stale).
 func (a *analysis) finalOutputsStage() {
 	fs := a.cfg.Obs.Start(a.span, "core.final_outputs")
 	defer func() { fs.End(obs.KV("verdict", a.report.Verdict.String())) }()
-	a.sys.PrepareConcurrent()
-	allCons := make([]int, a.sys.NumConstraints())
-	for i := range allCons {
-		allCons[i] = i
-	}
-	allSigs := make([]int, a.sys.NumSignals())
-	for i := range allSigs {
-		allSigs[i] = i
-	}
-	lastTried := map[int]int{}
+	allCons := a.allConstraints()
 	var reason string
 	var degraded Degradation
 	round := 0
@@ -548,12 +528,8 @@ func (a *analysis) finalOutputsStage() {
 			if snap.IsUnique(o) {
 				continue
 			}
-			if lastTried[o] == snap.NumUnique() {
-				continue
-			}
-			lastTried[o] = snap.NumUnique()
 			t := &queryTask{sig: o, cons: allCons, full: true}
-			a.admit(t, allSigs, snap)
+			a.admit(t, a.sys.NumSignals())
 			tasks = append(tasks, t)
 		}
 		if len(tasks) == 0 {
@@ -565,7 +541,7 @@ func (a *analysis) finalOutputsStage() {
 			return
 		}
 		round++
-		a.runRound(tasks, snap)
+		a.runRound(tasks, snap.IsUnique)
 		before := a.prop.NumUnique()
 		for _, t := range tasks {
 			a.accountTask(t)
@@ -605,16 +581,15 @@ func (a *analysis) finalOutputsStage() {
 }
 
 // runSMTOnly is the monolithic baseline: one full-circuit query per output,
-// sharing only the inputs between the two copies.
+// sharing only the inputs between the two copies. Each query is a
+// single-task round, so outputs draw on the global budget in output order.
 func (a *analysis) runSMTOnly() {
 	shared := map[int]bool{r1cs.OneID: true}
 	for _, in := range a.sys.Inputs() {
 		shared[in] = true
 	}
-	allCons := make([]int, a.sys.NumConstraints())
-	for i := range allCons {
-		allCons[i] = i
-	}
+	isShared := func(v int) bool { return shared[v] }
+	allCons := a.allConstraints()
 	undecided := ""
 	var degraded Degradation
 	safe := true
@@ -627,13 +602,15 @@ func (a *analysis) runSMTOnly() {
 			degraded = DegradedNone
 			break
 		}
-		p := buildUniquenessProblem(a.sys, allCons, func(v int) bool { return shared[v] }, o)
-		out := a.solveSeq(p, o)
-		switch out.Status {
+		t := &queryTask{sig: o, cons: allCons, full: true}
+		a.admit(t, a.sys.NumSignals())
+		a.runRound([]*queryTask{t}, isShared)
+		a.accountTask(t)
+		switch t.out.Status {
 		case smt.StatusUnsat:
 			// output unique
 		case smt.StatusSat:
-			if a.confirmCounterexample(o, out.Model) {
+			if a.confirmCounterexample(o, t.out.Model) {
 				return
 			}
 			safe = false
@@ -642,8 +619,8 @@ func (a *analysis) runSMTOnly() {
 		default:
 			safe = false
 			if undecided == "" {
-				undecided = fmt.Sprintf("output %s undecided: %s", a.sys.Name(o), out.Reason)
-				degraded = outcomeDegradation(out)
+				undecided = fmt.Sprintf("output %s undecided: %s", a.sys.Name(o), t.out.Reason)
+				degraded = outcomeDegradation(t.out)
 			}
 		}
 	}

@@ -493,32 +493,3 @@ func TestTimeoutEnforcedInsideQuery(t *testing.T) {
 		t.Error("unknown verdict lacks a reason")
 	}
 }
-
-// TestSliceQueryCache pins the memo cache: a signal whose slice and
-// shared-signal mask are unchanged across re-propagation rounds is answered
-// from the cache instead of re-invoking the solver.
-func TestSliceQueryCache(t *testing.T) {
-	// IsZero (out becomes unique via SMT in round one, forcing a second
-	// round) plus a disconnected x² = c component: x's re-query in round two
-	// has an identical slice signature, so it must hit the cache.
-	f97 := ff.MustField(big.NewInt(97))
-	sys := r1cs.NewSystem(f97)
-	in := sys.AddSignal("in", r1cs.KindInput)
-	c := sys.AddSignal("c", r1cs.KindInput)
-	out := sys.AddSignal("out", r1cs.KindOutput)
-	x := sys.AddSignal("x", r1cs.KindOutput)
-	inv := sys.AddSignal("inv", r1cs.KindInternal)
-	// in·inv = 1 − out ; in·out = 0 ; x·x = c
-	sys.AddConstraint(poly.Var(f97, in), poly.Var(f97, inv),
-		poly.ConstInt(f97, 1).AddTerm(out, f97.NewElement(-1)), "")
-	sys.AddConstraint(poly.Var(f97, in), poly.Var(f97, out), poly.NewLinComb(f97), "")
-	sys.AddConstraint(poly.Var(f97, x), poly.Var(f97, x), poly.Var(f97, c), "")
-	r := Analyze(sys, &Config{Seed: 1})
-	// x is genuinely non-unique (x and −x share c = x²).
-	if r.Verdict != VerdictUnsafe || r.Counter == nil || r.Counter.Signal != x {
-		t.Fatalf("verdict = %v (%s), counter = %+v", r.Verdict, r.Reason, r.Counter)
-	}
-	if r.Stats.CacheHits == 0 {
-		t.Errorf("expected x's unchanged-signature re-query to hit the cache; stats = %+v", r.Stats)
-	}
-}

@@ -26,7 +26,6 @@ func newTestAnalysis(sys *r1cs.System, cfg Config, ctx context.Context, tr *obs.
 		ctx:    ctx,
 		start:  time.Now(),
 		report: &Report{},
-		cache:  map[string]smt.Outcome{},
 		prop:   uniq.New(sys),
 	}
 	a.stepsRem.Store(c.GlobalSteps)
@@ -68,10 +67,9 @@ func TestAdmitOnExhaustedBudgetYieldsUnknownWithoutDispatch(t *testing.T) {
 	p := compile(t, isZeroBuggy)
 	a := newTestAnalysis(p.System, Config{}, context.Background(), nil)
 	a.stepsRem.Store(0)
-	snap := a.prop.Snapshot()
 	sl := p.System.SliceAround(a.prop.Unknown()[0], 2, 64)
 	task := &queryTask{sig: a.prop.Unknown()[0], cons: sl.Constraints}
-	a.admit(task, sl.Signals, snap)
+	a.admit(task, len(sl.Signals))
 	if task.budget != 0 {
 		t.Fatalf("budget = %d, want 0", task.budget)
 	}
@@ -87,12 +85,12 @@ func TestAdmitOnExhaustedBudgetYieldsUnknownWithoutDispatch(t *testing.T) {
 
 // admitTasks admits every unknown signal of a fresh analysis into one round's
 // task list, mirroring the dispatch loop of runFull.
-func admitTasks(a *analysis, snap *uniq.Snapshot) []*queryTask {
+func admitTasks(a *analysis) []*queryTask {
 	var tasks []*queryTask
 	for _, s := range a.prop.Unknown() {
 		sl := a.sys.SliceAround(s, a.cfg.SliceRadius, maxSliceConstraints)
 		t := &queryTask{sig: s, cons: sl.Constraints, full: len(sl.Constraints) == a.sys.NumConstraints()}
-		a.admit(t, sl.Signals, snap)
+		a.admit(t, len(sl.Signals))
 		tasks = append(tasks, t)
 	}
 	return tasks
@@ -106,12 +104,11 @@ func TestExpiredDeadlineSkipsQueriesAndRefundsBudget(t *testing.T) {
 	a.deadline = time.Now().Add(-time.Second)
 	total := a.stepsRem.Load()
 
-	snap := a.prop.Snapshot()
-	tasks := admitTasks(a, snap)
+	tasks := admitTasks(a)
 	if len(tasks) == 0 {
 		t.Fatal("test circuit produced no tasks")
 	}
-	a.runRound(tasks, snap)
+	a.runRound(tasks, a.prop.Snapshot().IsUnique)
 	for _, task := range tasks {
 		if task.ran {
 			t.Fatalf("task for sig %d ran past an expired deadline", task.sig)
@@ -149,9 +146,8 @@ func TestCanceledContextSkipsQueriesAndRefundsBudget(t *testing.T) {
 	a := newTestAnalysis(p.System, Config{}, ctx, tr)
 	total := a.stepsRem.Load()
 
-	snap := a.prop.Snapshot()
-	tasks := admitTasks(a, snap)
-	a.runRound(tasks, snap)
+	tasks := admitTasks(a)
+	a.runRound(tasks, a.prop.Snapshot().IsUnique)
 	for _, task := range tasks {
 		if task.ran {
 			t.Fatalf("task for sig %d ran under a canceled context", task.sig)
@@ -173,8 +169,9 @@ func TestCanceledContextSkipsQueriesAndRefundsBudget(t *testing.T) {
 }
 
 // TestRunQueryPanicQuarantineAndRetry drives the degrade-and-retry path
-// deterministically without faultinject: a problem builder that panics on
-// its first call and builds a real query on the second.
+// deterministically without faultinject: a shared-signal predicate that
+// panics on its first call (inside problem construction) and answers
+// normally afterwards.
 func TestRunQueryPanicQuarantineAndRetry(t *testing.T) {
 	p := compile(t, `
 template Mul() {
@@ -199,17 +196,18 @@ component main = Mul();
 		allCons[i] = i
 	}
 	target := sys.Outputs()[0]
-	calls := 0
-	build := func() *smt.Problem {
-		calls++
-		if calls == 1 {
+	armed := true
+	isShared := func(v int) bool {
+		if armed {
+			armed = false
 			panic("boom")
 		}
-		return buildUniquenessProblem(sys, allCons, func(v int) bool { return shared[v] }, target)
+		return shared[v]
 	}
+	task := &queryTask{sig: target, cons: allCons, full: true}
 
 	grant := a.reserve()
-	out, panicked := a.runQuery(build, target, len(allCons), true, grant, a.querySeed(target))
+	out, panicked := a.runQuery(task, isShared, grant, a.querySeed(target))
 	a.refund(grant - out.Steps)
 	if !panicked {
 		t.Fatal("first attempt did not report the panic")
@@ -227,7 +225,8 @@ component main = Mul();
 		t.Fatal("trace missing core.query.panic event")
 	}
 
-	retried := a.retryOnce(build, target, len(allCons), true, out)
+	task.out = out
+	retried := a.retryOnce(task, isShared)
 	if retried.Status != smt.StatusUnsat {
 		t.Fatalf("retry outcome = %+v, want unsat (output is unique)", retried)
 	}
@@ -246,13 +245,14 @@ func TestRetryBudgetAndSecondPanic(t *testing.T) {
 	p := compile(t, isZeroBuggy)
 	a := newTestAnalysis(p.System, Config{}, context.Background(), nil)
 	quarantined := smt.Outcome{Status: smt.StatusUnknown, Reason: "internal error: boom"}
-	alwaysPanic := func() *smt.Problem { panic("boom again") }
+	alwaysPanic := func(int) bool { panic("boom again") }
+	task := &queryTask{sig: 1, cons: []int{0}, full: true, out: quarantined}
 
 	sameAsQuarantined := func(out smt.Outcome) bool {
 		return out.Status == quarantined.Status && out.Reason == quarantined.Reason && out.Steps == 0
 	}
 	a.stepsRem.Store(0)
-	if out := a.retryOnce(alwaysPanic, 1, 1, true, quarantined); !sameAsQuarantined(out) {
+	if out := a.retryOnce(task, alwaysPanic); !sameAsQuarantined(out) {
 		t.Fatalf("retry without budget = %+v, want quarantined outcome unchanged", out)
 	}
 	if a.nRetries.Load() != 0 {
@@ -260,7 +260,7 @@ func TestRetryBudgetAndSecondPanic(t *testing.T) {
 	}
 
 	a.stepsRem.Store(1000)
-	if out := a.retryOnce(alwaysPanic, 1, 1, true, quarantined); !sameAsQuarantined(out) {
+	if out := a.retryOnce(task, alwaysPanic); !sameAsQuarantined(out) {
 		t.Fatalf("twice-panicked retry = %+v, want quarantined outcome unchanged", out)
 	}
 	if a.nRetries.Load() != 1 || a.nPanics.Load() != 1 {

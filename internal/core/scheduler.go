@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"runtime/debug"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -12,7 +11,6 @@ import (
 	"qed2/internal/faultinject"
 	"qed2/internal/obs"
 	"qed2/internal/smt"
-	"qed2/internal/uniq"
 )
 
 // The parallel slice-query engine.
@@ -44,19 +42,17 @@ type queryTask struct {
 	// full reports whether cons covers the entire system (making SAT
 	// answers conclusive).
 	full bool
-	// key is the slice-signature cache key ("" when the task was answered
-	// from the cache or skipped before dispatch).
-	key string
+	// known counts the slice's signals known unique at admission (the
+	// staleness count runFull records once the outcome is settled).
+	known int
 	// budget is the reserved solver-step grant.
 	budget int64
-	// ran reports whether the solver was actually invoked (false for cache
-	// hits and for tasks skipped on budget or deadline exhaustion).
+	// ran reports whether the solver was actually invoked (false for tasks
+	// skipped on budget or deadline exhaustion).
 	ran bool
-	// cached reports whether out came from the memo cache.
-	cached bool
 	// panicked reports that the query crashed a worker and was quarantined
 	// to Unknown; such tasks get one degrade-and-retry attempt at the
-	// barrier (see retryQuarantined).
+	// barrier (see retryOnce).
 	panicked bool
 	out      smt.Outcome
 }
@@ -71,62 +67,22 @@ func (a *analysis) querySeed(sig int) int64 {
 	return a.cfg.Seed ^ int64(h>>1)
 }
 
-// sliceKey builds the memo-cache signature of a query: the target, the
-// constraint subset, and the shared/unshared mask of every signal the
-// query mentions. Two queries with equal signatures are structurally
-// identical problems and must have equal outcomes.
-//
-// Cached outcomes are replayed verbatim, models included, with no variable
-// remapping — which is sound precisely because the signature pins the
-// target signal ID and the slice is a deterministic function of the
-// target. Two structurally isomorphic slices over *disjoint* signal ranges
-// (the same gadget instantiated twice) get different signatures, so a
-// model over one range can never be replayed for the other; see
-// TestCacheKeysIsomorphicDisjointSlices.
-func sliceKey(sig int, cons []int, sigs []int, snap *uniq.Snapshot) string {
-	var b strings.Builder
-	b.Grow(16 + len(sigs))
-	// The constraint subset is determined by (target, len) here: slices are
-	// a deterministic function of the target, and the only other caller
-	// passes the full system. The length disambiguates the two.
-	b.WriteString(strconv.Itoa(sig))
-	b.WriteByte('/')
-	b.WriteString(strconv.Itoa(len(cons)))
-	b.WriteByte(':')
-	for _, v := range sigs {
-		if snap.IsUnique(v) {
-			b.WriteByte('1')
-		} else {
-			b.WriteByte('0')
-		}
-	}
-	return b.String()
-}
-
-// admit prepares a task for dispatch: it consults the memo cache and, on a
-// miss, reserves the task's step budget. Called sequentially in canonical
-// signal order, which makes budget assignment deterministic.
-func (a *analysis) admit(t *queryTask, sigs []int, snap *uniq.Snapshot) {
-	key := sliceKey(t.sig, t.cons, sigs, snap)
-	if out, ok := a.cache[key]; ok {
-		t.cached = true
-		t.out = out
-		return
-	}
+// admit reserves the task's step budget. Called sequentially in canonical
+// signal order, which makes budget assignment deterministic; nSigs is the
+// number of signals the query mentions.
+func (a *analysis) admit(t *queryTask, nSigs int) {
 	t.budget = a.reserve()
 	if t.budget <= 0 {
 		t.out = smt.Outcome{Status: smt.StatusUnknown, Reason: "global budget exhausted"}
 		return
 	}
-	t.key = key
-	a.cCacheMisses.Inc()
 	a.hSliceCons.Observe(int64(len(t.cons)))
-	a.hSliceSigs.Observe(int64(len(sigs)))
+	a.hSliceSigs.Observe(int64(nSigs))
 }
 
 // internalErrPrefix prefixes the Reason of outcomes fabricated by the
 // panic-quarantine boundary (runQuery) and of InternalError reports. It is
-// the vocabulary outcomeDegradation and cacheable classify on, so the
+// the vocabulary outcomeDegradation and settled classify on, so the
 // composers and the classifiers can never drift apart.
 const internalErrPrefix = "internal error"
 
@@ -149,23 +105,24 @@ func outcomeDegradation(out smt.Outcome) Degradation {
 	return DegradedNone
 }
 
-// runQuery invokes the solver for one query inside the per-query fault
+// runQuery invokes the solver for one task inside the per-query fault
 // boundary: a panic anywhere in problem construction or solving is recovered
 // into an Unknown outcome with reason "internal error: …" (with a truncated
 // stack captured as an obs event) instead of crashing the worker — and by
 // extension the whole analysis. A panicked query can only ever degrade the
 // verdict to unknown: safe needs a sound UNSAT proof and unsafe needs a
 // checked counterexample, neither of which a crashed attempt can produce.
-func (a *analysis) runQuery(build func() *smt.Problem, sig, consLen int, full bool, grant, seed int64) (out smt.Outcome, panicked bool) {
+// isShared marks the signals both copies of the query share.
+func (a *analysis) runQuery(t *queryTask, isShared func(int) bool, grant, seed int64) (out smt.Outcome, panicked bool) {
 	qs := a.cfg.Obs.Start(a.span, "core.query",
-		obs.KV("sig", sig), obs.KV("cons", consLen), obs.KV("full", full))
+		obs.KV("sig", t.sig), obs.KV("cons", len(t.cons)), obs.KV("full", t.full))
 	defer func() {
 		if r := recover(); r != nil {
 			panicked = true
 			a.nPanics.Add(1)
 			a.cPanics.Inc()
 			a.cfg.Obs.Event(a.span, "core.query.panic",
-				obs.KV("sig", sig), obs.KV("panic", fmt.Sprint(r)),
+				obs.KV("sig", t.sig), obs.KV("panic", fmt.Sprint(r)),
 				obs.KV("stack", truncStack(debug.Stack())))
 			out = smt.Outcome{Status: smt.StatusUnknown, Reason: fmt.Sprintf("%s: %v", internalErrPrefix, r)}
 		}
@@ -175,7 +132,7 @@ func (a *analysis) runQuery(build func() *smt.Problem, sig, consLen int, full bo
 	if faultinject.Enabled() {
 		faultinject.Check("core.query")
 	}
-	out = smt.Solve(build(), &smt.Options{
+	out = smt.Solve(buildUniquenessProblem(a.sys, t.cons, isShared, t.sig), &smt.Options{
 		MaxSteps: grant,
 		Seed:     seed,
 		Deadline: a.deadline,
@@ -205,53 +162,40 @@ const (
 	retrySeedPerturb = 0x5DEECE66D
 )
 
-// retryOnce re-runs a quarantined (panicked) query once with a reduced step
+// retryOnce re-runs a quarantined (panicked) task once with a reduced step
 // budget and a perturbed seed. When the retry also panics — or no budget
-// remains — the quarantined Unknown outcome stands. The crashed attempt's
-// own step consumption is unknowable, so its grant was refunded in full;
-// the retry accounts its steps normally.
-func (a *analysis) retryOnce(build func() *smt.Problem, sig, consLen int, full bool, quarantined smt.Outcome) smt.Outcome {
+// remains — the quarantined Unknown outcome t.out stands. The crashed
+// attempt's own step consumption is unknowable, so its grant was refunded in
+// full; the retry accounts its steps normally.
+func (a *analysis) retryOnce(t *queryTask, isShared func(int) bool) smt.Outcome {
 	if a.outOfBudget() {
-		return quarantined
+		return t.out
 	}
 	grant := a.reserveN(a.cfg.QuerySteps / retryBudgetShrink)
 	if grant <= 0 {
-		return quarantined
+		return t.out
 	}
 	a.nRetries.Add(1)
 	a.cRetries.Inc()
-	out, panicked := a.runQuery(build, sig, consLen, full, grant, a.querySeed(sig)^retrySeedPerturb)
+	out, panicked := a.runQuery(t, isShared, grant, a.querySeed(t.sig)^retrySeedPerturb)
 	a.refund(grant - out.Steps)
 	if panicked {
-		return quarantined
+		return t.out
 	}
 	return out
 }
 
-// retryQuarantined gives each panicked task of a round its single
-// degrade-and-retry attempt. Runs sequentially at the barrier in canonical
-// order, so the reduced-budget reservations stay deterministic.
-func (a *analysis) retryQuarantined(pending []*queryTask, snap *uniq.Snapshot) {
-	for _, t := range pending {
-		if !t.panicked {
-			continue
-		}
-		t.out = a.retryOnce(func() *smt.Problem {
-			return buildUniquenessProblem(a.sys, t.cons, snap.IsUnique, t.sig)
-		}, t.sig, len(t.cons), t.full, t.out)
-	}
-}
-
 // runRound solves every admitted task on the worker pool and blocks until
-// the round is complete. Workers only read immutable state (the system, the
-// snapshot) plus the atomic budget; all mutable analysis state is folded in
+// the round is complete; isShared marks the signals both copies of every
+// query share. Workers only read immutable state (the system, the shared
+// set) plus the atomic budget; all mutable analysis state is folded in
 // afterwards by the caller. Each query runs inside runQuery's panic
 // boundary; quarantined tasks get one reduced-budget retry after the
-// barrier.
-func (a *analysis) runRound(tasks []*queryTask, snap *uniq.Snapshot) {
+// barrier, in canonical order so the reservations stay deterministic.
+func (a *analysis) runRound(tasks []*queryTask, isShared func(int) bool) {
 	var pending []*queryTask
 	for _, t := range tasks {
-		if !t.cached && t.budget > 0 {
+		if t.budget > 0 {
 			pending = append(pending, t)
 		}
 	}
@@ -288,48 +232,39 @@ func (a *analysis) runRound(tasks []*queryTask, snap *uniq.Snapshot) {
 						obs.KV("sig", t.sig), obs.KV("reason", smt.DeadlineExceeded))
 					continue
 				}
-				t.out, t.panicked = a.runQuery(func() *smt.Problem {
-					return buildUniquenessProblem(a.sys, t.cons, snap.IsUnique, t.sig)
-				}, t.sig, len(t.cons), t.full, t.budget, a.querySeed(t.sig))
+				t.out, t.panicked = a.runQuery(t, isShared, t.budget, a.querySeed(t.sig))
 				t.ran = true
 				a.refund(t.budget - t.out.Steps)
 			}
 		}()
 	}
 	wg.Wait()
-	a.retryQuarantined(pending, snap)
+	for _, t := range pending {
+		if t.panicked {
+			t.out = a.retryOnce(t, isShared)
+		}
+	}
 }
 
-// accountTask folds one completed task into the statistics and the memo
-// cache. Called sequentially at the round barrier.
+// accountTask folds one completed task into the statistics. Called
+// sequentially at the round barrier.
 func (a *analysis) accountTask(t *queryTask) {
-	if t.cached {
-		a.report.Stats.CacheHits++
-		a.cCacheHits.Inc()
-		a.cfg.Obs.Event(a.span, "core.cache_hit", obs.KV("sig", t.sig))
-		return
-	}
 	if !t.ran {
 		return // skipped on budget, deadline, or cancellation
 	}
 	a.report.Stats.Queries++
 	a.report.Stats.SolverSteps += t.out.Steps
-	if t.key != "" && cacheable(t.out) {
-		a.cache[t.key] = t.out
-	}
 }
 
-// cacheable decides what the memo cache may retain. Decided outcomes (SAT
-// with a checked model, proven UNSAT) always replay safely. Unknowns are
-// split: a deterministic unknown — the search exhausted its patterns and
-// enumeration without hitting any resource limit — replays identically for
-// the same problem, but a *resource-limited* unknown (step budget,
+// settled reports whether an outcome answers its query for good, so that
+// re-asking it unchanged would be wasted work. Decided outcomes (SAT with a
+// checked model, proven UNSAT) are settled, and so is a deterministic
+// unknown — the search exhausted its patterns and enumeration without
+// hitting any resource limit. A *resource-limited* unknown (step budget,
 // deadline, cancellation, injected fault) only describes the grant it ran
-// under. Caching one would let a budget-starved first query poison a
-// well-funded re-query of the same slice signature forever; see
-// TestCacheDoesNotReplayResourceLimitedUnknowns. Quarantine products
-// (internalErrPrefix) are likewise transient and never retained.
-func cacheable(out smt.Outcome) bool {
+// under, so a well-funded later round must be free to re-ask it. Quarantine
+// products (internalErrPrefix) are likewise transient.
+func settled(out smt.Outcome) bool {
 	if out.Status != smt.StatusUnknown {
 		return true
 	}

@@ -28,17 +28,21 @@ type Summary struct {
 	CESignals []string  `json:"ce_signals,omitempty"`
 	// Circuit shape and analysis effort (the Stats fields the tables and
 	// the service report).
-	Signals       int     `json:"signals"`
-	Constraints   int     `json:"constraints"`
-	UniqueSignals int     `json:"unique_signals"`
-	ByPropagation int     `json:"by_propagation"`
-	ByBitsRule    int     `json:"by_bits_rule"`
-	BySMT         int     `json:"by_smt"`
-	Queries       int     `json:"queries"`
-	SolverSteps   int64   `json:"solver_steps"`
-	CacheHits     int     `json:"cache_hits"`
-	Workers       int     `json:"workers"`
-	DurationMS    float64 `json:"duration_ms"`
+	Signals       int   `json:"signals"`
+	Constraints   int   `json:"constraints"`
+	UniqueSignals int   `json:"unique_signals"`
+	ByPropagation int   `json:"by_propagation"`
+	ByBitsRule    int   `json:"by_bits_rule"`
+	BySMT         int   `json:"by_smt"`
+	Queries       int   `json:"queries"`
+	SolverSteps   int64 `json:"solver_steps"`
+	// The static pre-pass's contribution (the Stats fields of equal names).
+	StaticUnique         int     `json:"static_unique"`
+	StaticRangeUnique    int     `json:"static_range_unique"`
+	StaticQueriesAvoided int     `json:"static_queries_avoided"`
+	StaticRangePruned    int     `json:"static_range_pruned"`
+	Workers              int     `json:"workers"`
+	DurationMS           float64 `json:"duration_ms"`
 	// Version stamps the build that produced the summary (informational).
 	Version string `json:"version,omitempty"`
 }
@@ -48,21 +52,24 @@ type Summary struct {
 // counterexample.
 func (r *Report) Summary(sys *r1cs.System) Summary {
 	s := Summary{
-		Verdict:       r.Verdict.String(),
-		Reason:        r.Reason,
-		Degraded:      r.Degraded,
-		Signals:       r.Stats.SignalsTotal,
-		Constraints:   r.Stats.Constraints,
-		UniqueSignals: r.Stats.UniqueTotal,
-		ByPropagation: r.Stats.PropagationUnique,
-		ByBitsRule:    r.Stats.BitsUnique,
-		BySMT:         r.Stats.SMTUnique,
-		Queries:       r.Stats.Queries,
-		SolverSteps:   r.Stats.SolverSteps,
-		CacheHits:     r.Stats.CacheHits,
-		Workers:       r.Stats.Workers,
-		DurationMS:    float64(r.Stats.Duration.Microseconds()) / 1000,
-		Version:       buildinfo.Get().String(),
+		Verdict:              r.Verdict.String(),
+		Reason:               r.Reason,
+		Degraded:             r.Degraded,
+		Signals:              r.Stats.SignalsTotal,
+		Constraints:          r.Stats.Constraints,
+		UniqueSignals:        r.Stats.UniqueTotal,
+		ByPropagation:        r.Stats.PropagationUnique,
+		ByBitsRule:           r.Stats.BitsUnique,
+		BySMT:                r.Stats.SMTUnique,
+		Queries:              r.Stats.Queries,
+		SolverSteps:          r.Stats.SolverSteps,
+		StaticUnique:         r.Stats.StaticUnique,
+		StaticRangeUnique:    r.Stats.StaticRangeUnique,
+		StaticQueriesAvoided: r.Stats.StaticQueriesAvoided,
+		StaticRangePruned:    r.Stats.StaticRangePruned,
+		Workers:              r.Stats.Workers,
+		DurationMS:           float64(r.Stats.Duration.Microseconds()) / 1000,
+		Version:              buildinfo.Get().String(),
 	}
 	if ce := r.Counter; ce != nil {
 		f := sys.Field()

@@ -18,7 +18,8 @@ func TestSummaryJSONKeys(t *testing.T) {
 		Verdict: "unsafe", Reason: "r", Degraded: DegradedInternal,
 		CEOutput: "o", CEValues: [2]string{"1", "0"}, CESignals: []string{"o"},
 		Signals: 1, Constraints: 1, UniqueSignals: 1, ByPropagation: 1, ByBitsRule: 1, BySMT: 1,
-		Queries: 1, SolverSteps: 1, CacheHits: 1, Workers: 1, DurationMS: 1, Version: "v",
+		Queries: 1, SolverSteps: 1, StaticUnique: 1, StaticRangeUnique: 1, StaticQueriesAvoided: 1,
+		StaticRangePruned: 1, Workers: 1, DurationMS: 1, Version: "v",
 	}
 	b, err := json.Marshal(s)
 	if err != nil {
@@ -34,9 +35,10 @@ func TestSummaryJSONKeys(t *testing.T) {
 	}
 	sort.Strings(keys)
 	want := []string{
-		"by_bits_rule", "by_propagation", "by_smt", "cache_hits", "ce_output", "ce_signals",
+		"by_bits_rule", "by_propagation", "by_smt", "ce_output", "ce_signals",
 		"ce_values", "constraints", "degraded", "duration_ms", "queries", "reason", "signals",
-		"solver_steps", "unique_signals", "verdict", "version", "workers",
+		"solver_steps", "static_queries_avoided", "static_range_pruned", "static_range_unique",
+		"static_unique", "unique_signals", "verdict", "version", "workers",
 	}
 	if !reflect.DeepEqual(keys, want) {
 		t.Fatalf("Summary JSON keys = %v\nwant %v", keys, want)
@@ -49,14 +51,14 @@ func TestSummaryJSONKeys(t *testing.T) {
 
 // TestInternalErrorVocabulary: the report callers build for a crash outside
 // the query quarantine speaks the same vocabulary the quarantine does, so
-// the degradation classifier and the memo-cache policy treat both alike.
+// the degradation classifier and the staleness policy treat both alike.
 func TestInternalErrorVocabulary(t *testing.T) {
 	r := InternalError("boom")
 	if r.Verdict != VerdictUnknown || r.Degraded != DegradedInternal || r.Reason != "internal error: boom" {
 		t.Fatalf("InternalError = %+v", r)
 	}
 	out := smt.Outcome{Status: smt.StatusUnknown, Reason: r.Reason}
-	if outcomeDegradation(out) != DegradedInternal || cacheable(out) {
-		t.Fatalf("InternalError reason classified %q, cacheable=%v", outcomeDegradation(out), cacheable(out))
+	if outcomeDegradation(out) != DegradedInternal || settled(out) {
+		t.Fatalf("InternalError reason classified %q, settled=%v", outcomeDegradation(out), settled(out))
 	}
 }

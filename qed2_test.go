@@ -145,9 +145,9 @@ func canonicalReport(r *core.Report) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "verdict=%s reason=%q\n", r.Verdict, r.Reason)
 	s := r.Stats
-	fmt.Fprintf(&b, "signals=%d outputs=%d cons=%d prop=%d bits=%d smt=%d uniq=%d queries=%d steps=%d cache=%d\n",
+	fmt.Fprintf(&b, "signals=%d outputs=%d cons=%d prop=%d bits=%d smt=%d uniq=%d queries=%d steps=%d\n",
 		s.SignalsTotal, s.Outputs, s.Constraints, s.PropagationUnique, s.BitsUnique,
-		s.SMTUnique, s.UniqueTotal, s.Queries, s.SolverSteps, s.CacheHits)
+		s.SMTUnique, s.UniqueTotal, s.Queries, s.SolverSteps)
 	if ce := r.Counter; ce != nil {
 		fmt.Fprintf(&b, "ce signal=%d diff=", ce.Signal)
 		for i := range ce.W1 {
