@@ -97,10 +97,10 @@ func TestCLITraceReconcilesWithStats(t *testing.T) {
 	}
 
 	// Reconciliation: trace spans and counters vs the printed report stats.
-	// The trace records every solver invocation; the report accounts only
-	// queries merged before the verdict, and a confirmed counterexample
-	// returns early (see DESIGN §10) — so on this unsafe circuit the trace
-	// may exceed the report, never the reverse.
+	// The trace records every solver invocation; the report accounts the
+	// queries folded before the verdict. At one worker a round stops solving
+	// at the confirmed counterexample (see DESIGN §10), so even on this
+	// unsafe circuit the two agree exactly.
 	c := metrics.Counters
 	if got := spanEnds["core.query"]; int64(got) != c["smt.queries"] {
 		t.Errorf("core.query span count = %d, smt.queries counter = %d", got, c["smt.queries"])
@@ -108,11 +108,11 @@ func TestCLITraceReconcilesWithStats(t *testing.T) {
 	if got := spanEnds["smt.solve"]; int64(got) != c["smt.queries"] {
 		t.Errorf("smt.solve span count = %d, smt.queries counter = %d", got, c["smt.queries"])
 	}
-	if c["smt.queries"] < int64(rep.Queries) {
-		t.Errorf("smt.queries counter = %d < %d accounted queries", c["smt.queries"], rep.Queries)
+	if c["smt.queries"] != int64(rep.Queries) {
+		t.Errorf("smt.queries counter = %d, report accounts %d queries", c["smt.queries"], rep.Queries)
 	}
-	if c["smt.steps"] < rep.SolverSteps {
-		t.Errorf("smt.steps counter = %d < %d accounted steps", c["smt.steps"], rep.SolverSteps)
+	if c["smt.steps"] != rep.SolverSteps {
+		t.Errorf("smt.steps counter = %d, report accounts %d steps", c["smt.steps"], rep.SolverSteps)
 	}
 	if c["uniq.external"] != int64(rep.BySMT) {
 		t.Errorf("uniq.external counter = %d, report says %d by SMT", c["uniq.external"], rep.BySMT)
@@ -139,8 +139,8 @@ func TestCLITraceReconcilesWithStats(t *testing.T) {
 	}
 }
 
-// TestCLITraceExactReconciliationSafeCircuit: on a safe circuit nothing is
-// discarded early, so the trace counters must equal the report exactly —
+// TestCLITraceExactReconciliationSafeCircuit: on a safe circuit no round is
+// decided early, so the trace counters must equal the report exactly —
 // query count and solver steps.
 func TestCLITraceExactReconciliationSafeCircuit(t *testing.T) {
 	// IsZero is properly constrained but needs SMT (the inv hint defeats

@@ -77,8 +77,8 @@ func ParseVerdict(s string) (Verdict, bool) {
 // ProgressEvent is one milestone reported through Config.Progress.
 type ProgressEvent struct {
 	// Phase is "static" (pre-pass finished), "round" (a slice-query round
-	// barrier), "final" (a final-outputs-stage round barrier) or "done"
-	// (analysis finished; Verdict is set).
+	// fully folded), "final" (a final-outputs-stage round fully folded) or
+	// "done" (analysis finished; Verdict is set).
 	Phase string
 	// Round is the 1-based round number within its phase ("round"/"final").
 	Round int
@@ -121,8 +121,8 @@ type Stats struct {
 	SolverSteps int64
 	// QueryPanics counts solver queries whose first attempt panicked and was
 	// quarantined (converted to Unknown); QueryRetries counts the reduced-
-	// budget retries issued for them at the round barrier. A panic can only
-	// degrade a verdict to Unknown, never flip it — see DESIGN.md §11.
+	// budget retries issued for them once their round has run. A panic can
+	// only degrade a verdict to Unknown, never flip it — see DESIGN.md §11.
 	QueryPanics  int
 	QueryRetries int
 	// StaticUnique counts signals the static-analysis pre-pass proved
@@ -198,7 +198,8 @@ type Report struct {
 // analysis carries the mutable state of one Analyze call. The solver-step
 // budget is an atomic because slice queries of one round run on concurrent
 // workers, all drawing from the same global pool; everything else is only
-// touched sequentially (at round barriers or in the baselines).
+// touched sequentially, by the analysis goroutine (in a round's fold or in
+// the baselines).
 type analysis struct {
 	sys    *r1cs.System
 	cfg    Config
@@ -211,9 +212,9 @@ type analysis struct {
 	start    time.Time
 	deadline time.Time // zero when cfg.Timeout == 0 and ctx has no deadline
 	stepsRem atomic.Int64
-	// nPanics/nRetries count quarantined query panics and their barrier
-	// retries; atomics because the recover boundary runs on worker
-	// goroutines. Folded into Stats at the end of the analysis.
+	// nPanics/nRetries count quarantined query panics and their retries;
+	// atomics because the recover boundary runs on helper goroutines.
+	// Folded into Stats at the end of the analysis.
 	nPanics  atomic.Int64
 	nRetries atomic.Int64
 	// staticPruned marks signals whose slice queries the static pre-pass
@@ -231,6 +232,7 @@ type analysis struct {
 	cConfirmOK      *obs.Counter
 	cPanics         *obs.Counter
 	cRetries        *obs.Counter
+	cUnrun          *obs.Counter
 	hSliceCons      *obs.Histogram
 	hSliceSigs      *obs.Histogram
 }
@@ -280,6 +282,7 @@ func AnalyzeContext(ctx context.Context, sys *r1cs.System, cfg *Config) *Report 
 	a.cConfirmOK = c.Metrics.Counter("core.confirm.ok")
 	a.cPanics = c.Metrics.Counter("core.query.panics")
 	a.cRetries = c.Metrics.Counter("core.query.retries")
+	a.cUnrun = c.Metrics.Counter("core.queries_unrun")
 	a.hSliceCons = c.Metrics.Histogram("core.slice.constraints")
 	a.hSliceSigs = c.Metrics.Histogram("core.slice.signals")
 
@@ -409,10 +412,11 @@ func (a *analysis) finishPropagationOnly() {
 
 // runFull is the QED² loop: propagate, prove unknowns one round of slice
 // queries at a time, and confirm candidate counterexamples on the full
-// circuit. Each round snapshots the unique set, dispatches the queries for
-// every still-unknown signal to the worker pool, and applies the results at
-// a barrier in canonical signal order, so the outcome is independent of the
-// worker count and of which query finishes first.
+// circuit. Each round snapshots the unique set, admits the queries for every
+// still-unknown signal, and folds their outcomes in canonical signal order
+// as they finish, so the outcome is independent of the worker count and of
+// which query finishes first. A confirmed witness pair ends the round and
+// the analysis; the queries after it are never solved.
 // A signal is not re-asked while stale: lastTried[s] counts s's slice
 // signals known unique at its last settled query, and since the unique set
 // only grows, an equal count means the same query (DESIGN.md §8).
@@ -463,29 +467,30 @@ func (a *analysis) runFull() {
 		a.cRounds.Inc()
 		rs := a.cfg.Obs.Start(a.span, "core.round",
 			obs.KV("round", round), obs.KV("tasks", len(tasks)))
-		a.runRound(tasks, snap.IsUnique)
 		before := a.prop.NumUnique()
-		for _, t := range tasks {
+		confirmed := a.runRound(tasks, snap.IsUnique, func(t *queryTask) bool {
 			a.accountTask(t)
 			if t.ran && settled(t.out) {
 				lastTried[t.sig] = t.known
 			}
 			if t.out.Status == smt.StatusUnsat {
 				a.prop.AddUniqueExternal(t.sig)
-				continue
+				return false
 			}
 			// A SAT answer on the FULL constraint set is conclusive
 			// non-uniqueness of t.sig; for outputs that ends the analysis.
-			if t.out.Status == smt.StatusSat && t.full {
-				if a.sys.Signal(t.sig).Kind == r1cs.KindOutput {
-					if a.confirmCounterexample(t.sig, t.out.Model) {
-						rs.End(obs.KV("new_unique", a.prop.NumUnique()-before), obs.KV("confirmed", true))
-						return
-					}
-				}
-			}
+			return t.out.Status == smt.StatusSat && t.full &&
+				a.sys.Signal(t.sig).Kind == r1cs.KindOutput &&
+				a.confirmCounterexample(t.sig, t.out.Model)
+		})
+		ran, unrun := tally(tasks)
+		attrs := []obs.Attr{obs.KV("new_unique", a.prop.NumUnique()-before),
+			obs.KV("ran", ran), obs.KV("unrun", unrun)}
+		if confirmed {
+			rs.End(append(attrs, obs.KV("confirmed", true))...)
+			return
 		}
-		rs.End(obs.KV("new_unique", a.prop.NumUnique()-before))
+		rs.End(attrs...)
 		a.emitProgress("round", round, len(tasks), "")
 		if a.prop.NumUnique() == before {
 			// Slices are exhausted: decide the remaining outputs globally.
@@ -541,16 +546,15 @@ func (a *analysis) finalOutputsStage() {
 			return
 		}
 		round++
-		a.runRound(tasks, snap.IsUnique)
 		before := a.prop.NumUnique()
-		for _, t := range tasks {
+		confirmed := a.runRound(tasks, snap.IsUnique, func(t *queryTask) bool {
 			a.accountTask(t)
 			switch t.out.Status {
 			case smt.StatusUnsat:
 				a.prop.AddUniqueExternal(t.sig)
 			case smt.StatusSat:
 				if a.confirmCounterexample(t.sig, t.out.Model) {
-					return
+					return true
 				}
 				// Deterministic internal inconsistency, not a transient
 				// fault: re-running reproduces it, so it is not degraded.
@@ -562,6 +566,10 @@ func (a *analysis) finalOutputsStage() {
 					degraded = outcomeDegradation(t.out)
 				}
 			}
+			return false
+		})
+		if confirmed {
+			return
 		}
 		a.emitProgress("final", round, len(tasks), "")
 		if a.prop.NumUnique() == before {
@@ -604,24 +612,29 @@ func (a *analysis) runSMTOnly() {
 		}
 		t := &queryTask{sig: o, cons: allCons, full: true}
 		a.admit(t, a.sys.NumSignals())
-		a.runRound([]*queryTask{t}, isShared)
-		a.accountTask(t)
-		switch t.out.Status {
-		case smt.StatusUnsat:
-			// output unique
-		case smt.StatusSat:
-			if a.confirmCounterexample(o, t.out.Model) {
-				return
+		confirmed := a.runRound([]*queryTask{t}, isShared, func(*queryTask) bool {
+			a.accountTask(t)
+			switch t.out.Status {
+			case smt.StatusUnsat:
+				// output unique
+			case smt.StatusSat:
+				if a.confirmCounterexample(o, t.out.Model) {
+					return true
+				}
+				safe = false
+				undecided = "solver model failed confirmation (internal)"
+				degraded = DegradedNone
+			default:
+				safe = false
+				if undecided == "" {
+					undecided = fmt.Sprintf("output %s undecided: %s", a.sys.Name(o), t.out.Reason)
+					degraded = outcomeDegradation(t.out)
+				}
 			}
-			safe = false
-			undecided = "solver model failed confirmation (internal)"
-			degraded = DegradedNone
-		default:
-			safe = false
-			if undecided == "" {
-				undecided = fmt.Sprintf("output %s undecided: %s", a.sys.Name(o), t.out.Reason)
-				degraded = outcomeDegradation(t.out)
-			}
+			return false
+		})
+		if confirmed {
+			return
 		}
 	}
 	if safe {

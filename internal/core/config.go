@@ -90,12 +90,14 @@ type Config struct {
 	// between them, so a single hard query cannot overshoot it by more than
 	// one solver step-check interval.
 	Timeout time.Duration `json:"timeout,omitempty"`
-	// Workers is the number of slice queries solved concurrently per round.
-	// Default GOMAXPROCS. Reports are byte-identical (verdict, stats,
-	// counterexample) for any worker count as long as no wall-clock timeout
-	// cuts the run short: results are applied at a round barrier in
-	// canonical signal order, solver seeds derive from the target signal,
-	// and the shared global step budget is reserved deterministically.
+	// Workers is the number of slice queries solved concurrently per round:
+	// the analysis goroutine plus Workers−1 helpers. Default GOMAXPROCS.
+	// Reports are byte-identical (verdict, stats, counterexample) for any
+	// worker count as long as no wall-clock timeout cuts the run short:
+	// outcomes are folded in canonical signal order as queries finish, a
+	// round stops at the same deciding query, solver seeds derive from the
+	// target signal, and the shared global step budget is reserved
+	// deterministically.
 	Workers int `json:"workers,omitempty"`
 	// Seed makes solver probing deterministic.
 	Seed int64 `json:"seed"`
@@ -116,16 +118,19 @@ type Config struct {
 	// the core.*, uniq.* and smt.* counters and histograms. All three are
 	// pure observers: they never change verdicts, stats or determinism
 	// (though with Workers > 1 the interleaving of query events in the
-	// trace depends on scheduling).
+	// trace depends on scheduling, and queries a helper started after the
+	// round's deciding query are traced and counted by smt.* although the
+	// report never accounts them).
 	Obs       *obs.Tracer  `json:"-"`
 	ObsParent *obs.Span    `json:"-"`
 	Metrics   *obs.Metrics `json:"-"`
 	// Progress, when non-nil, receives coarse milestone events of the
-	// analysis: the static pre-pass, each slice-query round barrier, each
-	// final-stage round, and a terminal "done" event carrying the verdict.
-	// Like Obs/Metrics it is a pure observer — it never changes verdicts,
-	// stats or determinism. It is invoked sequentially from the analysis
-	// goroutine at round barriers (never from query workers), so it needs no
+	// analysis: the static pre-pass, each slice-query round once its last
+	// outcome is folded, each final-stage round, and a terminal "done"
+	// event carrying the verdict. Like Obs/Metrics it is a pure observer —
+	// it never changes verdicts, stats or determinism. It is invoked
+	// sequentially from the analysis goroutine between rounds (never from
+	// query helpers), so it needs no
 	// locking of its own, but it must not block: the analysis stalls while
 	// the callback runs. qed2d feeds per-job event streams from this hook.
 	Progress func(ProgressEvent) `json:"-"`

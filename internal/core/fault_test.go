@@ -3,12 +3,19 @@ package core
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"fmt"
+	"math/big"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"qed2/internal/faultinject"
+	"qed2/internal/ff"
 	"qed2/internal/obs"
+	"qed2/internal/poly"
 	"qed2/internal/r1cs"
 	"qed2/internal/smt"
 	"qed2/internal/uniq"
@@ -83,6 +90,9 @@ func TestAdmitOnExhaustedBudgetYieldsUnknownWithoutDispatch(t *testing.T) {
 	}
 }
 
+// foldAll is a round fold that never decides the round.
+func foldAll(*queryTask) bool { return false }
+
 // admitTasks admits every unknown signal of a fresh analysis into one round's
 // task list, mirroring the dispatch loop of runFull.
 func admitTasks(a *analysis) []*queryTask {
@@ -108,7 +118,7 @@ func TestExpiredDeadlineSkipsQueriesAndRefundsBudget(t *testing.T) {
 	if len(tasks) == 0 {
 		t.Fatal("test circuit produced no tasks")
 	}
-	a.runRound(tasks, a.prop.Snapshot().IsUnique)
+	a.runRound(tasks, a.prop.Snapshot().IsUnique, foldAll)
 	for _, task := range tasks {
 		if task.ran {
 			t.Fatalf("task for sig %d ran past an expired deadline", task.sig)
@@ -147,7 +157,7 @@ func TestCanceledContextSkipsQueriesAndRefundsBudget(t *testing.T) {
 	total := a.stepsRem.Load()
 
 	tasks := admitTasks(a)
-	a.runRound(tasks, a.prop.Snapshot().IsUnique)
+	a.runRound(tasks, a.prop.Snapshot().IsUnique, foldAll)
 	for _, task := range tasks {
 		if task.ran {
 			t.Fatalf("task for sig %d ran under a canceled context", task.sig)
@@ -207,7 +217,7 @@ component main = Mul();
 	task := &queryTask{sig: target, cons: allCons, full: true}
 
 	grant := a.reserve()
-	out, panicked := a.runQuery(task, isShared, grant, a.querySeed(target))
+	out, panicked := a.runQuery(context.Background(), task, isShared, grant, a.querySeed(target))
 	a.refund(grant - out.Steps)
 	if !panicked {
 		t.Fatal("first attempt did not report the panic")
@@ -342,6 +352,153 @@ func TestAnalyzeCanceledReportsDegradedCanceled(t *testing.T) {
 		}
 		if r.Degraded != DegradedCanceled {
 			t.Fatalf("%s: Degraded = %q (reason %q), want %q", mode, r.Degraded, r.Reason, DegradedCanceled)
+		}
+	}
+}
+
+// squares builds n disjoint gadgets x_k·x_k = c_k over F_97 (c_k inputs,
+// x_k outputs): one single-constraint task per x_k, each reading only its
+// own signals, so a shared-signal predicate can fail one task alone.
+func squares(n int) (sys *r1cs.System, xs []int) {
+	f97 := ff.MustField(big.NewInt(97))
+	sys = r1cs.NewSystem(f97)
+	for k := 0; k < n; k++ {
+		c := sys.AddSignal(fmt.Sprintf("c%d", k), r1cs.KindInput)
+		x := sys.AddSignal(fmt.Sprintf("x%d", k), r1cs.KindOutput)
+		sys.AddConstraint(poly.Var(f97, x), poly.Var(f97, x), poly.Var(f97, c), "")
+		xs = append(xs, x)
+	}
+	return sys, xs
+}
+
+// panicOnce is a goroutine-safe shared-signal predicate for squares: the
+// first call about a signal in armed panics, and calls records every signal
+// asked about.
+type panicOnce struct {
+	mu    sync.Mutex
+	sys   *r1cs.System
+	armed map[int]bool
+	calls map[int]int
+}
+
+func (p *panicOnce) isShared(v int) bool {
+	p.mu.Lock()
+	p.calls[v]++
+	fire := p.armed[v]
+	delete(p.armed, v)
+	p.mu.Unlock()
+	if fire {
+		panic("boom")
+	}
+	return v == r1cs.OneID || p.sys.Signal(v).Kind == r1cs.KindInput
+}
+
+// squareTasks admits one task per gadget of squares in canonical order.
+func squareTasks(a *analysis, xs []int) []*queryTask {
+	var tasks []*queryTask
+	for k, x := range xs {
+		t := &queryTask{sig: x, cons: []int{k}}
+		a.admit(t, 2)
+		tasks = append(tasks, t)
+	}
+	return tasks
+}
+
+// TestRoundStopsAtDecidingTask: once the fold decides the round, a later
+// task is never handed out — a panic it would raise never happens, its
+// grant returns to the pool, and it is counted as unrun.
+func TestRoundStopsAtDecidingTask(t *testing.T) {
+	sys, xs := squares(3)
+	m := obs.NewMetrics()
+	a := newTestAnalysis(sys, Config{Workers: 1, QuerySteps: 400}, context.Background(), nil)
+	a.cUnrun = m.Counter("core.queries_unrun")
+	total := a.stepsRem.Load()
+	p := &panicOnce{sys: sys, armed: map[int]bool{xs[1]: true, xs[2]: true}, calls: map[int]int{}}
+	tasks := squareTasks(a, xs)
+	var folded []int
+	stopped := a.runRound(tasks, p.isShared, func(t *queryTask) bool {
+		folded = append(folded, t.sig)
+		a.accountTask(t)
+		return t.sig == xs[0]
+	})
+	if !stopped || !reflect.DeepEqual(folded, xs[:1]) {
+		t.Fatalf("stopped = %v, folded %v, want true after %v", stopped, folded, xs[:1])
+	}
+	for _, task := range tasks[1:] {
+		if task.ran || p.calls[task.sig] != 0 {
+			t.Fatalf("task for sig %d ran after the round was decided", task.sig)
+		}
+	}
+	if a.nPanics.Load() != 0 || a.nRetries.Load() != 0 {
+		t.Fatalf("panics/retries = %d/%d, want 0/0", a.nPanics.Load(), a.nRetries.Load())
+	}
+	if got, want := a.stepsRem.Load(), total-tasks[0].out.Steps; got != want {
+		t.Fatalf("stepsRem = %d, want %d (unrun grants refunded)", got, want)
+	}
+	if ran, unrun := tally(tasks); ran != 1 || unrun != 2 {
+		t.Fatalf("tally = %d ran, %d unrun, want 1, 2", ran, unrun)
+	}
+	if got := m.Counters()["core.queries_unrun"]; got != 2 {
+		t.Fatalf("core.queries_unrun = %d, want 2", got)
+	}
+	if a.report.Stats.Queries != 1 || a.report.Stats.SolverSteps != tasks[0].out.Steps {
+		t.Fatalf("accounted %d queries, %d steps, want 1, %d", a.report.Stats.Queries, a.report.Stats.SolverSteps, tasks[0].out.Steps)
+	}
+}
+
+// TestRoundRetriesPanicBeforeDecidingTask: a task that panics before the
+// deciding one is retried exactly once, after the whole round has run and
+// refunded, so the retry's grant is the same at one worker and at four.
+func TestRoundRetriesPanicBeforeDecidingTask(t *testing.T) {
+	const querySteps = 400
+	for _, workers := range []int{1, 4} {
+		sys, xs := squares(4)
+		var trace bytes.Buffer
+		tr := obs.New(&trace)
+		a := newTestAnalysis(sys, Config{Workers: workers, QuerySteps: querySteps, GlobalSteps: 3*querySteps + 60},
+			context.Background(), tr)
+		p := &panicOnce{sys: sys, armed: map[int]bool{xs[0]: true}, calls: map[int]int{}}
+		// Admitted last-first, so the panicking first task holds the 60-step
+		// remainder: a retry issued before the other tasks refunded would
+		// find only those 60 steps in the pool.
+		tasks := make([]*queryTask, len(xs))
+		for k := len(xs) - 1; k >= 0; k-- {
+			tasks[k] = &queryTask{sig: xs[k], cons: []int{k}}
+			a.admit(tasks[k], 2)
+		}
+		var folded []int
+		stopped := a.runRound(tasks, p.isShared, func(t *queryTask) bool {
+			folded = append(folded, t.sig)
+			return t.sig == xs[1]
+		})
+		if !stopped || !reflect.DeepEqual(folded, xs[:2]) {
+			t.Fatalf("workers=%d: stopped = %v, folded %v, want true after %v", workers, stopped, folded, xs[:2])
+		}
+		if a.nPanics.Load() != 1 || a.nRetries.Load() != 1 {
+			t.Fatalf("workers=%d: panics/retries = %d/%d, want 1/1", workers, a.nPanics.Load(), a.nRetries.Load())
+		}
+		if tasks[0].out.Status != smt.StatusSat {
+			t.Fatalf("workers=%d: retried outcome = %+v, want sat", workers, tasks[0].out)
+		}
+		if err := tr.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		var grants []int64
+		for _, line := range strings.Split(strings.TrimSpace(trace.String()), "\n") {
+			var l struct {
+				Ev, Name string
+				Sig      int
+				Grant    int64
+			}
+			if err := json.Unmarshal([]byte(line), &l); err != nil {
+				t.Fatal(err)
+			}
+			if l.Ev == "span_start" && l.Name == "core.query" && l.Sig == xs[0] {
+				grants = append(grants, l.Grant)
+			}
+		}
+		if want := []int64{60, querySteps / retryBudgetShrink}; !reflect.DeepEqual(grants, want) {
+			t.Fatalf("workers=%d: grants of sig %d = %v, want %v", workers, xs[0], grants, want)
 		}
 	}
 }

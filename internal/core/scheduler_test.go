@@ -206,25 +206,3 @@ func TestIsomorphicDisjointSlices(t *testing.T) {
 		t.Error("counterexample witnesses agree on the flagged signal")
 	}
 }
-
-// TestDeterminismAcrossWorkers checks that parallel query dispatch keeps
-// the analysis deterministic in the worker count: grants are reserved and
-// results folded in canonical order regardless of scheduling, so the
-// verdict, the counterexample and every Stats field agree.
-func TestDeterminismAcrossWorkers(t *testing.T) {
-	p := compile(t, decoderBuggy)
-	r1 := Analyze(p.System, &Config{Seed: 7, Workers: 1})
-	r8 := Analyze(p.System, &Config{Seed: 7, Workers: 8})
-	if r1.Verdict != r8.Verdict || r1.Reason != r8.Reason {
-		t.Fatalf("verdict differs: (%v, %q) vs (%v, %q)", r1.Verdict, r1.Reason, r8.Verdict, r8.Reason)
-	}
-	if !reflect.DeepEqual(r1.Counter, r8.Counter) {
-		t.Fatalf("counterexample differs:\nworkers=1 %+v\nworkers=8 %+v", r1.Counter, r8.Counter)
-	}
-	s1, s8 := r1.Stats, r8.Stats
-	s1.Workers, s8.Workers = 0, 0
-	s1.Duration, s8.Duration = 0, 0
-	if !reflect.DeepEqual(s1, s8) {
-		t.Fatalf("stats differ:\nworkers=1 %+v\nworkers=8 %+v", s1, s8)
-	}
-}

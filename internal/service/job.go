@@ -34,7 +34,7 @@ type Event struct {
 	// Kind "status": the status entered, plus Error for failed/canceled.
 	Status string `json:"status,omitempty"`
 	Error  string `json:"error,omitempty"`
-	// Kind "progress": a core.ProgressEvent snapshot from a round barrier.
+	// Kind "progress": a core.ProgressEvent snapshot taken between rounds.
 	Phase         string `json:"phase,omitempty"`
 	Round         int    `json:"round,omitempty"`
 	Tasks         int    `json:"tasks,omitempty"`

@@ -197,7 +197,8 @@ func (p *Propagator) CountByRule() map[Rule]int {
 // Snapshot is an immutable point-in-time view of the known-unique set. It
 // is safe for concurrent readers, which the Propagator itself is not: the
 // parallel query engine takes one snapshot per round and hands it to every
-// worker while the propagator stays untouched until the round barrier.
+// worker, while the analysis goroutine folds finished queries' facts into
+// the propagator as the round runs.
 type Snapshot struct {
 	unique []bool
 	count  int
