@@ -2,6 +2,7 @@ package circom
 
 import (
 	"math/big"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -54,6 +55,33 @@ func TestApplyBinTable(t *testing.T) {
 		}
 		if f.Signed(got).Int64() != c.want {
 			t.Errorf("%v(%d,%d) = %v, want %d", c.op, c.a, c.b, f.Signed(got), c.want)
+		}
+	}
+}
+
+// TestPowMatchesBigReference checks the witness interpreter's ** (ff.Exp on
+// limbs) against the compile-time evaluator's (ff.ExpBig) over BN254, for
+// exponents from 0 up to the width of the field, where Exp switches from
+// square-and-multiply to its 4-bit window.
+func TestPowMatchesBigReference(t *testing.T) {
+	f := ff.BN254()
+	rng := rand.New(rand.NewSource(7))
+	for _, n := range []uint{0, 1, 4, 5, 63, 64, 65, 66, 128, 200, 253} {
+		e := new(big.Int).Lsh(big.NewInt(1), n)
+		for _, exp := range []*big.Int{e, new(big.Int).Sub(e, big.NewInt(1)), new(big.Int).Rand(rng, e)} {
+			for _, a := range []ff.Element{f.Zero(), f.One(), f.NewElement(-3), f.RandFrom(rng)} {
+				got, err := applyBinElt(f, TokPow, a, f.FromBig(exp))
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := applyBin(f, TokPow, f.ToBig(a), exp)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if f.ToBig(got).Cmp(want) != 0 {
+					t.Fatalf("%v ** %v = %v, want %v", f.ToBig(a), exp, f.ToBig(got), want)
+				}
+			}
 		}
 	}
 }

@@ -8,7 +8,9 @@ import (
 
 // BenchmarkFFOps measures the Element hot-path operations against the
 // retained big.Int reference implementation (math/big's ModInverse and
-// ModSqrt for inv and sqrt).
+// ModSqrt for inv and sqrt). sqrt/one is the bit-constraint discriminant
+// the solver asks for most, sqrt/square a random square, and exp/halfq the
+// exponentiation by (q − 1)/2 inside every other Sqrt.
 func BenchmarkFFOps(b *testing.B) {
 	for _, tc := range []struct {
 		name string
@@ -67,8 +69,14 @@ func BenchmarkFFOps(b *testing.B) {
 				sinkBig = r
 			}
 		})
+		b.Run(tc.name+"/sqrt/one", func(b *testing.B) {
+			one := f.One()
+			for i := 0; i < b.N; i++ {
+				sinkElt, _ = f.Sqrt(one)
+			}
+		})
 		sq := f.Square(ea)
-		b.Run(tc.name+"/sqrt/element", func(b *testing.B) {
+		b.Run(tc.name+"/sqrt/square", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				r, ok := f.Sqrt(sq)
 				if !ok {
@@ -87,6 +95,11 @@ func BenchmarkFFOps(b *testing.B) {
 			e := big.NewInt(0xdeadbeef)
 			for i := 0; i < b.N; i++ {
 				sinkElt = f.Exp(ea, e)
+			}
+		})
+		b.Run(tc.name+"/exp/halfq", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				sinkElt = f.expFixed(ea, f.tsHalfQ, f.tsHalfQDigits)
 			}
 		})
 		b.Run(tc.name+"/frombig", func(b *testing.B) {

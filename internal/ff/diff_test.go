@@ -161,6 +161,56 @@ func TestElementDifferentialUnaryOps(t *testing.T) {
 	}
 }
 
+// expBoundaryExponents returns exponents of every bit length Exp treats
+// differently: 1–9 (square-and-multiply, and the first window digits),
+// 63–65 (both sides of expWindowMinBits, and of a 64-bit word) and 127–129,
+// 255–256 (word and limb boundaries). Each length contributes its smallest
+// value 2^(n−1), its largest 2^n − 1, and one seeded value in between. The
+// values come from whole uint64 draws, so they do not depend on the width of
+// big.Word.
+func expBoundaryExponents(rng *rand.Rand) []*big.Int {
+	var out []*big.Int
+	for _, n := range []uint{1, 2, 3, 4, 5, 6, 7, 8, 9, 63, 64, 65, 127, 128, 129, 255, 256} {
+		top := new(big.Int).Lsh(big.NewInt(1), n-1)
+		all := new(big.Int).Sub(new(big.Int).Lsh(big.NewInt(1), n), big.NewInt(1))
+		mid := new(big.Int)
+		for i := uint(0); i < n; i += 64 {
+			mid.Lsh(mid, 64).Or(mid, new(big.Int).SetUint64(rng.Uint64()))
+		}
+		mid.And(mid, all).Or(mid, top)
+		out = append(out, top, all, mid)
+	}
+	return out
+}
+
+// TestElementDifferentialExpBoundaries checks Exp against ExpBig at the
+// exponent lengths where it switches algorithm or crosses a word, for
+// positive and negative exponents, on every differential field.
+func TestElementDifferentialExpBoundaries(t *testing.T) {
+	for _, f := range diffFields(t) {
+		f := f
+		t.Run(f.Name(), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(29))
+			bases := append(edgeValues(f), f.ToBig(f.RandFrom(rng)), f.ToBig(f.RandFrom(rng)))
+			for _, e := range expBoundaryExponents(rng) {
+				neg := new(big.Int).Neg(e)
+				for _, a := range bases {
+					ea := f.FromBig(a)
+					if got, want := f.ToBig(f.Exp(ea, e)), f.ExpBig(a, e); got.Cmp(want) != 0 {
+						t.Fatalf("Exp(%v, %v) = %v, want %v", a, e, got, want)
+					}
+					if a.Sign() == 0 {
+						continue // a negative power of zero panics on both sides
+					}
+					if got, want := f.ToBig(f.Exp(ea, neg)), f.ExpBig(a, neg); got.Cmp(want) != 0 {
+						t.Fatalf("Exp(%v, %v) = %v, want %v", a, neg, got, want)
+					}
+				}
+			}
+		})
+	}
+}
+
 // TestElementMontgomeryRoundTrip checks that FromBig → ToBig is the identity
 // on [0, p) (i.e. the Montgomery conversion round-trips), that canonical
 // representations make == coincide with field equality, and that the zero
@@ -332,17 +382,20 @@ func TestFieldCache(t *testing.T) {
 
 // sqrtDigests pins the exact root Sqrt returns, not just its sign class: the
 // solver branches on that choice, so any change to it moves search trees.
-// Each digest is recorded from the original Tonelli–Shanks implementation.
+// The digests were recorded with the square-and-multiply Tonelli–Shanks
+// that preceded the exponent window and the Sqrt(1) fast path, and that
+// matched the digests of the original implementation on that
+// implementation's inputs.
 var sqrtDigests = map[string]string{
-	"F_2188…5617": "ef9e8805bc7c0ed9a289f8481dfccb5b4f8f2da61a3cf70999de8284db0647ca",
-	"F_5789…9949": "263239f972f6fb2e5ce3a31e11d97e4faa20755e5d005058d02fc090a9287e2d",
-	"F_1157…9747": "9b9d07c05c5f98c955831a826163df9f485a4c47c176363ef9daf1694d8bfd2b",
-	"F_1569…8213": "7ae7fe75db399e8ff6b027788a56fd18b14df9f092f8afdd2e016e37acc4d96f",
-	"F_1701…5727": "d9cf04218d3646379df898d44937bd053e430e3583acd4b3fb832774d8797a7e",
-	"F_1844…1557": "e25ef68c6f93f1f9120c685e1d0485599a5dade5777e0644d538c1ef357f6d1c",
-	"F_65537":     "dc73bd602f3edc8cc89d527cd86e5e55f3f8329f35ae382b2474cc53014ef1e8",
-	"F_97":        "29c3687e57cec6efaf134667b2e893cb98c8279dab19715420ee376722310644",
-	"F_3":         "ef6771049c3f44db0d4356902c3800b1447090d2e98d7fa45e7cfec50c06ae64",
+	"F_2188…5617": "5b4286b0919ca08cb67395b87e3539e3672ca1f766cef774d67113318476ad42",
+	"F_5789…9949": "7dd0cc540a35c610c9758ba4494cee0052b7efff56c0cfa27c8b64b23789d6f4",
+	"F_1157…9747": "af661c1928b30d7aab9936d30f919ba247a027ce1e2c49a301e6e8e99c15c580",
+	"F_1569…8213": "2db37bea56f6c99801e5500b5fbcfb242191be6739faccdf017dbf9ff89707a6",
+	"F_1701…5727": "feb2ea7b97d2be05111ca05dd3a7f1fa430ff5e57f5013f5305bb8835c656a20",
+	"F_1844…1557": "fe41fbbd5c2d2a28a419009deceb859ee7d81c002d412ec15755952d6619cc9d",
+	"F_65537":     "cd737987ff26da0a0987a41a56d12abb40346e6d577d46c5c0b3e6bb4de8847e",
+	"F_97":        "6ff5a0ade4e8fb3d7de3b7c6c1ca2d287f4ec262e8b8e190fd887db1dff9e4a4",
+	"F_3":         "46c4f8918d7ba4cd32a810d59782df8b82c6778270260ae17278da435b59480e",
 }
 
 // TestSqrtRootPinned hashes Sqrt's (ok, root) answers over seeded squares
@@ -356,7 +409,9 @@ func TestSqrtRootPinned(t *testing.T) {
 			h := sha256.New()
 			vals := edgeValues(f)
 			for i := 0; i < 48; i++ {
-				v := randBig(f, rng)
+				// RandFrom draws whole uint64 words, so the inputs do not
+				// depend on big.Word's width (big.Int.Rand's draws do).
+				v := f.ToBig(f.RandFrom(rng))
 				vals = append(vals, v, f.MulBig(v, v))
 			}
 			for _, v := range vals {

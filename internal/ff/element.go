@@ -1,6 +1,7 @@
 package ff
 
 import (
+	"encoding/binary"
 	"math/big" //qed2:allow-mathbig — boundary conversions (SetBig/Big), not hot-path arithmetic
 	"math/bits"
 )
@@ -122,12 +123,15 @@ func invUint64(a, p uint64) uint64 {
 	return x2
 }
 
-// limbsFromBig converts a non-negative big.Int < 2^256 into limbs.
+// limbsFromBig converts a non-negative big.Int < 2^256 into limbs. It goes
+// through a big-endian byte image, so it does not depend on the width of
+// big.Word (32 bits on 386 and arm).
 func limbsFromBig(v *big.Int) Element {
+	var buf [8 * ElementLimbs]byte
+	v.FillBytes(buf[:])
 	var e Element
-	words := v.Bits()
-	for i := 0; i < len(words) && i < ElementLimbs; i++ {
-		e[i] = uint64(words[i])
+	for i := range e {
+		e[i] = binary.BigEndian.Uint64(buf[len(buf)-8*(i+1):])
 	}
 	return e
 }

@@ -40,11 +40,13 @@ type Field struct {
 	rSquare Element // R² mod p (plain limbs), for conversion into Montgomery form
 	rCube   Element // R³ mod p (plain limbs): Inv's plain-to-Montgomery correction
 	one     Element // the multiplicative identity in the element representation
+	inv2    Element // 1/2, for Half (every modulus is odd)
 
 	// Tonelli–Shanks constants, with p - 1 = q·2^s and q odd, and z the
 	// least quadratic non-residue.
-	tsRoots []Element // tsRoots[j] = z^(q·2^j) for j < s; len(tsRoots) = s
-	tsHalfQ *big.Int  // (q - 1) / 2
+	tsRoots       []Element // tsRoots[j] = z^(q·2^j) for j < s; len(tsRoots) = s
+	tsHalfQ       *big.Int  // (q - 1) / 2
+	tsHalfQDigits []uint8   // windowDigits(tsHalfQ)
 }
 
 // ErrNotPrime is returned by NewField when the modulus fails the primality test.
@@ -119,6 +121,8 @@ func NewField(p *big.Int) (*Field, error) {
 		f.tsRoots[j] = f.Square(f.tsRoots[j-1])
 	}
 	f.tsHalfQ = new(big.Int).Rsh(q, 1)
+	f.tsHalfQDigits = windowDigits(f.tsHalfQ)
+	f.inv2 = f.MustInv(f.FromUint64(2))
 	f.name = fmt.Sprintf("F_%s", shortModulus(f.p))
 	fieldCacheMu.Lock()
 	if prior, ok := fieldCache[key]; ok {

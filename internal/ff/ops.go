@@ -206,6 +206,9 @@ func (f *Field) Square(a Element) Element { return f.Mul(a, a) }
 // Double returns 2a.
 func (f *Field) Double(a Element) Element { return f.Add(a, a) }
 
+// Half returns a/2, by one multiplication with the precomputed 1/2.
+func (f *Field) Half(a Element) Element { return f.Mul(a, f.inv2) }
+
 // Inv returns a⁻¹, or ErrDivByZero if a ≡ 0. Small fields run the binary
 // extended Euclidean algorithm on one word; large fields return ±1 as is
 // and otherwise run Pornin's batched binary GCD (invMont in inv.go). Both
@@ -241,18 +244,68 @@ func (f *Field) Div(a, b Element) (Element, error) {
 	return f.Mul(a, bi), nil
 }
 
-// Exp returns a^e for a non-negative exponent e, by square-and-multiply on
-// the element representation. A negative exponent is interpreted as
-// (a⁻¹)^|e| and panics if a ≡ 0.
+// Exp returns a^e for a non-negative exponent e. A negative exponent is
+// interpreted as (a⁻¹)^|e| and panics if a ≡ 0.
 func (f *Field) Exp(a Element, e *big.Int) Element {
 	if e.Sign() < 0 {
 		return f.Exp(f.MustInv(a), new(big.Int).Neg(e))
+	}
+	return f.expFixed(a, e, windowDigits(e))
+}
+
+// expFixed is Exp for a non-negative e with its windowDigits already at
+// hand: NewField precomputes them for the exponent Sqrt uses.
+func (f *Field) expFixed(a Element, e *big.Int, digits []uint8) Element {
+	if digits != nil {
+		return f.expWindow(a, digits)
 	}
 	r := f.one
 	for i := e.BitLen() - 1; i >= 0; i-- {
 		r = f.Mul(r, r)
 		if e.Bit(i) == 1 {
 			r = f.Mul(r, a)
+		}
+	}
+	return r
+}
+
+// expWindowMinBits is the exponent length above which Exp switches from
+// square-and-multiply, about 1.5 multiplications a bit, to a fixed 4-bit
+// window, about 1.25 a bit plus a 14-multiplication table.
+const expWindowMinBits = 64
+
+// windowDigits returns the base-16 digits of a non-negative e, most
+// significant first and without leading zeros, or nil when e is at most
+// expWindowMinBits bits long. It reads bits through big.Int.Bit, so it does
+// not depend on the width of big.Word.
+func windowDigits(e *big.Int) []uint8 {
+	if e.BitLen() <= expWindowMinBits {
+		return nil
+	}
+	n := (e.BitLen() + 3) / 4
+	d := make([]uint8, n)
+	for j := range d {
+		lo := 4 * (n - 1 - j)
+		d[j] = uint8(e.Bit(lo) | e.Bit(lo+1)<<1 | e.Bit(lo+2)<<2 | e.Bit(lo+3)<<3)
+	}
+	return d
+}
+
+// expWindow returns a^e for the base-16 digits of e (windowDigits): four
+// squarings per digit and one table multiplication per nonzero digit.
+func (f *Field) expWindow(a Element, digits []uint8) Element {
+	var table [16]Element
+	table[0], table[1] = f.one, a
+	for k := 2; k < len(table); k++ {
+		table[k] = f.Mul(table[k-1], a)
+	}
+	r := f.one
+	for i, d := range digits {
+		if i > 0 {
+			r = f.Square(f.Square(f.Square(f.Square(r))))
+		}
+		if d != 0 {
+			r = f.Mul(r, table[d])
 		}
 	}
 	return r
@@ -365,9 +418,11 @@ func (f *Field) Legendre(a Element) int {
 }
 
 // Sqrt returns a square root of a if one exists (Tonelli–Shanks), together
-// with true; otherwise the zero Element and false. For a ≡ 0 it returns
-// 0, true. The chosen root is deterministic: callers branch the solver
-// search on it, so it must not vary between runs or representations.
+// with true; otherwise the zero Element and false. For a ≡ 0 and a ≡ 1 it
+// returns a, true at once: 1 is the discriminant of every bit constraint
+// x·(x − 1) = 0 the solver meets. The chosen root is deterministic: callers
+// branch the solver search on it, so it must not vary between runs or
+// representations.
 //
 // Write p - 1 = q·2^s with q odd. One exponentiation w = a^((q-1)/2)
 // yields the starting root r = a·w = a^((q+1)/2) and t = r·w = a^q. Each
@@ -378,10 +433,10 @@ func (f *Field) Legendre(a Element) int {
 // runs out and reports false. For p ≡ 3 (mod 4), s = 1 and r is the
 // familiar a^((p+1)/4).
 func (f *Field) Sqrt(a Element) (Element, bool) {
-	if a.IsZero() {
-		return Element{}, true
+	if a.IsZero() || a == f.one {
+		return a, true // the roots the exponentiation below would return
 	}
-	w := f.Exp(a, f.tsHalfQ)
+	w := f.expFixed(a, f.tsHalfQ, f.tsHalfQDigits)
 	r := f.Mul(a, w)
 	t := f.Mul(r, w)
 	s := len(f.tsRoots)

@@ -156,3 +156,13 @@ func (s *quadSet) clone() *quadSet {
 func expandEq(e Equation) *poly.Quad {
 	return poly.MulLin(e.A, e.B).Sub(poly.QuadFromLin(e.C))
 }
+
+// expanded returns e's expansion, computing it on first use. The memo is
+// shared by every state cloned after that (Quad values are immutable) and
+// stays valid until a side changes; addSub then replaces the Equation.
+func (e *Equation) expanded() *poly.Quad {
+	if e.q == nil {
+		e.q = expandEq(*e)
+	}
+	return e.q
+}

@@ -31,6 +31,9 @@ import (
 // Equation is a rank-1 constraint ⟨A,x⟩·⟨B,x⟩ = ⟨C,x⟩.
 type Equation struct {
 	A, B, C *poly.LinComb
+	// q memoizes the expansion A·B − C inside the solver (see expanded).
+	// Code that rewrites a side builds a fresh Equation, which drops it.
+	q *poly.Quad
 }
 
 // String renders the equation.

@@ -154,11 +154,7 @@ func solveProblem(p *Problem, o Options) Outcome {
 	if !o.Deadline.IsZero() && !time.Now().Before(o.Deadline) {
 		return Outcome{Status: StatusUnknown, Reason: DeadlineExceeded, ResourceLimited: true}
 	}
-	s := &solver{
-		f:    p.Field,
-		opts: o,
-		rng:  rand.New(rand.NewSource(o.Seed ^ 0x7f4a7c15)),
-	}
+	s := &solver{f: p.Field, opts: o}
 	if o.Ctx != nil {
 		if o.Ctx.Err() != nil {
 			return Outcome{Status: StatusUnknown, Reason: Canceled, ResourceLimited: true}
@@ -201,12 +197,14 @@ func (s *solver) outcome(res resultKind, model Model, p *Problem) Outcome {
 // newState builds the root search state for p: equations deduplicated
 // modulo nonzero scaling, freeHint set to the problem's variables. The
 // problem's LinCombs are referenced, not copied: poly values are immutable,
-// so sharing them with the caller is safe.
+// so sharing them with the caller is safe. The expansions the deduplication
+// computes become the root equations' memos.
 func newState(p *Problem) *state {
 	st := &state{f: p.Field, complete: true}
 	seen := newQuadSet()
 	for _, e := range p.Eqs {
-		if !seen.add(expandEq(e)) {
+		e.q = expandEq(e)
+		if !seen.add(e.q) {
 			continue
 		}
 		st.eqs = append(st.eqs, e)
@@ -225,8 +223,10 @@ const (
 )
 
 type solver struct {
-	f      *ff.Field
-	opts   Options
+	f    *ff.Field
+	opts Options
+	// rng draws enumeration probes; probeRNG creates it on first use, since
+	// most queries never enumerate and seeding it is not free.
 	rng    *rand.Rand
 	steps  int64
 	eff    Effort
@@ -318,9 +318,10 @@ type state struct {
 }
 
 // clone copies the state shallowly: the slices are fresh (both sides
-// overwrite elements in place), but the LinComb values they point at are
-// shared, which is safe because poly values are immutable. derived is the
-// one in-place-mutable structure (a fingerprint set) and is deep-copied.
+// overwrite elements in place), but the LinComb values and expansion memos
+// they point at are shared, which is safe because poly values are
+// immutable. derived is the one in-place-mutable structure (a fingerprint
+// set) and is deep-copied.
 func (st *state) clone() *state {
 	out := &state{f: st.f, complete: st.complete, freeHint: st.freeHint}
 	out.eqs = append([]Equation(nil), st.eqs...)
@@ -333,12 +334,16 @@ func (st *state) clone() *state {
 }
 
 // addSub eliminates variable v by the linear expression expr (not
-// mentioning v), rewriting every constraint and earlier elimination.
+// mentioning v), rewriting every constraint and earlier elimination. An
+// equation that does not mention v keeps its sides (Substitute returns the
+// receiver) and so its expansion memo; one that does is rebuilt without it.
 func (st *state) addSub(v int, expr *poly.LinComb) {
 	for i := range st.eqs {
-		st.eqs[i].A = st.eqs[i].A.Substitute(v, expr)
-		st.eqs[i].B = st.eqs[i].B.Substitute(v, expr)
-		st.eqs[i].C = st.eqs[i].C.Substitute(v, expr)
+		e := &st.eqs[i]
+		a, b, c := e.A.Substitute(v, expr), e.B.Substitute(v, expr), e.C.Substitute(v, expr)
+		if a != e.A || b != e.B || c != e.C {
+			*e = Equation{A: a, B: b, C: c}
+		}
 	}
 	for i := range st.neqs {
 		st.neqs[i] = st.neqs[i].Substitute(v, expr)
@@ -375,6 +380,9 @@ func (s *solver) solve(st *state, depth int) (resultKind, Model) {
 			return rUnsat, nil
 		}
 		return rUnknown, nil
+	}
+	if debugNode != nil {
+		debugNode(st)
 	}
 	return s.branch(st, depth)
 }
@@ -570,7 +578,7 @@ func (s *solver) branch(st *state, depth int) (resultKind, Model) {
 		if !ok {
 			continue
 		}
-		q := expandEq(e)
+		q := st.eqs[i].expanded()
 		q2 := q.CoeffPair(x, x)
 		q1 := q.Lin().Coeff(x)
 		q0 := q.Lin().Constant()
@@ -651,7 +659,8 @@ func (s *solver) derivePairs(st *state) bool {
 						continue // 0 = 0, vacuous
 					}
 					ne := Equation{A: diff, B: hi.factor, C: cDiff}
-					if !st.derived.add(expandEq(ne)) {
+					ne.q = expandEq(ne)
+					if !st.derived.add(ne.q) {
 						continue
 					}
 					st.eqs = append(st.eqs, ne)
@@ -681,8 +690,8 @@ func (s *solver) deriveQuadDiff(st *state) bool {
 	quads := make([]*poly.Quad, n)
 	buckets := map[uint64][]int{}
 	var keys []uint64
-	for i, e := range st.eqs {
-		q := expandEq(e)
+	for i := range st.eqs {
+		q := st.eqs[i].expanded()
 		quads[i] = q
 		k := quadPartFingerprint(q)
 		if _, ok := buckets[k]; !ok {
@@ -791,13 +800,15 @@ func proportional(f *ff.Field, a, b *poly.LinComb) (ff.Element, bool) {
 // quadraticRoots solves q2·x² + q1·x + q0 = 0 (q2 ≠ 0), returning the roots
 // or exists=false when the discriminant is a non-residue.
 func quadraticRoots(f *ff.Field, q2, q1, q0 ff.Element) ([]ff.Element, bool) {
-	// x = (-q1 ± √(q1² − 4·q2·q0)) / (2·q2)
-	disc := f.Sub(f.Mul(q1, q1), f.Mul(f.NewElement(4), f.Mul(q2, q0)))
+	// x = (-q1 ± √(q1² − 4·q2·q0)) / (2·q2). For a bit constraint
+	// x·(x − 1) = 0, q2 = 1 and the discriminant is 1, which Sqrt and Inv
+	// answer without exponentiating.
+	disc := f.Sub(f.Square(q1), f.Double(f.Double(f.Mul(q2, q0))))
 	r, ok := f.Sqrt(disc)
 	if !ok {
 		return nil, false
 	}
-	inv2a := f.MustInv(f.Mul(f.NewElement(2), q2))
+	inv2a := f.Half(f.MustInv(q2))
 	x1 := f.Mul(f.Sub(f.Neg(q1), r), inv2a)
 	if r.IsZero() {
 		return []ff.Element{x1}, true
@@ -965,10 +976,19 @@ func (s *solver) heuristicCandidates(st *state, x int) []ff.Element {
 			}
 		}
 	}
+	rng := s.probeRNG()
 	for i := 0; i < s.opts.ProbeValues; i++ {
-		add(s.f.RandFrom(s.rng))
+		add(s.f.RandFrom(rng))
 	}
 	return out
+}
+
+// probeRNG returns the probe generator, seeding it on first use.
+func (s *solver) probeRNG() *rand.Rand {
+	if s.rng == nil {
+		s.rng = rand.New(rand.NewSource(s.opts.Seed ^ 0x7f4a7c15))
+	}
+	return s.rng
 }
 
 // completeModel extends a constraint-free state to a full model, choosing
@@ -1069,3 +1089,8 @@ func containsInt(xs []int, v int) bool {
 
 // debugTrace, when set (tests/diagnosis only), receives search events.
 var debugTrace func(format string, args ...any)
+
+// debugNode, when set (tests only), sees every search state just before it
+// branches, after propagation: the point where the pattern rules start
+// reading expansion memos.
+var debugNode func(st *state)
