@@ -27,7 +27,6 @@ import (
 
 	"qed2/internal/obs"
 	"qed2/internal/r1cs"
-	"qed2/internal/sa"
 	"qed2/internal/smt"
 	"qed2/internal/uniq"
 )
@@ -187,12 +186,7 @@ type Report struct {
 	// Unsafe verdicts are never degraded — faults only ever move a verdict
 	// toward Unknown.
 	Degraded Degradation
-	// Static is the static-analysis pre-pass result (lint findings,
-	// dependency graph, abstract state); nil when the pre-pass did not run
-	// (baselines, rule ablations). Findings are advisory context — they
-	// never decide the Verdict.
-	Static *sa.Result
-	Stats  Stats
+	Stats    Stats
 }
 
 // analysis carries the mutable state of one Analyze call. The solver-step

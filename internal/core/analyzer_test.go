@@ -1,6 +1,9 @@
 package core
 
 import (
+	"bufio"
+	"bytes"
+	"encoding/json"
 	"math/big"
 	"math/rand"
 	"reflect"
@@ -9,6 +12,7 @@ import (
 
 	"qed2/internal/circom"
 	"qed2/internal/ff"
+	"qed2/internal/obs"
 	"qed2/internal/poly"
 	"qed2/internal/r1cs"
 )
@@ -249,6 +253,45 @@ func TestFreeOutputUnsafe(t *testing.T) {
 	r := Analyze(sys, nil)
 	if r.Verdict != VerdictUnsafe {
 		t.Fatalf("free output verdict = %v (%s)", r.Verdict, r.Reason)
+	}
+}
+
+// TestStaticPrePassComputesFactsOnly checks that core's pre-pass runs the
+// fact-computing half of internal/sa only: the lint detectors (the sa.detect
+// span and the sa.findings counter) belong to sa.AnalyzeProgram. IsZeroBuggy
+// has a `<--` hint, so a pass that still ran them would find something.
+func TestStaticPrePassComputesFactsOnly(t *testing.T) {
+	var trace bytes.Buffer
+	tr := obs.New(&trace)
+	m := obs.NewMetrics()
+	r := analyze(t, isZeroBuggy, &Config{Seed: 1, Obs: tr, Metrics: m})
+	if r.Verdict != VerdictUnsafe {
+		t.Fatalf("verdict = %v, want unsafe", r.Verdict)
+	}
+	if err := tr.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	spans := map[string]bool{}
+	sc := bufio.NewScanner(&trace)
+	for sc.Scan() {
+		var ev struct {
+			Name string `json:"name"`
+		}
+		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
+			t.Fatalf("trace line %q: %v", sc.Text(), err)
+		}
+		spans[ev.Name] = true
+	}
+	for _, want := range []string{"sa.analyze", "sa.graph", "sa.absint"} {
+		if !spans[want] {
+			t.Errorf("trace has no %s span", want)
+		}
+	}
+	if spans["sa.detect"] {
+		t.Error("core.Analyze trace has an sa.detect span")
+	}
+	if n, ok := m.Counters()["sa.findings"]; ok {
+		t.Errorf("core.Analyze counted %d sa.findings", n)
 	}
 }
 

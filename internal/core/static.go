@@ -11,7 +11,7 @@ import (
 // The static-analysis pre-phase.
 //
 // Before the SMT rounds of ModeFull, internal/sa runs its solver-free pass
-// (dependency graph, abstract interpretation over F_p, pattern detectors)
+// (connected components, abstract interpretation over F_p, reachability)
 // and its facts feed the scheduler in three ways:
 //
 //   - prune: signals living in constraint-graph components without any
@@ -43,7 +43,6 @@ func (a *analysis) runStaticPrePass() {
 		ObsParent: a.span,
 		Metrics:   a.cfg.Metrics,
 	})
-	a.report.Static = res
 	if err := res.Abs.Verify(); err != nil {
 		// The replay failed: an absint bug or an unsatisfiable system.
 		// Either way the facts are not trustworthy; drop every hint and run
@@ -92,8 +91,7 @@ func (a *analysis) runStaticPrePass() {
 		obs.KV("range_pruned", rangePruned),
 		obs.KV("outputs_discharged", len(res.DeterminedOutputs)),
 		obs.KV("pruned", len(res.PrunedSignals)),
-		obs.KV("unreachable_outputs", len(res.UnreachableOutputs)),
-		obs.KV("findings", len(res.Findings)))
+		obs.KV("unreachable_outputs", len(res.UnreachableOutputs)))
 }
 
 // skipPruned reports whether a slice query for signal s is skipped on the

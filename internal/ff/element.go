@@ -36,19 +36,6 @@ const (
 // limbs in both representations: 0·R mod p = 0.)
 func (e Element) IsZero() bool { return e == Element{} }
 
-// AppendRawBytes appends the raw 32-byte limb encoding of e (little-endian
-// limb order) to dst and returns the result. The encoding is canonical per
-// field and is intended for hash/dedup keys, not for serialization across
-// fields or representations; use Field.Bytes for a portable encoding.
-func (e Element) AppendRawBytes(dst []byte) []byte {
-	for _, w := range e {
-		dst = append(dst,
-			byte(w), byte(w>>8), byte(w>>16), byte(w>>24),
-			byte(w>>32), byte(w>>40), byte(w>>48), byte(w>>56))
-	}
-	return dst
-}
-
 // --- limb-vector primitives ---------------------------------------------------
 
 // addLimbs returns a + b and the carry-out.

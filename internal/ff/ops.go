@@ -86,8 +86,7 @@ func (f *Field) IsValid(e Element) bool {
 }
 
 // Bytes returns the fixed-width big-endian encoding of e's plain value,
-// exactly ByteLen() bytes. It is the portable serialization counterpart of
-// Element.AppendRawBytes (which encodes the internal representation).
+// exactly ByteLen() bytes, independent of the internal representation.
 func (f *Field) Bytes(e Element) []byte {
 	plain := e
 	if !f.isSmall {

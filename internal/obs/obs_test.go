@@ -146,6 +146,27 @@ func TestTracerEmitsMetricsOnClose(t *testing.T) {
 	}
 }
 
+func TestTracerMetaRoundTrip(t *testing.T) {
+	var buf bytes.Buffer
+	tr := New(&buf)
+	tr.Meta("qed2-test", KV("version", "v1.2.3"))
+	sp := tr.Start(nil, "work")
+	sp.End()
+	if err := tr.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	lines := decodeLines(t, &buf)
+	if len(lines) != 3 {
+		t.Fatalf("want meta, span_start and span_end lines, got %v", lines)
+	}
+	if lines[0]["ev"] != "meta" || lines[0]["name"] != "qed2-test" || lines[0]["version"] != "v1.2.3" {
+		t.Fatalf("meta = %v", lines[0])
+	}
+	// Nil tracer: Meta is a no-op, like every other method.
+	var nilT *Tracer
+	nilT.Meta("x")
+}
+
 // TestTracerConcurrentEmit exercises the sink under the kind of contention
 // the worker pools produce; run with -race.
 func TestTracerConcurrentEmit(t *testing.T) {

@@ -95,8 +95,9 @@ type Constraint struct {
 	// Def is the signal a `<==` assignment defined with this constraint
 	// (the compiler emits one constraint per <==), or 0 when the constraint
 	// came from a pure === check or the origin is unknown. 0 is unambiguous
-	// because the constant-one signal is never an assignment target. The
-	// static-analysis dependency graph uses Def to orient edges.
+	// because the constant-one signal is never an assignment target. No
+	// analysis reads it; it is kept because the text format and the
+	// canonical digest carry it.
 	Def int
 }
 

@@ -109,7 +109,7 @@ const maxRangeRefinements = 16
 // Interpret runs the abstract interpretation to fixpoint. The iteration
 // order is deterministic (ascending constraint index per round, rules in
 // fixed order per visit), so equal systems produce identical states.
-func Interpret(sys *r1cs.System, g *Graph) *AbsState {
+func Interpret(sys *r1cs.System) *AbsState {
 	n := sys.NumSignals()
 	st := &AbsState{
 		sys:       sys,

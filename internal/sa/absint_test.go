@@ -27,7 +27,7 @@ component main = OneHot();
 func TestOneHotRule(t *testing.T) {
 	prog := compile(t, oneHotSrc)
 	sys := prog.System
-	st := Interpret(sys, BuildGraph(sys))
+	st := Interpret(sys)
 	n := 0
 	for id := 1; id < sys.NumSignals(); id++ {
 		if !strings.Contains(sys.Name(id), "out[") {
@@ -77,7 +77,7 @@ template Dec() {
 component main = Dec();
 `)
 	sys := prog.System
-	st := Interpret(sys, BuildGraph(sys))
+	st := Interpret(sys)
 	for id := 1; id < sys.NumSignals(); id++ {
 		if strings.Contains(sys.Name(id), "out[") && st.Determined(id) {
 			t.Errorf("%s must not be determined without a pinned sum", sys.Name(id))
@@ -104,7 +104,7 @@ template Dup() {
 component main = Dup();
 `)
 	sys := prog.System
-	st := Interpret(sys, BuildGraph(sys))
+	st := Interpret(sys)
 	seen := 0
 	for id := 1; id < sys.NumSignals(); id++ {
 		name := sys.Name(id)
@@ -139,7 +139,7 @@ template TwoHot() {
 component main = TwoHot();
 `)
 	sys := prog.System
-	st := Interpret(sys, BuildGraph(sys))
+	st := Interpret(sys)
 	seen := 0
 	for id := 1; id < sys.NumSignals(); id++ {
 		name := sys.Name(id)
@@ -184,7 +184,7 @@ template Bits() {
 component main = Bits();
 `)
 	sys := prog.System
-	st := Interpret(sys, BuildGraph(sys))
+	st := Interpret(sys)
 	seen := 0
 	for id := 1; id < sys.NumSignals(); id++ {
 		name := sys.Name(id)
@@ -216,7 +216,7 @@ template Mul() {
 component main = Mul();
 `)
 	sys := prog.System
-	st := Interpret(sys, BuildGraph(sys))
+	st := Interpret(sys)
 	for ci := range st.residual {
 		before := st.applyConsts(ci)
 		// Force a rescan: pretend a constant fact arrived. The residual has
@@ -253,7 +253,7 @@ template Bad() {
 component main = Bad();
 `)
 	sys := prog.System
-	st := Interpret(sys, BuildGraph(sys))
+	st := Interpret(sys)
 	if len(st.Conflicts()) == 0 {
 		t.Fatal("no conflict recorded for b ∈ {0,1} ∧ b = 5")
 	}

@@ -5,24 +5,47 @@ import (
 	"math/big"
 	"sort"
 
+	"qed2/internal/circom"
 	"qed2/internal/ff"
+	"qed2/internal/obs"
 	"qed2/internal/poly"
 	"qed2/internal/r1cs"
 )
 
-// runDetectors evaluates the Circomspect-style pattern detectors plus the
-// reachability analysis, appending findings (and the reachability
-// candidates) to res. All detectors are pure functions of the system, the
-// graph, and the abstract state, so finding sets are deterministic.
-func runDetectors(sys *r1cs.System, g *Graph, abs *AbsState, res *Result) {
-	detectReachability(sys, g, abs, res)
-	detectHints(sys, res)
-	detectUnused(sys, res)
-	detectDangling(sys, g, res)
-	detectNonBinarySelector(sys, abs, res)
-	detectNonBinaryDecomposition(sys, abs, res)
-	detectRangeViolation(sys, abs, res)
-	detectOverflowProneSum(sys, abs, res)
+// Lint is AnalyzeProgram's output: the facts Analyze returns plus the
+// pattern detectors' findings.
+type Lint struct {
+	*Result
+	// Findings are the detector results, in canonical order (sortFindings).
+	Findings []Finding
+}
+
+// AnalyzeProgram runs the pass over a compiled circom program and evaluates
+// every pattern detector on its facts: the constraint-system detectors, plus
+// the program-level ones that need the witness-generation expressions the
+// compiler attached to `<--` hints (information a bare .r1cs cannot carry;
+// circom.ProgramFromSystem wraps one with none). Detectors are pure
+// functions of the system, the component graph and the facts, so finding
+// sets are deterministic.
+func AnalyzeProgram(prog *circom.Program, opts *Options) *Lint {
+	o := opts.withDefaults()
+	sys := prog.System
+	res, g := analyze(sys, o)
+	ds := o.Obs.Start(o.ObsParent, "sa.detect")
+	l := &Lint{Result: res}
+	detectReachability(sys, l)
+	detectHints(sys, l)
+	detectUnused(sys, l)
+	detectDangling(sys, g, l)
+	detectNonBinarySelector(sys, l)
+	detectNonBinaryDecomposition(sys, l)
+	detectRangeViolation(sys, l)
+	detectOverflowProneSum(sys, l)
+	detectZeroDivisors(prog, l)
+	sortFindings(l.Findings)
+	ds.End(obs.KV("findings", len(l.Findings)))
+	o.Metrics.Counter("sa.findings").Add(int64(len(l.Findings)))
+	return l
 }
 
 // detectRangeViolation surfaces the abstract interpreter's range conflicts:
@@ -31,8 +54,8 @@ func runDetectors(sys *r1cs.System, g *Graph, abs *AbsState, res *Result) {
 // assignments, a conflict proves the system unsatisfiable — either a
 // constraint forces a signal outside its decomposition/tag range (the
 // array-bounds-style defect) or the circuit admits no witness at all.
-func detectRangeViolation(sys *r1cs.System, abs *AbsState, res *Result) {
-	for _, c := range abs.Conflicts() {
+func detectRangeViolation(sys *r1cs.System, l *Lint) {
+	for _, c := range l.Abs.Conflicts() {
 		loc := r1cs.SourceLoc{}
 		if c.Constraint >= 0 {
 			loc = sys.Constraint(c.Constraint).Loc
@@ -43,7 +66,7 @@ func detectRangeViolation(sys *r1cs.System, abs *AbsState, res *Result) {
 		if c.Signal > 0 {
 			sig = c.Signal
 		}
-		res.Findings = append(res.Findings,
+		l.Findings = append(l.Findings,
 			newFinding(sys, "range-violation", SeverityError, sig, c.Constraint, loc, c.Msg))
 	}
 }
@@ -54,7 +77,7 @@ func detectRangeViolation(sys *r1cs.System, abs *AbsState, res *Result) {
 // bounded signals' integer interpretation (the Num2Bits(254)/AliasCheck
 // wraparound class). Constraints whose bounded span stays below p are
 // wrap-free by the same window argument ruleProject uses.
-func detectOverflowProneSum(sys *r1cs.System, abs *AbsState, res *Result) {
+func detectOverflowProneSum(sys *r1cs.System, l *Lint) {
 	f := sys.Field()
 	p := f.Modulus()
 	for ci := 0; ci < sys.NumConstraints(); ci++ {
@@ -69,7 +92,7 @@ func detectOverflowProneSum(sys *r1cs.System, abs *AbsState, res *Result) {
 			if v == r1cs.OneID {
 				return
 			}
-			iv := abs.Interval(v)
+			iv := l.Abs.Interval(v)
 			if iv == nil || iv.IsSingleton() {
 				return
 			}
@@ -80,41 +103,36 @@ func detectOverflowProneSum(sys *r1cs.System, abs *AbsState, res *Result) {
 		if bounded < 2 || extent.Cmp(p) < 0 {
 			continue
 		}
-		res.Findings = append(res.Findings,
+		l.Findings = append(l.Findings,
 			newFinding(sys, "overflow-prone-sum", SeverityWarning, 0, ci, c.Loc,
 				fmt.Sprintf("constraint #%d sums %d range-bounded signals whose combined span (%d bits) reaches the field modulus (%d bits): distinct in-range assignments can alias the same field value%s",
 					ci, bounded, extent.BitLen(), f.BitLen(), tagSuffix(c.Tag))))
 	}
 }
 
-// detectReachability flags outputs with no constraint path from any input.
-// An output that is statically determined (e.g. pinned to a constant by
-// `out === 5`) is excluded: it has no input path either, yet it is
-// perfectly constrained. The remaining outputs are definite
-// under-constraint candidates — any satisfying assignment can be perturbed
-// on the output's component without touching the inputs — but the verdict
-// is still core's to make: the finding is a prioritization hint, and core
-// must confirm a concrete witness pair before reporting unsafe.
-func detectReachability(sys *r1cs.System, g *Graph, abs *AbsState, res *Result) {
-	for _, out := range sys.Outputs() {
-		if g.ComponentHasInput(out) || abs.Determined(out) {
-			continue
-		}
+// detectReachability renders the reachability facts: an output with no
+// constraint path from any input that is not statically determined either
+// is a definite under-constraint candidate — any satisfying assignment can
+// be perturbed on the output's component without touching the inputs — but
+// the verdict is still core's to make: the finding is a prioritization
+// hint, and core must confirm a concrete witness pair before reporting
+// unsafe.
+func detectReachability(sys *r1cs.System, l *Lint) {
+	for _, out := range l.UnreachableOutputs {
 		sig := sys.Signal(out)
 		msg := fmt.Sprintf("output %s has no constraint path from any input and is not statically determined: the prover can vary it freely (candidate witness pair: any two values)", sig.Name)
-		if g.ConstraintsOn(out) == 0 {
+		if len(sys.ConstraintsOf(out)) == 0 {
 			msg = fmt.Sprintf("output %s appears in no constraint at all: the prover can assign it any value", sig.Name)
 		}
-		res.Findings = append(res.Findings,
+		l.Findings = append(l.Findings,
 			newFinding(sys, "unreachable-output", SeverityError, out, -1, sig.Loc, msg))
-		res.UnreachableOutputs = append(res.UnreachableOutputs, out)
 	}
 }
 
 // detectHints flags `<--` signals: every use advisorily (the Circomspect
 // "signal assignment" warning), and as an error when the signal appears in
 // no constraint at all — nothing can pin such a value.
-func detectHints(sys *r1cs.System, res *Result) {
+func detectHints(sys *r1cs.System, l *Lint) {
 	for id := 1; id < sys.NumSignals(); id++ {
 		sig := sys.Signal(id)
 		if !sig.Hinted {
@@ -127,12 +145,12 @@ func detectHints(sys *r1cs.System, res *Result) {
 				sev = SeverityError
 				note = "no constraint mentions this output, so the circuit is under-constrained"
 			}
-			res.Findings = append(res.Findings,
+			l.Findings = append(l.Findings,
 				newFinding(sys, "unconstrained-hint", sev, id, -1, sig.Loc,
 					fmt.Sprintf("signal %s is assigned with <-- but %s", sig.Name, note)))
 			continue
 		}
-		res.Findings = append(res.Findings,
+		l.Findings = append(l.Findings,
 			newFinding(sys, "hinted-signal", SeverityInfo, id, -1, sig.Loc,
 				fmt.Sprintf("signal %s is assigned with <-- (witness-only): verify the constraints mentioning it pin the value", sig.Name)))
 	}
@@ -141,7 +159,7 @@ func detectHints(sys *r1cs.System, res *Result) {
 // detectUnused flags non-hinted signals that no constraint mentions:
 // unused inputs (dead parameters weaken the interface contract) and
 // floating internals from metadata-free .r1cs files.
-func detectUnused(sys *r1cs.System, res *Result) {
+func detectUnused(sys *r1cs.System, l *Lint) {
 	for id := 1; id < sys.NumSignals(); id++ {
 		sig := sys.Signal(id)
 		if sig.Hinted || sig.Kind == r1cs.KindOutput || len(sys.ConstraintsOf(id)) > 0 {
@@ -151,7 +169,7 @@ func detectUnused(sys *r1cs.System, res *Result) {
 		if sig.Kind == r1cs.KindInput {
 			what = "input signal"
 		}
-		res.Findings = append(res.Findings,
+		l.Findings = append(l.Findings,
 			newFinding(sys, "unused-signal", SeverityWarning, id, -1, sig.Loc,
 				fmt.Sprintf("%s %s appears in no constraint", what, sig.Name)))
 	}
@@ -160,7 +178,7 @@ func detectUnused(sys *r1cs.System, res *Result) {
 // detectDangling flags constraints whose entire signal set lives in
 // components containing neither inputs nor outputs: they constrain wires
 // that cannot influence or be influenced by the circuit's interface.
-func detectDangling(sys *r1cs.System, g *Graph, res *Result) {
+func detectDangling(sys *r1cs.System, g *Graph, l *Lint) {
 	for ci := 0; ci < sys.NumConstraints(); ci++ {
 		c := sys.Constraint(ci)
 		relevant := false
@@ -179,7 +197,7 @@ func detectDangling(sys *r1cs.System, g *Graph, res *Result) {
 		if !seen || relevant {
 			continue
 		}
-		res.Findings = append(res.Findings,
+		l.Findings = append(l.Findings,
 			newFinding(sys, "dangling-constraint", SeverityWarning, 0, ci, c.Loc,
 				fmt.Sprintf("constraint #%d touches no signal connected to an input or output%s", ci, tagSuffix(c.Tag))))
 	}
@@ -190,7 +208,8 @@ func detectDangling(sys *r1cs.System, g *Graph, res *Result) {
 // {0,1} and produce an output that is neither branch. The R1CS shape is a
 // constraint whose A side is a single variable s and whose B side is a
 // constant-free difference (coefficients summing to zero).
-func detectNonBinarySelector(sys *r1cs.System, abs *AbsState, res *Result) {
+func detectNonBinarySelector(sys *r1cs.System, l *Lint) {
+	abs := l.Abs
 	f := sys.Field()
 	for ci := 0; ci < sys.NumConstraints(); ci++ {
 		c := sys.Constraint(ci)
@@ -212,7 +231,7 @@ func detectNonBinarySelector(sys *r1cs.System, abs *AbsState, res *Result) {
 		if _, isConst := abs.Const(s); isConst {
 			continue
 		}
-		res.Findings = append(res.Findings,
+		l.Findings = append(l.Findings,
 			newFinding(sys, "non-binary-selector", SeverityWarning, s, ci, c.Loc,
 				fmt.Sprintf("signal %s selects between branches in constraint #%d but is not constrained to {0,1}%s", sys.Name(s), ci, tagSuffix(c.Tag))))
 	}
@@ -223,7 +242,8 @@ func detectNonBinarySelector(sys *r1cs.System, abs *AbsState, res *Result) {
 // as bits — in which some "bit" has no boolean constraint: the subset-sum
 // uniqueness argument collapses and the decomposition admits multiple
 // solutions (the classic buggy-Num2Bits pattern).
-func detectNonBinaryDecomposition(sys *r1cs.System, abs *AbsState, res *Result) {
+func detectNonBinaryDecomposition(sys *r1cs.System, l *Lint) {
+	abs := l.Abs
 	for ci := 0; ci < sys.NumConstraints(); ci++ {
 		c := sys.Constraint(ci)
 		q := c.Quad()
@@ -250,7 +270,7 @@ func detectNonBinaryDecomposition(sys *r1cs.System, abs *AbsState, res *Result) 
 			continue
 		}
 		for _, v := range nonBool {
-			res.Findings = append(res.Findings,
+			l.Findings = append(l.Findings,
 				newFinding(sys, "non-binary-in-decomposition", SeverityWarning, v, ci, c.Loc,
 					fmt.Sprintf("signal %s is used as a bit in decomposition constraint #%d but is never constrained to {0,1}: the decomposition is not unique%s", sys.Name(v), ci, tagSuffix(c.Tag))))
 		}

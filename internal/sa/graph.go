@@ -1,265 +1,96 @@
 package sa
 
-import (
-	"sort"
+import "qed2/internal/r1cs"
 
-	"qed2/internal/r1cs"
-)
-
-// Graph is the signal-dependency graph of an R1CS, in bipartite form:
-// nodes are signals plus constraints, and edges run signal→constraint→signal
-// so that a constraint with k variables contributes O(k) edges instead of a
-// k-clique. Constraints carrying the compiler's `<==` definition metadata
-// (Constraint.Def) are oriented — sources flow into the constraint and the
-// constraint flows into the defined signal; pure === constraints (and
-// constraints from metadata-free .r1cs files) are bidirectional. The
-// constant-one signal is excluded, exactly as in the slicing adjacency.
+// Graph is the undirected constraint graph of an R1CS, reduced to what the
+// pass reads from it: its connected components (two signals are adjacent
+// when some constraint mentions both) and which of them contain an input or
+// an output. The constant-one signal is excluded, exactly as in the slicing
+// adjacency, so components never merge through it.
 type Graph struct {
 	sys *r1cs.System
-	// succ is the directed adjacency over nodes: node i < NumSignals is
-	// signal i; node NumSignals+ci is constraint ci.
-	succ [][]int
-	// SCCs lists the strongly connected components restricted to signal
-	// members (components consisting only of a constraint node are
-	// dropped), in topological order: dependencies before dependents.
-	SCCs [][]int
-	// sccOf maps each node to its SCC index in emission (reverse
-	// topological) order; use SCCIndex for the signal view.
-	sccOf []int
-	// comp is the undirected connected-component label per signal
-	// (-1 for the constant-one signal).
+	// comp is the component label per signal (-1 for the constant-one
+	// signal). Labels follow each component's smallest signal ID.
 	comp []int
 	// compHasInput / compHasOutput record per-component I/O membership.
 	compHasInput  []bool
 	compHasOutput []bool
-	// NumComponents counts undirected components over non-constant signals.
+	// NumComponents counts components over non-constant signals.
 	NumComponents int
-	// TopoSignals lists all non-constant signals in dependency order
-	// (definition sources before defined signals; ties by signal ID).
-	TopoSignals []int
-	// sccIndexOf memoizes SCCIndex lookups.
-	sccIndexOf map[int]int
 }
 
-// BuildGraph constructs the dependency graph for a system.
+// BuildGraph labels the connected components of a system from its cached
+// signal → constraint adjacency (r1cs.System.ConstraintsOf).
 func BuildGraph(sys *r1cs.System) *Graph {
 	nSig := sys.NumSignals()
-	nCons := sys.NumConstraints()
-	g := &Graph{sys: sys, succ: make([][]int, nSig+nCons)}
-	for ci := 0; ci < nCons; ci++ {
-		c := sys.Constraint(ci)
-		cn := nSig + ci
-		def := c.Def
-		for _, v := range c.Vars() {
-			if v == r1cs.OneID {
-				continue
-			}
-			if def > 0 {
-				if v == def {
-					g.succ[cn] = append(g.succ[cn], v)
-				} else {
-					g.succ[v] = append(g.succ[v], cn)
-				}
-				continue
-			}
-			g.succ[v] = append(g.succ[v], cn)
-			g.succ[cn] = append(g.succ[cn], v)
-		}
-		// A <== whose sources are all constant still defines its target.
-		if def > 0 && len(g.succ[cn]) == 0 {
-			g.succ[cn] = append(g.succ[cn], def)
-		}
-	}
-	g.buildComponents()
-	g.buildSCCs()
-	return g
-}
-
-// buildComponents labels undirected connected components of the signal set
-// and records which components contain inputs and outputs.
-func (g *Graph) buildComponents() {
-	nSig := g.sys.NumSignals()
+	// Union-find whose root is always the set's smallest member, so the
+	// labelling pass below can number components in ascending root order.
 	parent := make([]int, nSig)
 	for i := range parent {
 		parent[i] = i
 	}
-	var find func(int) int
-	find = func(x int) int {
+	find := func(x int) int {
 		for parent[x] != x {
 			parent[x] = parent[parent[x]]
 			x = parent[x]
 		}
 		return x
 	}
-	for ci := 0; ci < g.sys.NumConstraints(); ci++ {
-		first := -1
-		for _, v := range g.sys.Constraint(ci).Vars() {
-			if v == r1cs.OneID {
+	// first[ci] is the first signal met on constraint ci, and every later
+	// signal of ci joins its set. 0 means "none yet": the constant-one
+	// signal never appears in the adjacency.
+	first := make([]int, sys.NumConstraints())
+	for id := 1; id < nSig; id++ {
+		for _, ci := range sys.ConstraintsOf(id) {
+			if first[ci] == 0 {
+				first[ci] = id
 				continue
 			}
-			if first == -1 {
-				first = v
-			} else if ra, rb := find(first), find(v); ra != rb {
-				parent[ra] = rb
+			ra, rb := find(first[ci]), find(id)
+			if ra > rb {
+				ra, rb = rb, ra
 			}
+			parent[rb] = ra
 		}
 	}
-	g.comp = make([]int, nSig)
-	label := map[int]int{}
-	for id := 0; id < nSig; id++ {
-		if id == r1cs.OneID {
-			g.comp[id] = -1
+	g := &Graph{sys: sys, comp: make([]int, nSig)}
+	g.comp[r1cs.OneID] = -1
+	for id := 1; id < nSig; id++ {
+		if r := find(id); r != id {
+			g.comp[id] = g.comp[r]
 			continue
 		}
-		root := find(id)
-		l, ok := label[root]
-		if !ok {
-			l = len(label)
-			label[root] = l
-		}
-		g.comp[id] = l
+		g.comp[id] = g.NumComponents
+		g.NumComponents++
 	}
-	g.NumComponents = len(label)
 	g.compHasInput = make([]bool, g.NumComponents)
 	g.compHasOutput = make([]bool, g.NumComponents)
 	for id := 1; id < nSig; id++ {
-		switch g.sys.Signal(id).Kind {
+		switch sys.Signal(id).Kind {
 		case r1cs.KindInput:
 			g.compHasInput[g.comp[id]] = true
 		case r1cs.KindOutput:
 			g.compHasOutput[g.comp[id]] = true
 		}
 	}
+	return g
 }
 
-// buildSCCs runs an iterative Tarjan over the bipartite node set and
-// derives the signal-only SCC list in topological order.
-func (g *Graph) buildSCCs() {
-	n := len(g.succ)
-	const unvisited = -1
-	index := make([]int, n)
-	low := make([]int, n)
-	onStack := make([]bool, n)
-	g.sccOf = make([]int, n)
-	for i := range index {
-		index[i] = unvisited
-		g.sccOf[i] = -1
-	}
-	var stack []int
-	next := 0
-	var emitted [][]int
-
-	type frame struct {
-		node int
-		succ int // next successor index to visit
-	}
-	for start := 0; start < n; start++ {
-		if index[start] != unvisited {
-			continue
-		}
-		frames := []frame{{node: start}}
-		index[start] = next
-		low[start] = next
-		next++
-		stack = append(stack, start)
-		onStack[start] = true
-		for len(frames) > 0 {
-			fr := &frames[len(frames)-1]
-			v := fr.node
-			if fr.succ < len(g.succ[v]) {
-				w := g.succ[v][fr.succ]
-				fr.succ++
-				if index[w] == unvisited {
-					index[w] = next
-					low[w] = next
-					next++
-					stack = append(stack, w)
-					onStack[w] = true
-					frames = append(frames, frame{node: w})
-				} else if onStack[w] && index[w] < low[v] {
-					low[v] = index[w]
-				}
-				continue
-			}
-			frames = frames[:len(frames)-1]
-			if len(frames) > 0 {
-				if p := frames[len(frames)-1].node; low[v] < low[p] {
-					low[p] = low[v]
-				}
-			}
-			if low[v] == index[v] {
-				var members []int
-				for {
-					w := stack[len(stack)-1]
-					stack = stack[:len(stack)-1]
-					onStack[w] = false
-					g.sccOf[w] = len(emitted)
-					members = append(members, w)
-					if w == v {
-						break
-					}
-				}
-				emitted = append(emitted, members)
-			}
-		}
-	}
-	// Tarjan emits SCCs in reverse topological order; reverse and restrict
-	// to signal members.
-	nSig := g.sys.NumSignals()
-	for i := len(emitted) - 1; i >= 0; i-- {
-		var sigs []int
-		for _, node := range emitted[i] {
-			if node < nSig && node != r1cs.OneID {
-				sigs = append(sigs, node)
-			}
-		}
-		if len(sigs) == 0 {
-			continue
-		}
-		sort.Ints(sigs)
-		g.SCCs = append(g.SCCs, sigs)
-		g.TopoSignals = append(g.TopoSignals, sigs...)
-	}
-}
-
-// SCCIndex returns the index into SCCs of the component containing signal
-// id, or -1 for the constant-one signal.
-func (g *Graph) SCCIndex(id int) int {
-	if id == r1cs.OneID {
-		return -1
-	}
-	// sccOf holds emission indices over all nodes; recover the position in
-	// the reversed, signal-only list by scanning SCCs lazily. SCCs is tiny
-	// relative to signals only in pathological cases, so precompute once.
-	if g.sccIndexOf == nil {
-		g.sccIndexOf = make(map[int]int, g.sys.NumSignals())
-		for i, scc := range g.SCCs {
-			for _, s := range scc {
-				g.sccIndexOf[s] = i
-			}
-		}
-	}
-	return g.sccIndexOf[id]
-}
-
-// ComponentOf returns the undirected component label of a signal.
+// ComponentOf returns the component label of a signal.
 func (g *Graph) ComponentOf(id int) int { return g.comp[id] }
 
-// ComponentHasInput reports whether a signal's undirected component
-// contains at least one input signal.
+// ComponentHasInput reports whether a signal's component contains at least
+// one input signal.
 func (g *Graph) ComponentHasInput(id int) bool {
 	c := g.comp[id]
 	return c >= 0 && g.compHasInput[c]
 }
 
-// ConstraintsOn returns the number of constraints mentioning the signal.
-func (g *Graph) ConstraintsOn(id int) int { return len(g.sys.ConstraintsOf(id)) }
-
 // SignalsWithoutOutputComponent returns, ascending, every non-constant
-// signal living in an undirected component that contains no output.
-// Uniqueness facts cannot cross components (propagation and slicing are
-// both component-local), so slice queries for these signals cannot
-// influence any output verdict and are sound to skip.
+// signal living in a component that contains no output. Uniqueness facts
+// cannot cross components (propagation and slicing are both
+// component-local), so slice queries for these signals cannot influence
+// any output verdict and are sound to skip.
 func (g *Graph) SignalsWithoutOutputComponent() []int {
 	var out []int
 	for id := 1; id < g.sys.NumSignals(); id++ {

@@ -21,7 +21,7 @@ func containsInt(xs []int, v int) bool {
 }
 
 // A self-referential constraint (a·a = a, the signal on all three sides)
-// must not wedge the Tarjan walk or duplicate the signal in TopoSignals.
+// makes a one-signal component that belongs to the output.
 func TestGraphSelfReferentialConstraint(t *testing.T) {
 	f := fldEdge
 	s := r1cs.NewSystem(f)
@@ -35,20 +35,8 @@ func TestGraphSelfReferentialConstraint(t *testing.T) {
 	if g.ComponentOf(a) != 0 {
 		t.Errorf("ComponentOf(a) = %d", g.ComponentOf(a))
 	}
-	if idx := g.SCCIndex(a); idx < 0 || idx >= len(g.SCCs) {
-		t.Errorf("SCCIndex(a) = %d out of range", idx)
-	}
-	count := 0
-	for _, v := range g.TopoSignals {
-		if v == a {
-			count++
-		}
-	}
-	if count != 1 {
-		t.Errorf("a appears %d times in TopoSignals, want 1", count)
-	}
-	if g.ConstraintsOn(a) != 1 {
-		t.Errorf("ConstraintsOn(a) = %d, want 1", g.ConstraintsOn(a))
+	if n := len(s.ConstraintsOf(a)); n != 1 {
+		t.Errorf("ConstraintsOf(a) has %d entries, want 1", n)
 	}
 	if skip := g.SignalsWithoutOutputComponent(); len(skip) != 0 {
 		t.Errorf("output's own component marked skippable: %v", skip)
@@ -56,8 +44,8 @@ func TestGraphSelfReferentialConstraint(t *testing.T) {
 }
 
 // A self-referential constraint carrying <== definition metadata (the
-// defined signal is also a source) creates a signal→constraint→signal
-// cycle; the SCC walk must still terminate and classify it.
+// defined signal is also a source): the graph ignores the metadata, and the
+// lone output-free component is prunable.
 func TestGraphSelfReferentialDef(t *testing.T) {
 	f := fldEdge
 	s := r1cs.NewSystem(f)
@@ -66,21 +54,16 @@ func TestGraphSelfReferentialDef(t *testing.T) {
 	s.SetConstraintDef(0, a)
 	g := BuildGraph(s)
 
-	if idx := g.SCCIndex(a); idx < 0 || idx >= len(g.SCCs) {
-		t.Fatalf("SCCIndex(a) = %d out of range", idx)
+	if g.NumComponents != 1 || g.ComponentOf(a) != 0 {
+		t.Fatalf("NumComponents = %d, ComponentOf(a) = %d; want 1, 0", g.NumComponents, g.ComponentOf(a))
 	}
-	if !containsInt(g.SCCs[g.SCCIndex(a)], a) {
-		t.Errorf("SCC %d does not contain a", g.SCCIndex(a))
-	}
-	// No output anywhere: the lone component is prunable.
 	if skip := g.SignalsWithoutOutputComponent(); !containsInt(skip, a) {
 		t.Errorf("a missing from SignalsWithoutOutputComponent: %v", skip)
 	}
 }
 
-// Signals that appear in no constraint at all still get a component label,
-// a singleton SCC, and a TopoSignals slot — and never an input/output
-// attribution they don't have.
+// Signals that appear in no constraint at all still get a component label
+// — and never an input/output attribution they don't have.
 func TestGraphUnconstrainedSignals(t *testing.T) {
 	f := fldEdge
 	s := r1cs.NewSystem(f)
@@ -99,23 +82,15 @@ func TestGraphUnconstrainedSignals(t *testing.T) {
 		t.Errorf("ghost shares a component: ghost=%d in=%d lonely=%d",
 			g.ComponentOf(ghost), g.ComponentOf(in), g.ComponentOf(lonely))
 	}
-	if g.ConstraintsOn(ghost) != 0 || g.ConstraintsOn(lonely) != 0 {
-		t.Errorf("unconstrained signals report constraints: ghost=%d lonely=%d",
-			g.ConstraintsOn(ghost), g.ConstraintsOn(lonely))
+	if len(s.ConstraintsOf(ghost)) != 0 || len(s.ConstraintsOf(lonely)) != 0 {
+		t.Errorf("unconstrained signals report constraints: ghost=%v lonely=%v",
+			s.ConstraintsOf(ghost), s.ConstraintsOf(lonely))
 	}
 	if !g.ComponentHasInput(lonely) {
 		t.Error("lonely is itself an input; its component has an input")
 	}
 	if g.ComponentHasInput(ghost) {
 		t.Error("ghost's singleton component has no input")
-	}
-	for _, id := range []int{in, out, ghost, lonely} {
-		if !containsInt(g.TopoSignals, id) {
-			t.Errorf("%s missing from TopoSignals", s.Name(id))
-		}
-		if idx := g.SCCIndex(id); idx < 0 || idx >= len(g.SCCs) {
-			t.Errorf("SCCIndex(%s) = %d out of range", s.Name(id), idx)
-		}
 	}
 	skip := g.SignalsWithoutOutputComponent()
 	if !containsInt(skip, ghost) || !containsInt(skip, lonely) {
@@ -128,7 +103,7 @@ func TestGraphUnconstrainedSignals(t *testing.T) {
 
 // A constraint touching one signal and the constant wire (x·x = 1) forms a
 // single-signal component; the constant-one signal stays outside every
-// component and SCC.
+// component.
 func TestGraphSingleSignalComponent(t *testing.T) {
 	f := fldEdge
 	s := r1cs.NewSystem(f)
@@ -142,14 +117,8 @@ func TestGraphSingleSignalComponent(t *testing.T) {
 	if g.ComponentOf(r1cs.OneID) != -1 {
 		t.Errorf("ComponentOf(one) = %d, want -1", g.ComponentOf(r1cs.OneID))
 	}
-	if g.SCCIndex(r1cs.OneID) != -1 {
-		t.Errorf("SCCIndex(one) = %d, want -1", g.SCCIndex(r1cs.OneID))
-	}
-	if len(g.SCCs) != 1 || !containsInt(g.SCCs[0], x) || len(g.SCCs[0]) != 1 {
-		t.Errorf("SCCs = %v, want [[x]]", g.SCCs)
-	}
-	if containsInt(g.TopoSignals, r1cs.OneID) {
-		t.Error("constant-one signal leaked into TopoSignals")
+	if g.ComponentOf(x) != 0 {
+		t.Errorf("ComponentOf(x) = %d, want 0", g.ComponentOf(x))
 	}
 }
 
@@ -158,38 +127,10 @@ func TestGraphSingleSignalComponent(t *testing.T) {
 func TestGraphEmptySystem(t *testing.T) {
 	s := r1cs.NewSystem(fldEdge)
 	g := BuildGraph(s)
-	if g.NumComponents != 0 || len(g.SCCs) != 0 || len(g.TopoSignals) != 0 {
-		t.Errorf("empty system: components=%d sccs=%d topo=%d",
-			g.NumComponents, len(g.SCCs), len(g.TopoSignals))
+	if g.NumComponents != 0 {
+		t.Errorf("empty system: components=%d", g.NumComponents)
 	}
 	if len(g.SignalsWithoutOutputComponent()) != 0 {
 		t.Error("empty system reports skippable signals")
-	}
-}
-
-// TopoSignals must respect <== orientation: definition sources come before
-// the defined signal in an acyclic chain a → b → c.
-func TestGraphTopoOrderRespectsDefs(t *testing.T) {
-	f := fldEdge
-	s := r1cs.NewSystem(f)
-	a := s.AddSignal("a", r1cs.KindInput)
-	b := s.AddSignal("b", r1cs.KindInternal)
-	c := s.AddSignal("c", r1cs.KindOutput)
-	s.AddConstraint(poly.Var(f, a), poly.Var(f, a), poly.Var(f, b), "b<==a*a")
-	s.SetConstraintDef(0, b)
-	s.AddConstraint(poly.Var(f, b), poly.Var(f, b), poly.Var(f, c), "c<==b*b")
-	s.SetConstraintDef(1, c)
-	g := BuildGraph(s)
-
-	pos := map[int]int{}
-	for i, v := range g.TopoSignals {
-		pos[v] = i
-	}
-	if !(pos[a] < pos[b] && pos[b] < pos[c]) {
-		t.Errorf("topo order violates defs: a=%d b=%d c=%d", pos[a], pos[b], pos[c])
-	}
-	if !(g.SCCIndex(a) < g.SCCIndex(b) && g.SCCIndex(b) < g.SCCIndex(c)) {
-		t.Errorf("SCC order violates defs: a=%d b=%d c=%d",
-			g.SCCIndex(a), g.SCCIndex(b), g.SCCIndex(c))
 	}
 }

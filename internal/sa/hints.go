@@ -7,17 +7,6 @@ import (
 	"qed2/internal/r1cs"
 )
 
-// AnalyzeProgram runs the full static pass over a compiled circom program:
-// everything Analyze does on the constraint system, plus the program-level
-// detectors that need the witness-generation expressions the compiler
-// attached to `<--` hints (information a bare .r1cs cannot carry).
-func AnalyzeProgram(prog *circom.Program, opts *Options) *Result {
-	res := Analyze(prog.System, opts)
-	detectZeroDivisors(prog, res)
-	sortFindings(res.Findings)
-	return res
-}
-
 // detectZeroDivisors walks the witness expressions of unconstrained (`<--`)
 // assignments looking for division by a non-constant denominator. At
 // witness time a zero denominator either aborts generation (field division)
@@ -26,7 +15,7 @@ func AnalyzeProgram(prog *circom.Program, opts *Options) *Result {
 // satisfied by inv=0 when x=0 — the textbook IsZero bug. A division that
 // only executes under a witness-time guard (the true/false arm of a `?:`)
 // is reported at Info severity; an unguarded one is a Warning.
-func detectZeroDivisors(prog *circom.Program, res *Result) {
+func detectZeroDivisors(prog *circom.Program, l *Lint) {
 	sys := prog.System
 	for i := range prog.Assignments {
 		a := &prog.Assignments[i]
@@ -40,13 +29,13 @@ func detectZeroDivisors(prog *circom.Program, res *Result) {
 			loc = r1cs.SourceLoc{Template: prog.MainTemplate, Line: a.Pos.Line, Col: a.Pos.Col}
 		}
 		walkDivisors(a.Expr, false, func(div circom.WExpr, op circom.TokKind, guarded bool) {
-			if id, ok := divisorSignal(div); ok && res.Abs.Nonzero(id) {
+			if id, ok := divisorSignal(div); ok && l.Abs.Nonzero(id) {
 				// The range/nonzero domains prove the denominator cannot be
 				// zero in any satisfying assignment, discharging the warning.
-				res.Findings = append(res.Findings,
+				l.Findings = append(l.Findings,
 					newFinding(sys, "nonzero-divisor-proved", SeverityInfo, a.Target, -1, loc,
 						fmt.Sprintf("hint for signal %s divides by signal %s, which the range analysis proves nonzero in every satisfying assignment%s",
-							sys.Name(a.Target), sys.Name(id), tagNote(res.Abs, id))))
+							sys.Name(a.Target), sys.Name(id), tagNote(l.Abs, id))))
 				return
 			}
 			sev := SeverityWarning
@@ -55,7 +44,7 @@ func detectZeroDivisors(prog *circom.Program, res *Result) {
 				sev = SeverityInfo
 				note = "the division is behind a witness-time guard; verify the guard rules out a zero denominator"
 			}
-			res.Findings = append(res.Findings,
+			l.Findings = append(l.Findings,
 				newFinding(sys, "possibly-zero-divisor", sev, a.Target, -1, loc,
 					fmt.Sprintf("hint for signal %s divides by non-constant expression %s (operator %q): %s",
 						sys.Name(a.Target), div.String(), tokenText(op), note)))

@@ -1,20 +1,23 @@
 // Package sa is the circuit static-analysis pass: cheap, solver-free
 // structural reasoning over an R1CS that runs before (and independently of)
-// the SMT-driven core analysis. It builds a signal-dependency graph with
-// SCC/topological decomposition, runs an abstract interpretation over F_p
-// (constant propagation, a boolean domain, and a determinedness domain),
-// checks input→output reachability, and evaluates a set of
-// Circomspect-style pattern detectors producing source-located findings.
+// the SMT-driven core analysis. It labels the connected components of the
+// constraint graph, runs an abstract interpretation over F_p (constant
+// propagation, a boolean domain, a determinedness domain and range
+// domains), and checks input→output reachability.
 //
-// The pass plays two roles:
+// The pass has two entry points, and each computes only what its caller
+// reads:
 //
-//   - As a pre-phase of core.Analyze, its facts prune, order, and shrink
-//     the scheduler's SMT queries. Facts may only skip a query when they
-//     are replay-verified proofs (see Result.Verify); reachability "unsafe"
-//     hints never decide a verdict — they only prioritize the full-circuit
-//     queries whose SAT models core confirms into checked witness pairs.
-//   - Standalone, as `qed2 -lint`: deterministic human- and
-//     machine-readable findings over a .circom file or a parsed .r1cs.
+//   - Analyze, the pre-phase of core.Analyze, returns facts only. They
+//     prune, order, and shrink the scheduler's SMT queries. Facts may only
+//     skip a query when they are replay-verified proofs (see
+//     AbsState.Verify); reachability "unsafe" hints never decide a verdict —
+//     they only prioritize the full-circuit queries whose SAT models core
+//     confirms into checked witness pairs.
+//   - AnalyzeProgram, behind `qed2 -lint` and the findings gate, returns the
+//     same facts plus Circomspect-style pattern detector findings:
+//     deterministic, source-located, human- and machine-readable, over a
+//     .circom file or a parsed .r1cs.
 package sa
 
 import (
@@ -97,12 +100,8 @@ func (o *Options) withDefaults() Options {
 	return *o
 }
 
-// Result is the output of one static-analysis pass.
+// Result holds the facts of one static-analysis pass.
 type Result struct {
-	// Findings are the detector results, in deterministic order.
-	Findings []Finding
-	// Graph is the signal-dependency graph with its SCC decomposition.
-	Graph *Graph
 	// Abs is the final abstract state.
 	Abs *AbsState
 	// DeterminedOutputs lists outputs the abstract interpretation proved
@@ -138,31 +137,33 @@ func (r *Result) PrunedSet() map[int]bool {
 	return out
 }
 
-// Analyze runs the full static pass over a system. It never mutates sys
-// (beyond forcing the lazy adjacency index) and is deterministic: equal
-// systems produce byte-identical results regardless of concurrency in the
-// surrounding process.
+// Analyze runs the pass over a system and returns its facts. It never
+// mutates sys (beyond forcing the lazy adjacency index) and is
+// deterministic: equal systems produce identical results regardless of
+// concurrency in the surrounding process.
 func Analyze(sys *r1cs.System, opts *Options) *Result {
-	o := opts.withDefaults()
+	res, _ := analyze(sys, opts.withDefaults())
+	return res
+}
+
+// analyze is Analyze, also returning the component graph for the detectors
+// of AnalyzeProgram.
+func analyze(sys *r1cs.System, o Options) (*Result, *Graph) {
 	span := o.Obs.Start(o.ObsParent, "sa.analyze",
 		obs.KV("signals", sys.NumSignals()), obs.KV("constraints", sys.NumConstraints()))
 
 	gs := o.Obs.Start(span, "sa.graph")
 	g := BuildGraph(sys)
-	gs.End(obs.KV("sccs", len(g.SCCs)), obs.KV("components", g.NumComponents))
+	gs.End(obs.KV("components", g.NumComponents))
 
 	as := o.Obs.Start(span, "sa.absint")
-	abs := Interpret(sys, g)
+	abs := Interpret(sys)
 	as.End(obs.KV("consts", abs.NumConst()), obs.KV("bools", abs.NumBool()),
 		obs.KV("determined", abs.NumDetermined()),
 		obs.KV("intervals", abs.NumInterval()), obs.KV("nonzero", abs.NumNonzero()),
 		obs.KV("conflicts", len(abs.Conflicts())))
 
-	ds := o.Obs.Start(span, "sa.detect")
-	res := &Result{Graph: g, Abs: abs}
-	runDetectors(sys, g, abs, res)
-	ds.End(obs.KV("findings", len(res.Findings)))
-
+	res := &Result{Abs: abs}
 	for id := 1; id < sys.NumSignals(); id++ {
 		if abs.Determined(id) {
 			res.DeterminedSignals = append(res.DeterminedSignals, id)
@@ -171,22 +172,25 @@ func Analyze(sys *r1cs.System, opts *Options) *Result {
 			}
 		}
 	}
+	// An output with no constraint path from any input is an
+	// under-constraint candidate unless it is statically determined (e.g.
+	// pinned to a constant by `out === 5`).
 	for _, out := range sys.Outputs() {
-		if abs.Determined(out) {
+		switch {
+		case abs.Determined(out):
 			res.DeterminedOutputs = append(res.DeterminedOutputs, out)
+		case !g.ComponentHasInput(out):
+			res.UnreachableOutputs = append(res.UnreachableOutputs, out)
 		}
 	}
 	res.PrunedSignals = g.SignalsWithoutOutputComponent()
-	sortFindings(res.Findings)
 
-	o.Metrics.Counter("sa.findings").Add(int64(len(res.Findings)))
 	o.Metrics.Counter("sa.outputs.discharged").Add(int64(len(res.DeterminedOutputs)))
 	o.Metrics.Counter("sa.outputs.unreachable").Add(int64(len(res.UnreachableOutputs)))
-	span.End(obs.KV("findings", len(res.Findings)),
-		obs.KV("outputs_discharged", len(res.DeterminedOutputs)),
+	span.End(obs.KV("outputs_discharged", len(res.DeterminedOutputs)),
 		obs.KV("outputs_unreachable", len(res.UnreachableOutputs)),
 		obs.KV("signals_pruned", len(res.PrunedSignals)))
-	return res
+	return res, g
 }
 
 // sortFindings fixes the canonical finding order: severity descending, then

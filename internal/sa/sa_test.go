@@ -18,7 +18,7 @@ func compile(t testing.TB, src string) *circom.Program {
 	return p
 }
 
-func findingsOf(res *Result, detector string) []Finding {
+func findingsOf(res *Lint, detector string) []Finding {
 	var out []Finding
 	for _, f := range res.Findings {
 		if f.Detector == detector {
@@ -73,63 +73,6 @@ component main = Two();
 	}
 }
 
-func TestGraphTopoOrderFollowsDefinitions(t *testing.T) {
-	src := `
-template Chain() {
-    signal input in;
-    signal output out;
-    signal mid;
-    mid <== in * in;
-    out <== mid * mid;
-}
-component main = Chain();
-`
-	p := compile(t, src)
-	sys := p.System
-	g := BuildGraph(sys)
-	pos := map[string]int{}
-	for i, s := range g.TopoSignals {
-		pos[sys.Name(s)] = i
-	}
-	if !(pos["in"] < pos["mid"] && pos["mid"] < pos["out"]) {
-		t.Errorf("topo order wrong: %v", pos)
-	}
-	// Every non-constant signal appears exactly once.
-	if len(g.TopoSignals) != sys.NumSignals()-1 {
-		t.Errorf("TopoSignals has %d entries, want %d", len(g.TopoSignals), sys.NumSignals()-1)
-	}
-}
-
-func TestGraphSCCsOnCycle(t *testing.T) {
-	// a and b mutually constrain via two === equations: one SCC of size ≥ 2
-	// would require directed edges both ways, which pure === provides.
-	src := `
-template Cyc() {
-    signal input in;
-    signal output out;
-    signal a;
-    signal b;
-    a <-- in + 1;
-    b <-- a - in;
-    a === b + in;
-    b === a - in;
-    out <== a * b;
-}
-component main = Cyc();
-`
-	p := compile(t, src)
-	g := BuildGraph(p.System)
-	found := false
-	for _, scc := range g.SCCs {
-		if len(scc) >= 2 {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("expected a nontrivial SCC, got %v", g.SCCs)
-	}
-}
-
 // --- abstract interpretation ------------------------------------------------
 
 func TestAbsintConstantPropagation(t *testing.T) {
@@ -149,7 +92,7 @@ component main = Consts();
 `
 	p := compile(t, src)
 	sys := p.System
-	abs := Interpret(sys, BuildGraph(sys))
+	abs := Interpret(sys)
 	f := sys.Field()
 	for name, want := range map[string]int64{"k": 5, "m": 25, "out": 30} {
 		id := signalByName(t, sys, name)
@@ -192,7 +135,7 @@ component main = Bits();
 `
 	p := compile(t, src)
 	sys := p.System
-	abs := Interpret(sys, BuildGraph(sys))
+	abs := Interpret(sys)
 	for _, name := range []string{"b[0]", "b[1]", "b[2]"} {
 		id := signalByName(t, sys, name)
 		if !abs.Bool(id) {
@@ -223,7 +166,7 @@ component main = Chain();
 `
 	p := compile(t, src)
 	sys := p.System
-	abs := Interpret(sys, BuildGraph(sys))
+	abs := Interpret(sys)
 	for _, name := range []string{"a", "b", "out"} {
 		if !abs.Determined(signalByName(t, sys, name)) {
 			t.Errorf("%s not determined", name)
@@ -249,7 +192,7 @@ component main = Unsat();
 `
 	p := compile(t, src)
 	sys := p.System
-	abs := Interpret(sys, BuildGraph(sys))
+	abs := Interpret(sys)
 	if err := abs.Verify(); err == nil {
 		t.Fatal("Verify accepted an unsatisfiable system")
 	} else if !strings.Contains(err.Error(), "replay failed") {
@@ -272,7 +215,7 @@ template Free() {
 component main = Free();
 `
 	p := compile(t, src)
-	res := Analyze(p.System, nil)
+	res := AnalyzeProgram(p, nil)
 	fs := findingsOf(res, "unreachable-output")
 	if len(fs) != 1 || fs[0].Severity != SeverityError {
 		t.Fatalf("unreachable-output findings = %+v", fs)
@@ -297,7 +240,7 @@ template Pinned() {
 component main = Pinned();
 `
 	p := compile(t, src)
-	res := Analyze(p.System, nil)
+	res := AnalyzeProgram(p, nil)
 	if fs := findingsOf(res, "unreachable-output"); len(fs) != 0 {
 		t.Fatalf("constant output flagged unreachable: %+v", fs)
 	}
@@ -318,7 +261,7 @@ template Hint() {
 component main = Hint();
 `
 	p := compile(t, src)
-	res := Analyze(p.System, nil)
+	res := AnalyzeProgram(p, nil)
 	fs := findingsOf(res, "unconstrained-hint")
 	if len(fs) != 1 || fs[0].Severity != SeverityWarning || fs[0].Signal != "free" {
 		t.Fatalf("unconstrained-hint findings = %+v", fs)
@@ -342,7 +285,7 @@ template Mux() {
 component main = Mux();
 `
 	p := compile(t, src)
-	res := Analyze(p.System, nil)
+	res := AnalyzeProgram(p, nil)
 	fs := findingsOf(res, "non-binary-selector")
 	if len(fs) != 1 || fs[0].Signal != "s" {
 		t.Fatalf("non-binary-selector findings = %+v", fs)
@@ -360,7 +303,7 @@ template Mux() {
 component main = Mux();
 `
 	p2 := compile(t, constrained)
-	if fs := findingsOf(Analyze(p2.System, nil), "non-binary-selector"); len(fs) != 0 {
+	if fs := findingsOf(AnalyzeProgram(p2, nil), "non-binary-selector"); len(fs) != 0 {
 		t.Fatalf("boolean selector still flagged: %+v", fs)
 	}
 }
@@ -386,7 +329,7 @@ template BadBits() {
 component main = BadBits();
 `
 	p := compile(t, src)
-	res := Analyze(p.System, nil)
+	res := AnalyzeProgram(p, nil)
 	fs := findingsOf(res, "non-binary-in-decomposition")
 	if len(fs) != 1 || fs[0].Signal != "out[2]" {
 		t.Fatalf("non-binary-in-decomposition findings = %+v", fs)
@@ -453,15 +396,14 @@ component main = Mixed();
 	p := compile(t, src)
 	var runs [2][]byte
 	for i := range runs {
-		res := Analyze(p.System, nil)
-		b, err := json.Marshal(res.Findings)
+		b, err := json.Marshal([]any{Analyze(p.System, nil), AnalyzeProgram(p, nil).Findings})
 		if err != nil {
 			t.Fatal(err)
 		}
 		runs[i] = b
 	}
 	if string(runs[0]) != string(runs[1]) {
-		t.Fatalf("findings not deterministic:\n%s\n%s", runs[0], runs[1])
+		t.Fatalf("facts or findings not deterministic:\n%s\n%s", runs[0], runs[1])
 	}
 }
 

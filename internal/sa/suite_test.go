@@ -6,11 +6,12 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"qed2/internal/bench"
 	"qed2/internal/circom"
-	"qed2/internal/core"
+	"qed2/internal/r1cs"
 	"qed2/internal/sa"
 )
 
@@ -95,38 +96,114 @@ func TestSuiteSafeInstancesHaveNoUnreachableOutputs(t *testing.T) {
 	}
 }
 
-// TestStaticReportDeterministicAcrossWorkers runs the full core analysis at
-// different worker counts and requires the embedded static report (and the
-// verdict) to be byte-identical — the pre-pass runs before the first round,
-// so concurrency must not leak into it.
-func TestStaticReportDeterministicAcrossWorkers(t *testing.T) {
-	inst, ok := bench.ByName(bench.Suite(), "MontgomeryDouble()")
-	if !ok {
-		t.Fatal("MontgomeryDouble not in suite")
+// TestSuiteAnalyzeProgramFactsMatchAnalyze checks that the two entry points
+// share one fact computation: on every suite instance, the facts
+// AnalyzeProgram returns next to its findings equal Analyze's, field by
+// field (abstract state included).
+func TestSuiteAnalyzeProgramFactsMatchAnalyze(t *testing.T) {
+	if testing.Short() {
+		t.Skip("compiling the full suite is slow")
 	}
-	prog, err := inst.Compile()
+	for _, inst := range bench.Suite() {
+		prog, err := inst.Compile()
+		if err != nil {
+			t.Fatalf("%s: %v", inst.Name, err)
+		}
+		facts := sa.Analyze(prog.System, nil)
+		lint := sa.AnalyzeProgram(prog, nil)
+		if !reflect.DeepEqual(facts, lint.Result) {
+			t.Errorf("%s: AnalyzeProgram facts differ from Analyze's", inst.Name)
+		}
+	}
+}
+
+// referenceComponents labels the connected components of a system by
+// breadth-first search over Constraint.Vars(), independently of the cached
+// adjacency BuildGraph reads. Labels follow each component's smallest
+// signal ID; the constant-one signal gets -1.
+func referenceComponents(sys *r1cs.System) []int {
+	sigCons := make([][]int, sys.NumSignals())
+	consVars := make([][]int, sys.NumConstraints())
+	for ci := range consVars {
+		for _, v := range sys.Constraint(ci).Vars() {
+			if v == r1cs.OneID {
+				continue
+			}
+			consVars[ci] = append(consVars[ci], v)
+			sigCons[v] = append(sigCons[v], ci)
+		}
+	}
+	comp := make([]int, sys.NumSignals())
+	for i := range comp {
+		comp[i] = -1
+	}
+	next := 0
+	for id := 1; id < sys.NumSignals(); id++ {
+		if comp[id] >= 0 {
+			continue
+		}
+		comp[id] = next
+		queue := []int{id}
+		for len(queue) > 0 {
+			v := queue[0]
+			queue = queue[1:]
+			for _, ci := range sigCons[v] {
+				for _, w := range consVars[ci] {
+					if comp[w] < 0 {
+						comp[w] = next
+						queue = append(queue, w)
+					}
+				}
+			}
+		}
+		next++
+	}
+	return comp
+}
+
+// TestComponentsMatchReference compares BuildGraph's components, and the
+// I/O facts derived from them, with referenceComponents on every suite
+// instance and the corpus slice the findings gate pins.
+func TestComponentsMatchReference(t *testing.T) {
+	if testing.Short() {
+		t.Skip("compiling the full suite is slow")
+	}
+	corpus, err := bench.LoadCorpus(filepath.Join("..", "..", "testdata", "corpus", "manifest.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var reports [2]*core.Report
-	for i, w := range []int{1, 8} {
-		reports[i] = core.Analyze(prog.System, &core.Config{Seed: 1, Workers: w})
-	}
-	if reports[0].Verdict != reports[1].Verdict {
-		t.Fatalf("verdict differs across workers: %v vs %v", reports[0].Verdict, reports[1].Verdict)
-	}
-	var enc [2][]byte
-	for i, r := range reports {
-		if r.Static == nil {
-			t.Fatal("static report missing in ModeFull")
-		}
-		b, err := json.Marshal(r.Static.Findings)
+	insts := append(bench.Suite(), corpus[:bench.FindingsCorpusSlice]...)
+	for _, inst := range insts {
+		prog, err := inst.Compile()
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s: %v", inst.Name, err)
 		}
-		enc[i] = b
-	}
-	if string(enc[0]) != string(enc[1]) {
-		t.Errorf("static findings differ across worker counts:\n%s\n%s", enc[0], enc[1])
+		sys := prog.System
+		ref := referenceComponents(sys)
+		g := sa.BuildGraph(sys)
+		hasInput, hasOutput := map[int]bool{}, map[int]bool{}
+		for id := 1; id < sys.NumSignals(); id++ {
+			switch sys.Signal(id).Kind {
+			case r1cs.KindInput:
+				hasInput[ref[id]] = true
+			case r1cs.KindOutput:
+				hasOutput[ref[id]] = true
+			}
+		}
+		var pruned []int
+		for id := 0; id < sys.NumSignals(); id++ {
+			if got := g.ComponentOf(id); got != ref[id] {
+				t.Fatalf("%s: ComponentOf(%s) = %d, reference %d", inst.Name, sys.Name(id), got, ref[id])
+			}
+			if got, want := g.ComponentHasInput(id), ref[id] >= 0 && hasInput[ref[id]]; got != want {
+				t.Fatalf("%s: ComponentHasInput(%s) = %v, reference %v", inst.Name, sys.Name(id), got, want)
+			}
+			if ref[id] >= 0 && !hasOutput[ref[id]] {
+				pruned = append(pruned, id)
+			}
+		}
+		if got := g.SignalsWithoutOutputComponent(); !reflect.DeepEqual(got, pruned) {
+			t.Fatalf("%s: SignalsWithoutOutputComponent = %v, reference %v", inst.Name, got, pruned)
+		}
 	}
 }

@@ -9,8 +9,8 @@ import (
 // The signal-tag lattice, à la Circom tags: a compact, human-oriented view
 // of the abstract state. Where the interval/congruence domains carry exact
 // per-signal sets, tags name the handful of shapes circuit authors reason
-// in — `binary`, `maxbit(k)`, `nonzero`, `const` — and flow along the
-// dependency graph simply because the underlying domains do. Detectors
+// in — `binary`, `maxbit(k)`, `nonzero`, `const` — and flow through the
+// constraints simply because the underlying domains do. Detectors
 // (overflow-prone-sum, nonzero-divisor-proved) and the lint renderers key
 // on tags rather than raw intervals, so messages read like the Circom tag
 // system the author already knows.

@@ -72,8 +72,6 @@ type Propagator struct {
 	sigCons map[int][]int
 	// boolean[v] records that some constraint forces v ∈ {0,1}.
 	boolean map[int]bool
-	// order records the derivation order (for diagnostics/metrics).
-	order []int
 	// Per-rule observability counters, resolved once from Options.Metrics
 	// (nil handles are no-ops): attempts count rule evaluations, fired
 	// counts firings, and bits.resolved counts signals resolved by R-Bits
@@ -139,7 +137,6 @@ func NewWithOptions(sys *r1cs.System, opts Options) *Propagator {
 func (p *Propagator) seed(id int) {
 	if _, ok := p.unique[id]; !ok {
 		p.unique[id] = Source{Rule: RuleSeed, Constraint: -1}
-		p.order = append(p.order, id)
 		p.cSeeds.Inc()
 	}
 }
@@ -178,11 +175,6 @@ func (p *Propagator) Unknown() []int {
 		}
 	}
 	return out
-}
-
-// Order returns signals in the order their uniqueness was derived.
-func (p *Propagator) Order() []int {
-	return append([]int(nil), p.order...)
 }
 
 // CountByRule tallies uniqueness facts per rule.
@@ -232,7 +224,6 @@ func (p *Propagator) AddUnique(id int, src Source) bool {
 		return false
 	}
 	p.unique[id] = src
-	p.order = append(p.order, id)
 	if src.Rule == RuleExternal {
 		p.cExternal.Inc()
 	}
@@ -300,7 +291,6 @@ func (p *Propagator) fixpoint(dirty []int) {
 		}
 		for _, x := range resolved {
 			p.unique[x] = Source{Rule: rule, Constraint: ci}
-			p.order = append(p.order, x)
 			for _, next := range p.sigCons[x] {
 				pending[next] = true
 			}

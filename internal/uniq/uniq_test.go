@@ -132,8 +132,8 @@ func TestUnknownList(t *testing.T) {
 	if len(unk) != 1 || unk[0] != x {
 		t.Errorf("Unknown = %v", unk)
 	}
-	if got := len(p.Order()); got != 2 {
-		t.Errorf("Order length = %d", got)
+	if got := p.NumUnique(); got != 2 {
+		t.Errorf("NumUnique = %d, want 2 (one and a)", got)
 	}
 }
 
