@@ -22,8 +22,8 @@
 //     loop's line or the line above.
 //
 //   - rangefact: inside qed2/internal/sa, the abstract-domain fact arrays on
-//     AbsState (isConst, isBool, isDet, constVal, ival, cong, nonzero,
-//     rangeDet) may only be written by the recording helpers (setConst,
+//     AbsState (isConst, isBool, isDet, constVal, ival, nonzero, rangeDet)
+//     may only be written by the recording helpers (setConst,
 //     promoteSingleton, and the record* methods). Those helpers are where
 //     the soundness discipline lives — generation bumps, conflict checks,
 //     budget accounting, domain-closure meets, and range-rule attribution.
@@ -65,7 +65,6 @@ var rangeFactArrays = map[string]bool{
 	"isDet":    true,
 	"constVal": true,
 	"ival":     true,
-	"cong":     true,
 	"nonzero":  true,
 	"rangeDet": true,
 }

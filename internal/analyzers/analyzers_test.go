@@ -240,7 +240,7 @@ func TestRangeFactFlagsWritesInClosures(t *testing.T) {
 	_, _, check := parse(t, `package sa
 func (st *AbsState) ruleClosure(ids []int) {
 	walk(func(id int) {
-		st.cong[id] = nil
+		st.ival[id] = nil
 	})
 }
 func walk(f func(int)) {}

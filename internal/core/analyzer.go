@@ -128,9 +128,9 @@ type Stats struct {
 	// determined by its classic rules (const/solve/bits propagation) beyond
 	// what uniqueness propagation derives on its own (provenance
 	// RuleStatic); StaticRangeUnique counts those proven only by the range
-	// domains (interval/congruence singleton promotion — facts the classic
-	// rules cannot derive, see DESIGN.md §17). Their sum is the total
-	// number of injected static facts. StaticQueriesAvoided counts slice
+	// domains (interval singleton promotion — facts the classic rules
+	// cannot derive, see DESIGN.md §17). Their sum is the total number of
+	// injected static facts. StaticQueriesAvoided counts slice
 	// queries skipped because the pre-pass proved the target lives in a
 	// component no output verdict can observe, and StaticRangePruned counts
 	// solver queries (the round-1 slice query, plus the final whole-circuit

@@ -11,7 +11,7 @@ import (
 )
 
 // AbsState is the result of an abstract interpretation of the constraint
-// system over F_p. Six interacting domains are tracked per signal:
+// system over F_p. Five interacting domains are tracked per signal:
 //
 //   - Const: the signal provably takes one fixed value in every satisfying
 //     assignment (derived by constant propagation through constraints).
@@ -22,7 +22,6 @@ import (
 //     it. Inputs and constants seed the domain; linear chains of determined
 //     signals and binary decompositions extend it.
 //   - Interval: the signed representative lies in [Lo, Hi] (interval.go).
-//   - Congruence: the signed representative is ≡ R (mod M) (congruence.go).
 //   - Nonzero: no satisfying assignment gives the signal the value 0.
 //
 // Every fact is a theorem about the constraint set, derived by rules whose
@@ -31,9 +30,9 @@ import (
 // check before anything downstream is allowed to act on them.
 //
 // All fact writes flow through the recording helpers (setConst, recordBool,
-// recordDet, recordInterval, recordCongruence, recordNonzero) so the
-// cross-domain meets fire on every update and Verify sees a coherent state;
-// the `rangefact` vet check enforces this mechanically.
+// recordDet, recordInterval, recordNonzero) so the cross-domain meets fire
+// on every update and Verify sees a coherent state; the `rangefact` vet
+// check enforces this mechanically.
 type AbsState struct {
 	sys *r1cs.System
 	// constVal[id] is the proven constant (valid iff isConst[id]).
@@ -45,19 +44,18 @@ type AbsState struct {
 	// substituted.
 	residual []*poly.Quad
 
-	// ival[id]/cong[id] are the interval and congruence facts (nil = Top);
-	// nonzero[id] marks signals proven ≠ 0.
+	// ival[id] is the interval fact (nil = Top); nonzero[id] marks signals
+	// proven ≠ 0.
 	ival    []*Interval
-	cong    []*Congruence
 	nonzero []bool
 	// rangeDet[id] marks signals whose determinedness was FIRST established
 	// by a range-domain rule (singleton interval promotion) rather than a
 	// classic const/solve/bits rule — the attribution behind core's
 	// Stats.StaticRangeUnique.
 	rangeDet []bool
-	// budget[id] is the remaining number of interval/congruence refinements
-	// allowed for the signal; when it reaches 0 the signal's range facts
-	// freeze, bounding the fixpoint ascent.
+	// budget[id] is the remaining number of interval refinements allowed
+	// for the signal; when it reaches 0 the signal's range facts freeze,
+	// bounding the fixpoint ascent.
 	budget []int
 
 	// conflicts lists constraints whose abstract sets admit no solution —
@@ -79,7 +77,7 @@ type AbsState struct {
 	// without rescanning (and without allocating).
 	constGen int
 	scanGen  []int
-	// rangeGen counts range-domain facts (intervals, congruences, bools,
+	// rangeGen counts range-domain facts (intervals, nonzeros, bools,
 	// consts); projGen[ci] gates the projection rule the same way.
 	rangeGen int
 	projGen  []int
@@ -101,9 +99,9 @@ type Conflict struct {
 	Msg        string
 }
 
-// maxRangeRefinements is the per-signal interval/congruence update budget.
-// 16 refinements accommodate the deepest real chains (bool seed → ladder
-// projection → congruence meet → …) while keeping the fixpoint short.
+// maxRangeRefinements is the per-signal interval update budget. 16
+// refinements accommodate the deepest real chains (bool seed → ladder
+// projection → …) while keeping the fixpoint short.
 const maxRangeRefinements = 16
 
 // Interpret runs the abstract interpretation to fixpoint. The iteration
@@ -119,7 +117,6 @@ func Interpret(sys *r1cs.System) *AbsState {
 		isDet:     make([]bool, n),
 		residual:  make([]*poly.Quad, sys.NumConstraints()),
 		ival:      make([]*Interval, n),
-		cong:      make([]*Congruence, n),
 		nonzero:   make([]bool, n),
 		rangeDet:  make([]bool, n),
 		budget:    make([]int, n),
@@ -148,8 +145,8 @@ func Interpret(sys *r1cs.System) *AbsState {
 	}
 	// Round-based fixpoint: scan all constraints in index order until a
 	// full round derives nothing new. The boolean domains are monotone and
-	// finite, and interval/congruence refinements are budgeted per signal,
-	// so this terminates in a bounded number of rounds.
+	// finite, and interval refinements are budgeted per signal, so this
+	// terminates in a bounded number of rounds.
 	for changed := true; changed; {
 		changed = false
 		for ci := range st.residual {
@@ -196,8 +193,7 @@ func (st *AbsState) visit(ci int) bool {
 			changed = true
 		}
 	}
-	// Rule R-Proj: HC4-style interval projection with a congruence
-	// piggyback (see ruleProject).
+	// Rule R-Proj: HC4-style interval projection (see ruleProject).
 	if st.ruleProject(ci, q) {
 		changed = true
 	}
@@ -274,10 +270,6 @@ func (st *AbsState) setConst(id int, v ff.Element) bool {
 	if iv := st.ival[id]; iv != nil && !iv.Contains(s) {
 		st.recordConflict(-1, id,
 			fmt.Sprintf("signal %s is pinned to %v but its established range is %s", st.sys.Name(id), s, iv))
-	}
-	if cg := st.cong[id]; cg != nil && !cg.Admits(s) {
-		st.recordConflict(-1, id,
-			fmt.Sprintf("signal %s is pinned to %v but its established congruence is %s", st.sys.Name(id), s, cg))
 	}
 	if st.nonzero[id] && v.IsZero() {
 		st.recordConflict(-1, id,
@@ -368,9 +360,8 @@ func (st *AbsState) recordConflict(ci, id int, msg string) bool {
 // recordInterval meets a derived interval fact into the state. The update
 // is applied only when it strictly tightens the stored interval and the
 // signal's refinement budget is not exhausted; an empty meet records a
-// conflict instead. Cross-domain closure: the result is tightened against
-// the congruence fact, a singleton promotes to a constant, and an interval
-// excluding 0 implies nonzero.
+// conflict instead. Cross-domain closure: a singleton promotes to a
+// constant, and an interval excluding 0 implies nonzero.
 func (st *AbsState) recordInterval(id int, iv *Interval, ci int) bool {
 	if st.budget[id] <= 0 || st.isConst[id] {
 		return false
@@ -387,58 +378,12 @@ func (st *AbsState) recordInterval(id int, iv *Interval, ci int) bool {
 	if !cur.tightens(m) {
 		return false
 	}
-	if c := st.cong[id]; c != nil {
-		t, ok := meetIntervalCongruence(m, c)
-		if !ok {
-			return st.recordConflict(ci, id,
-				fmt.Sprintf("derived range %s for signal %s contradicts its congruence %s", m, st.sys.Name(id), c))
-		}
-		m = t
-	}
 	st.ival[id] = m
 	st.budget[id]--
 	st.rangeGen++
 	if m.IsSingleton() {
 		st.promoteSingleton(id, m.Lo)
 	} else if !m.ContainsZero() {
-		st.recordNonzero(id)
-	}
-	return true
-}
-
-// recordCongruence meets a derived congruence fact into the state, under
-// the same budget/conflict/closure discipline as recordInterval.
-func (st *AbsState) recordCongruence(id int, c *Congruence, ci int) bool {
-	if c == nil || st.budget[id] <= 0 || st.isConst[id] {
-		return false
-	}
-	if cur := st.cong[id]; cur != nil {
-		m, ok := cur.meet(c)
-		if !ok {
-			return st.recordConflict(ci, id,
-				fmt.Sprintf("derived congruence %s for signal %s contradicts its established %s", c, st.sys.Name(id), cur))
-		}
-		if m.M.Cmp(cur.M) == 0 && m.R.Cmp(cur.R) == 0 {
-			return false
-		}
-		c = m
-	}
-	if iv := st.ival[id]; iv != nil {
-		t, ok := meetIntervalCongruence(iv, c)
-		if !ok {
-			return st.recordConflict(ci, id,
-				fmt.Sprintf("derived congruence %s for signal %s contradicts its range %s", c, st.sys.Name(id), iv))
-		}
-		if iv.tightens(t) {
-			st.ival[id] = t
-		}
-	}
-	st.cong[id] = c
-	st.budget[id]--
-	st.rangeGen++
-	if iv := st.ival[id]; iv != nil && iv.IsSingleton() {
-		st.promoteSingleton(id, iv.Lo)
-	} else if c.NonzeroByResidue() {
 		st.recordNonzero(id)
 	}
 	return true
@@ -471,12 +416,6 @@ func (st *AbsState) ivOf(id int) *Interval {
 // solution at all and a conflict is recorded (range-violation). When two or
 // more multiples fit, nothing fires: the wraparound is not resolved.
 //
-// The same integer equation V = k·p carries the congruence transfer: every
-// term is a member of a known residue class (cᵥ·xᵥ ≡ cᵥ·Rᵥ mod |cᵥ|·Mᵥ for
-// signals with a congruence fact, ≡ 0 mod |c| otherwise), so the target
-// term is congruent to k·p minus the sum of the classes modulo their gcd,
-// and dividing by its coefficient projects a congruence onto the signal.
-//
 // The rule is generation-gated: it reruns only when some range fact changed
 // since the last evaluation on this constraint.
 func (st *AbsState) ruleProject(ci int, q *poly.Quad) bool {
@@ -504,19 +443,16 @@ func (st *AbsState) ruleProject(ci int, q *poly.Quad) bool {
 
 	f := st.sys.Field()
 	var (
-		terms    []projTerm
-		quadMods []*big.Int
-		inQuad   map[int]bool
+		terms  []projTerm
+		inQuad map[int]bool
 	)
 	tLo := f.Signed(q.Lin().Constant())
 	tHi := new(big.Int).Set(tLo)
-	konst := new(big.Int).Set(tLo)
 	q.VisitQuadTerms(func(p poly.VarPair, coeff ff.Element) {
 		c := f.Signed(coeff)
 		lo, hi := prodRange(c, st.ivOf(p.X), st.ivOf(p.Y))
 		tLo.Add(tLo, lo)
 		tHi.Add(tHi, hi)
-		quadMods = append(quadMods, new(big.Int).Abs(c))
 		if inQuad == nil {
 			inQuad = make(map[int]bool, 2*q.NumQuadTerms())
 		}
@@ -565,9 +501,6 @@ func (st *AbsState) ruleProject(ci int, q *poly.Quad) bool {
 		if st.recordInterval(t.v, iv, ci) {
 			changed = true
 		}
-		if st.congruenceTransfer(ci, terms, quadMods, konst, t.v, t.c, kp) {
-			changed = true
-		}
 	}
 	return changed
 }
@@ -578,76 +511,6 @@ type projTerm struct {
 	v      int
 	c      *big.Int
 	lo, hi *big.Int
-}
-
-// congruenceTransfer projects a congruence onto target from the integer
-// equation  c·x + Σ other terms + konst = kp  established by ruleProject
-// (only then is the modular constraint an integer one, which is what makes
-// residue reasoning over signed representatives sound). Every other term is
-// a member of a known residue class: cᵤ·xᵤ ≡ cᵤ·Rᵤ (mod |cᵤ|·Mᵤ) when xᵤ
-// carries a congruence fact, and ≡ 0 (mod |cᵤ|) otherwise (a multiple of
-// its own coefficient); a quadratic term is ≡ 0 (mod |coeff|). With G the
-// gcd of those moduli and ρ the residue sum,
-//
-//	c·x ≡ kp − konst − ρ (mod G),
-//
-// which has solutions iff g = gcd(c, G) divides the right-hand side —
-// otherwise the constraint is unsatisfiable under the established facts
-// (conflict) — and then x ≡ (rhs/g)·(c/g)⁻¹ (mod G/g).
-func (st *AbsState) congruenceTransfer(ci int, terms []projTerm, quadMods []*big.Int, konst *big.Int, target int, c, kp *big.Int) bool {
-	if len(terms)+len(quadMods) < 2 {
-		// No other variable term: the exact case, fully handled by the
-		// interval projection.
-		return false
-	}
-	if st.budget[target] <= 0 || st.isConst[target] {
-		return false
-	}
-	var g *big.Int
-	rho := new(big.Int)
-	gcdIn := func(m *big.Int) {
-		if g == nil {
-			g = new(big.Int).Set(m)
-		} else {
-			g.GCD(nil, nil, g, m)
-		}
-	}
-	for _, t := range terms {
-		if t.v == target {
-			continue
-		}
-		if cg := st.cong[t.v]; cg != nil {
-			gcdIn(new(big.Int).Abs(new(big.Int).Mul(t.c, cg.M)))
-			rho.Add(rho, new(big.Int).Mul(t.c, cg.R))
-		} else {
-			gcdIn(new(big.Int).Abs(t.c))
-		}
-	}
-	for _, m := range quadMods {
-		gcdIn(m)
-	}
-	if g == nil || g.Cmp(bigTwo) < 0 {
-		return false
-	}
-	rhs := new(big.Int).Sub(kp, konst)
-	rhs.Sub(rhs, rho)
-	rhs.Mod(rhs, g)
-	cg := new(big.Int).Mod(c, g)
-	gg := new(big.Int).GCD(nil, nil, g, new(big.Int).Abs(cg))
-	if new(big.Int).Mod(rhs, gg).Sign() != 0 {
-		return st.recordConflict(ci, target,
-			fmt.Sprintf("constraint #%d admits no residue class for signal %s consistent with the established congruences", ci, st.sys.Name(target)))
-	}
-	m := new(big.Int).Div(g, gg)
-	if m.Cmp(bigTwo) < 0 {
-		return false
-	}
-	inv := new(big.Int).ModInverse(new(big.Int).Div(cg, gg), m)
-	if inv == nil {
-		return false
-	}
-	r := new(big.Int).Mul(new(big.Int).Div(rhs, gg), inv)
-	return st.recordCongruence(target, newCongruence(m, r), ci)
 }
 
 // ruleNonzeroProduct covers the nonzero product rules:
@@ -984,10 +847,6 @@ func (st *AbsState) Const(id int) (ff.Element, bool) {
 // Interval returns a signal's proven signed-representative range (nil when
 // unknown). The result must not be mutated.
 func (st *AbsState) Interval(id int) *Interval { return st.ival[id] }
-
-// Congruence returns a signal's proven residue class (nil when unknown).
-// The result must not be mutated.
-func (st *AbsState) Congruence(id int) *Congruence { return st.cong[id] }
 
 // Nonzero reports whether a signal is proven ≠ 0 in every satisfying
 // assignment.

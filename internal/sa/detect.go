@@ -74,9 +74,11 @@ func detectRangeViolation(sys *r1cs.System, l *Lint) {
 // detectOverflowProneSum flags linear constraints whose range-bounded terms
 // span at least the field modulus: two distinct in-range assignments can
 // then alias the same field value, so the equation no longer pins the
-// bounded signals' integer interpretation (the Num2Bits(254)/AliasCheck
-// wraparound class). Constraints whose bounded span stays below p are
-// wrap-free by the same window argument ruleProject uses.
+// bounded signals' integer interpretation (the AliasCheck wraparound
+// class). Constraints whose bounded span stays below p are wrap-free by the
+// same window argument ruleProject uses. Wrap-free is not alias-free: a
+// coefficient above (p−1)/2 has a negative signed value, so Num2Bits(254)'s
+// bit sum spans exactly p − 1 and stays silent although its bits alias.
 func detectOverflowProneSum(sys *r1cs.System, l *Lint) {
 	f := sys.Field()
 	p := f.Modulus()

@@ -470,8 +470,9 @@ component main = WideSum();
 	if !strings.Contains(fs[0].Message, "254 bits") {
 		t.Errorf("message lacks the span bit-width: %s", fs[0].Message)
 	}
-	// A single ladder is exact — its signed span is p−1 < p — and must
-	// stay silent no matter how many bits it has.
+	// A single ladder's signed span is p−1 < p, so it stays silent no
+	// matter how many bits it has — even at 254 bits, where the bits alias
+	// without wrapping (TestNum2Bits254SumExtentIsPMinusOne).
 	single := `
 template N2B() {
     signal input in;

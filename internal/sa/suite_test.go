@@ -3,14 +3,21 @@
 package sa_test
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
+	"flag"
+	"fmt"
+	"math/big"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"qed2/internal/bench"
 	"qed2/internal/circom"
+	"qed2/internal/ff"
 	"qed2/internal/r1cs"
 	"qed2/internal/sa"
 )
@@ -205,5 +212,155 @@ func TestComponentsMatchReference(t *testing.T) {
 		if got := g.SignalsWithoutOutputComponent(); !reflect.DeepEqual(got, pruned) {
 			t.Fatalf("%s: SignalsWithoutOutputComponent = %v, reference %v", inst.Name, got, pruned)
 		}
+	}
+}
+
+// updateFacts rewrites testdata/static_facts.golden from the current pass:
+//
+//	go test -run TestStaticFactsDigest ./internal/sa/ -args -update-facts
+var updateFacts = flag.Bool("update-facts", false, "rewrite testdata/static_facts.golden")
+
+// factsDigest hashes one instance's static facts: per signal its constant,
+// boolean, determined, interval and range-determined facts, then every
+// recorded conflict. Values are rendered as big.Int decimal strings so the
+// digest does not depend on the machine word size. Nonzero facts are left
+// out: they are read only by the nonzero-divisor-proved detector, which the
+// findings gate pins on its own.
+func factsDigest(sys *r1cs.System, st *sa.AbsState) string {
+	h := sha256.New()
+	f := sys.Field()
+	for id := 0; id < sys.NumSignals(); id++ {
+		fmt.Fprintf(h, "%d", id)
+		if v, ok := st.Const(id); ok {
+			fmt.Fprintf(h, " const=%s", f.Signed(v))
+		}
+		if st.Bool(id) {
+			fmt.Fprint(h, " bool")
+		}
+		if st.Determined(id) {
+			fmt.Fprint(h, " det")
+		}
+		if st.RangeDetermined(id) {
+			fmt.Fprint(h, " rangedet")
+		}
+		if iv := st.Interval(id); iv != nil {
+			fmt.Fprintf(h, " ival=[%s,%s]", iv.Lo, iv.Hi)
+		}
+		fmt.Fprintln(h)
+	}
+	for _, c := range st.Conflicts() {
+		fmt.Fprintf(h, "conflict %d %d %s\n", c.Constraint, c.Signal, c.Msg)
+	}
+	return hex.EncodeToString(h.Sum(nil)[:16])
+}
+
+// TestStaticFactsDigest pins every fact the abstract interpretation derives
+// (nonzero facts aside, see factsDigest) on the suite and the corpus slice
+// the findings gate pins, one digest per instance. A change to the range
+// rules that is meant to derive the same facts must leave every line of
+// testdata/static_facts.golden unchanged.
+func TestStaticFactsDigest(t *testing.T) {
+	if testing.Short() {
+		t.Skip("compiling the full suite is slow")
+	}
+	corpus, err := bench.LoadCorpus(filepath.Join("..", "..", "testdata", "corpus", "manifest.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got strings.Builder
+	for _, inst := range append(bench.Suite(), corpus[:bench.FindingsCorpusSlice]...) {
+		prog, err := inst.Compile()
+		if err != nil {
+			t.Fatalf("%s: %v", inst.Name, err)
+		}
+		res := sa.Analyze(prog.System, nil)
+		fmt.Fprintf(&got, "%s %s\n", factsDigest(prog.System, res.Abs), inst.Name)
+	}
+	path := filepath.Join("testdata", "static_facts.golden")
+	if *updateFacts {
+		if err := os.WriteFile(path, []byte(got.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantLines := strings.Split(string(want), "\n")
+	gotLines := strings.Split(got.String(), "\n")
+	if len(wantLines) != len(gotLines) {
+		t.Fatalf("%d digests, golden file has %d", len(gotLines)-1, len(wantLines)-1)
+	}
+	for i := range gotLines {
+		if gotLines[i] != wantLines[i] {
+			t.Errorf("facts moved: got %q, golden %q", gotLines[i], wantLines[i])
+		}
+	}
+}
+
+// TestNum2Bits254SumExtentIsPMinusOne pins why overflow-prone-sum stays
+// silent on Num2Bits(254), although its bits alias. The detector sums, over
+// the range-bounded terms of a linear constraint, each term's signed value
+// span, and fires at a total ≥ p. Bit 253's coefficient 2^253 exceeds
+// (p−1)/2, so its signed value is 2^253 − p < 0, and the spans add up to
+// (2^253 − 1) + (p − 2^253) = p − 1: one below the threshold. The sum never
+// wraps around p, yet the bits still alias: all-zero bits and the bits of p
+// both give the integer sum 0. A span below p therefore does not make a
+// bit decomposition unique when a coefficient's signed value is negative.
+func TestNum2Bits254SumExtentIsPMinusOne(t *testing.T) {
+	inst, ok := bench.ByName(bench.Suite(), "Num2Bits(254)")
+	if !ok {
+		t.Fatal("Num2Bits(254) not in suite")
+	}
+	prog, err := inst.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys := prog.System
+	f := sys.Field()
+	p := f.Modulus()
+	lint := sa.AnalyzeProgram(prog, nil)
+	for _, fd := range lint.Findings {
+		if fd.Detector == "overflow-prone-sum" {
+			t.Fatalf("overflow-prone-sum fired: %v", fd)
+		}
+	}
+
+	// The sum constraint is the one linear constraint over all 254 bits.
+	sum := -1
+	for ci := 0; ci < sys.NumConstraints(); ci++ {
+		if q := sys.Constraint(ci).Quad(); q.IsLinear() && q.Lin().NumTerms() > 254 {
+			sum = ci
+		}
+	}
+	if sum < 0 {
+		t.Fatal("no linear constraint over the 254 bits")
+	}
+	// extent recomputes the detector's bounded signed span. aliased is the
+	// signed sum of the bit terms at the bits of p: bit i is the term whose
+	// coefficient is 2^i as a field element.
+	extent, aliased := new(big.Int), new(big.Int)
+	bits := 0
+	sys.Constraint(sum).Quad().Lin().VisitTerms(func(v int, coeff ff.Element) {
+		iv := lint.Abs.Interval(v)
+		if iv == nil || iv.IsSingleton() {
+			return
+		}
+		c := f.Signed(coeff)
+		extent.Add(extent, new(big.Int).Mul(new(big.Int).Abs(c), iv.Width()))
+		if p.Bit(f.ToBig(coeff).BitLen()-1) == 1 {
+			aliased.Add(aliased, c)
+		}
+		bits++
+	})
+	if bits != 254 {
+		t.Fatalf("%d range-bounded terms, want the 254 bits", bits)
+	}
+	if want := new(big.Int).Sub(p, big.NewInt(1)); extent.Cmp(want) != 0 {
+		t.Errorf("bounded signed extent = %v, want p − 1 = %v", extent, want)
+	}
+	if aliased.Sign() != 0 {
+		t.Errorf("signed sum at the bits of p = %v, want 0, the sum at all-zero bits", aliased)
 	}
 }

@@ -7,8 +7,8 @@ import (
 )
 
 // The signal-tag lattice, à la Circom tags: a compact, human-oriented view
-// of the abstract state. Where the interval/congruence domains carry exact
-// per-signal sets, tags name the handful of shapes circuit authors reason
+// of the abstract state. Where the interval domain carries exact per-signal
+// sets, tags name the handful of shapes circuit authors reason
 // in — `binary`, `maxbit(k)`, `nonzero`, `const` — and flow through the
 // constraints simply because the underlying domains do. Detectors
 // (overflow-prone-sum, nonzero-divisor-proved) and the lint renderers key

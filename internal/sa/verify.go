@@ -17,19 +17,18 @@ import (
 //  1. Constant replay: with every proven constant substituted, no original
 //     constraint may reduce to a nonzero constant.
 //  2. Cross-domain consistency: each signal's facts must agree with each
-//     other (a constant lies in its interval and congruence class, a
-//     boolean constant is 0 or 1, a nonzero signal is not the constant 0)
-//     and be well-formed (intervals inside the signed range, congruence
-//     moduli ≥ 2 with normalized residues).
+//     other (a constant lies in its interval, a boolean constant is 0 or 1,
+//     a nonzero signal is not the constant 0) and be well-formed (intervals
+//     inside the signed range).
 //  3. Admissibility replay: re-deriving each constraint's signed value
 //     window from the final intervals, some multiple of p must fit — the
 //     exact check ruleProject's conflict detection is built on, but
 //     evaluated on the original (unsubstituted) constraints.
-//  4. Witness sampling: for signals whose abstract set is tiny (at most
-//     maxSampleCandidates values once the interval is intersected with the
-//     congruence class), each candidate is substituted into the signal's
-//     residual constraints; if every candidate contradicts some constraint
-//     the abstract set is empty — a derivation bug the meets missed.
+//  4. Witness sampling: for signals whose interval is tiny (at most
+//     maxSampleCandidates values), each candidate is substituted into the
+//     signal's residual constraints; if every candidate contradicts some
+//     constraint the abstract set is empty — a derivation bug the meets
+//     missed.
 //
 // Any conflict recorded during interpretation also fails Verify: a
 // conflict claims the system is unsatisfiable, which core must never act
@@ -59,20 +58,12 @@ func (st *AbsState) Verify() error {
 				return fmt.Errorf("sa: interval %s on signal %s leaves the signed range", iv, st.sys.Name(id))
 			}
 		}
-		if cg := st.cong[id]; cg != nil {
-			if cg.M.Cmp(bigTwo) < 0 || cg.R.Sign() < 0 || cg.R.Cmp(cg.M) >= 0 {
-				return fmt.Errorf("sa: malformed congruence %s on signal %s", cg, st.sys.Name(id))
-			}
-		}
 		if !st.isConst[id] {
 			continue
 		}
 		s := f.Signed(st.constVal[id])
 		if iv := st.ival[id]; iv != nil && !iv.Contains(s) {
 			return fmt.Errorf("sa: constant %v on signal %s outside its interval %s", s, st.sys.Name(id), iv)
-		}
-		if cg := st.cong[id]; cg != nil && !cg.Admits(s) {
-			return fmt.Errorf("sa: constant %v on signal %s outside its congruence %s", s, st.sys.Name(id), cg)
 		}
 		if st.isBool[id] && s.Sign() != 0 && s.Cmp(bigOne) != 0 {
 			return fmt.Errorf("sa: boolean signal %s pinned to non-boolean constant %v", st.sys.Name(id), s)
@@ -137,9 +128,8 @@ const (
 	maxSampledSignals   = 64
 )
 
-// candidates enumerates a non-constant signal's abstract value set when it
-// has at most maxSampleCandidates members (interval ∩ congruence class),
-// returning nil otherwise.
+// candidates enumerates a non-constant signal's interval when it has at most
+// maxSampleCandidates members, returning nil otherwise.
 func (st *AbsState) candidates(id int) []*big.Int {
 	iv := st.ival[id]
 	if iv == nil || st.isConst[id] {
@@ -149,14 +139,9 @@ func (st *AbsState) candidates(id int) []*big.Int {
 	if !width.IsInt64() || width.Int64() >= maxSampleCandidates {
 		return nil
 	}
-	cg := st.cong[id]
 	var out []*big.Int
-	v := new(big.Int).Set(iv.Lo)
-	for v.Cmp(iv.Hi) <= 0 {
-		if cg == nil || cg.Admits(v) {
-			out = append(out, new(big.Int).Set(v))
-		}
-		v.Add(v, bigOne)
+	for v := new(big.Int).Set(iv.Lo); v.Cmp(iv.Hi) <= 0; v.Add(v, bigOne) {
+		out = append(out, new(big.Int).Set(v))
 	}
 	return out
 }
