@@ -26,7 +26,7 @@
 //     may only be written by the recording helpers (setConst,
 //     promoteSingleton, and the record* methods). Those helpers are where
 //     the soundness discipline lives — generation bumps, conflict checks,
-//     budget accounting, domain-closure meets, and range-rule attribution.
+//     domain-closure meets, and range-rule attribution.
 //     A rule function that pokes a fact array directly bypasses all of it
 //     and silently corrupts Verify/Stats. A deliberate exception is
 //     annotated `//qed2:allow-rangefact` on the assignment's line or the
@@ -205,7 +205,7 @@ func checkRangeFact(fset *token.FileSet, f *ast.File) []Diagnostic {
 					Pos:   pos,
 					Check: "rangefact",
 					Message: fmt.Sprintf("direct write to AbsState fact array %q outside the recording helpers "+
-						"bypasses generation/conflict/budget bookkeeping; call the record* helper "+
+						"bypasses generation/conflict bookkeeping; call the record* helper "+
 						"(or annotate //%s)", field, AllowRangeFact),
 				})
 			}

@@ -53,16 +53,11 @@ type AbsState struct {
 	// classic const/solve/bits rule — the attribution behind core's
 	// Stats.StaticRangeUnique.
 	rangeDet []bool
-	// budget[id] is the remaining number of interval refinements allowed
-	// for the signal; when it reaches 0 the signal's range facts freeze,
-	// bounding the fixpoint ascent.
-	budget []int
 
-	// conflicts lists constraints whose abstract sets admit no solution —
-	// proofs of unsatisfiability surfaced as range-violation findings.
-	// conflictAt dedupes per constraint.
-	conflicts  []Conflict
-	conflictAt []bool
+	// conflicts lists proofs of unsatisfiability — facts that exclude each
+	// other, or a constraint no value in the established ranges satisfies —
+	// surfaced as range-violation findings.
+	conflicts []Conflict
 
 	// guards[s] lists the selector-guard facts s·(x−k) = 0 feeding the
 	// relational one-hot rule; guardSeen/onehotAt dedupe extraction and
@@ -77,10 +72,6 @@ type AbsState struct {
 	// without rescanning (and without allocating).
 	constGen int
 	scanGen  []int
-	// rangeGen counts range-domain facts (intervals, nonzeros, bools,
-	// consts); projGen[ci] gates the projection rule the same way.
-	rangeGen int
-	projGen  []int
 
 	// loLim/hiLim bound every signed representative: loLim < v ≤ hiLim.
 	// full is the shared Top interval [loLim, hiLim].
@@ -89,20 +80,16 @@ type AbsState struct {
 	pMod         *big.Int
 }
 
-// Conflict records a constraint whose abstract value sets admit no
-// satisfying assignment: the range-domain analogue of a nonzero constant
-// residual. Signal is the projected signal when the empty set arose from a
-// per-signal meet, or -1 for a whole-constraint admissibility failure.
+// Conflict records a proof that no satisfying assignment exists: the
+// range-domain analogue of a nonzero constant residual. Signal is the signal
+// whose facts exclude each other, or -1 when constraint Constraint's value
+// window admits no multiple of p; Constraint is -1 when the clash came from
+// a constant rather than from a constraint's rule.
 type Conflict struct {
 	Constraint int
 	Signal     int
 	Msg        string
 }
-
-// maxRangeRefinements is the per-signal interval update budget. 16
-// refinements accommodate the deepest real chains (bool seed → ladder
-// projection → …) while keeping the fixpoint short.
-const maxRangeRefinements = 16
 
 // Interpret runs the abstract interpretation to fixpoint. The iteration
 // order is deterministic (ascending constraint index per round, rules in
@@ -119,9 +106,7 @@ func Interpret(sys *r1cs.System) *AbsState {
 		ival:      make([]*Interval, n),
 		nonzero:   make([]bool, n),
 		rangeDet:  make([]bool, n),
-		budget:    make([]int, n),
 		scanGen:   make([]int, sys.NumConstraints()),
-		projGen:   make([]int, sys.NumConstraints()),
 		guards:    make(map[int][]guardFact),
 		guardSeen: make([]bool, sys.NumConstraints()),
 		onehotAt:  make([]bool, sys.NumConstraints()),
@@ -129,12 +114,8 @@ func Interpret(sys *r1cs.System) *AbsState {
 	}
 	st.loLim, st.hiLim = signedBounds(sys.Field())
 	st.full = newInterval(st.loLim, st.hiLim)
-	for i := range st.budget {
-		st.budget[i] = maxRangeRefinements
-	}
 	for i := range st.scanGen {
 		st.scanGen[i] = -1
-		st.projGen[i] = -1
 	}
 	st.setConst(r1cs.OneID, sys.Field().One())
 	for _, in := range sys.Inputs() {
@@ -145,8 +126,9 @@ func Interpret(sys *r1cs.System) *AbsState {
 	}
 	// Round-based fixpoint: scan all constraints in index order until a
 	// full round derives nothing new. The boolean domains are monotone and
-	// finite, and interval refinements are budgeted per signal, so this
-	// terminates in a bounded number of rounds.
+	// finite, and every interval fact comes from a rule that fires at most
+	// once per signal (setConst, recordBool) or once per constraint
+	// (ruleOneHot), so this terminates in a bounded number of rounds.
 	for changed := true; changed; {
 		changed = false
 		for ci := range st.residual {
@@ -155,6 +137,7 @@ func Interpret(sys *r1cs.System) *AbsState {
 			}
 		}
 	}
+	st.checkWindows()
 	return st
 }
 
@@ -192,10 +175,6 @@ func (st *AbsState) visit(ci int) bool {
 		if st.recordDet(x) {
 			changed = true
 		}
-	}
-	// Rule R-Proj: HC4-style interval projection (see ruleProject).
-	if st.ruleProject(ci, q) {
-		changed = true
 	}
 	// Rules N-Inv / N-Mul: nonzero propagation through products.
 	if st.ruleNonzeroProduct(ci, q) {
@@ -254,11 +233,11 @@ func (st *AbsState) applyConsts(ci int) *poly.Quad {
 // --- recording helpers -------------------------------------------------------
 //
 // Every fact write goes through exactly one of the helpers below so that
-// (a) the cross-domain meets fire on every update, (b) the generation
-// counters driving the incremental scans stay coherent, and (c) Verify can
-// assume the stored state is closed under the meets. Direct writes to the
-// fact arrays outside these helpers are rejected by the `rangefact` vet
-// analyzer.
+// (a) the cross-domain meets fire on every update, (b) the constant
+// generation counter driving the incremental scan stays coherent, and (c)
+// Verify can assume the stored state is closed under the meets. Direct
+// writes to the fact arrays outside these helpers are rejected by the
+// `rangefact` vet analyzer.
 
 // setConst records a constant fact (constants are also determined, have a
 // singleton interval, and are nonzero when the value is).
@@ -279,7 +258,6 @@ func (st *AbsState) setConst(id int, v ff.Element) bool {
 	st.constVal[id] = v
 	st.isDet[id] = true
 	st.constGen++
-	st.rangeGen++
 	st.ival[id] = intervalOfConst(st.sys.Field(), v)
 	if !v.IsZero() {
 		st.nonzero[id] = true
@@ -308,7 +286,6 @@ func (st *AbsState) recordBool(id, ci int) bool {
 		return false
 	}
 	st.isBool[id] = true
-	st.rangeGen++
 	st.recordInterval(id, boolInterval(), ci)
 	return true
 }
@@ -340,30 +317,20 @@ func (st *AbsState) recordNonzero(id int) bool {
 		return false
 	}
 	st.nonzero[id] = true
-	st.rangeGen++
 	return true
 }
 
-// recordConflict records a proof of unsatisfiability (at most one per
-// constraint); reports whether the conflict is new.
-func (st *AbsState) recordConflict(ci, id int, msg string) bool {
-	if ci >= 0 && st.conflictAt[ci] {
-		return false
-	}
-	if ci >= 0 {
-		st.conflictAt[ci] = true
-	}
+// recordConflict records a proof of unsatisfiability.
+func (st *AbsState) recordConflict(ci, id int, msg string) {
 	st.conflicts = append(st.conflicts, Conflict{Constraint: ci, Signal: id, Msg: msg})
-	return true
 }
 
 // recordInterval meets a derived interval fact into the state. The update
-// is applied only when it strictly tightens the stored interval and the
-// signal's refinement budget is not exhausted; an empty meet records a
-// conflict instead. Cross-domain closure: a singleton promotes to a
-// constant, and an interval excluding 0 implies nonzero.
+// is applied only when it strictly tightens the stored interval; an empty
+// meet records a conflict instead. Cross-domain closure: a singleton
+// promotes to a constant, and an interval excluding 0 implies nonzero.
 func (st *AbsState) recordInterval(id int, iv *Interval, ci int) bool {
-	if st.budget[id] <= 0 || st.isConst[id] {
+	if st.isConst[id] {
 		return false
 	}
 	cur := st.ival[id]
@@ -372,15 +339,14 @@ func (st *AbsState) recordInterval(id int, iv *Interval, ci int) bool {
 	}
 	m, ok := cur.meet(iv)
 	if !ok {
-		return st.recordConflict(ci, id,
+		st.recordConflict(ci, id,
 			fmt.Sprintf("derived range %s for signal %s contradicts its established range %s", iv, st.sys.Name(id), cur))
+		return false
 	}
 	if !cur.tightens(m) {
 		return false
 	}
 	st.ival[id] = m
-	st.budget[id]--
-	st.rangeGen++
 	if m.IsSingleton() {
 		st.promoteSingleton(id, m.Lo)
 	} else if !m.ContainsZero() {
@@ -400,117 +366,58 @@ func (st *AbsState) ivOf(id int) *Interval {
 
 // --- range rules -------------------------------------------------------------
 
-// ruleProject is Rule R-Proj, the HC4-style interval projection.
-//
-// Over signed representatives the residual q = Σ qᵢⱼ·xᵢ·xⱼ + Σ cᵢ·xᵢ + c₀
-// satisfies q ≡ 0 (mod p), i.e. the exact integer value V of q (coefficients
-// taken signed, variables ranging over their intervals) is a multiple of p.
-// Summing the exact term ranges gives V ∈ [T_lo, T_hi]; when exactly one
-// multiple k·p lies in that window, the field equation collapses to the
-// *integer* equation V = k·p — the no-wraparound condition — and solving it
-// for each linear-only term cᵥ·xᵥ projects a sound interval onto xᵥ:
-//
-//	cᵥ·xᵥ = k·p − (V − cᵥ·xᵥ) ∈ [k·p − (T_hi − tᵥ_lo), k·p − (T_lo − tᵥ_hi)]
-//
-// When NO multiple of p lies in the window the abstract sets admit no
-// solution at all and a conflict is recorded (range-violation). When two or
-// more multiples fit, nothing fires: the wraparound is not resolved.
-//
-// The rule is generation-gated: it reruns only when some range fact changed
-// since the last evaluation on this constraint.
-func (st *AbsState) ruleProject(ci int, q *poly.Quad) bool {
-	if st.projGen[ci] == st.rangeGen {
-		return false
-	}
-	st.projGen[ci] = st.rangeGen
-
-	// Quick reject: with no informative interval anywhere in the
-	// constraint the window spans many multiples of p.
-	info := false
-	q.Lin().VisitTerms(func(x int, _ ff.Element) {
-		if st.ival[x] != nil {
-			info = true
-		}
-	})
-	q.VisitQuadTerms(func(p poly.VarPair, _ ff.Element) {
-		if st.ival[p.X] != nil || st.ival[p.Y] != nil {
-			info = true
-		}
-	})
-	if !info {
-		return false
-	}
-
+// window returns the exact integer range [lo, hi] of q's value over signed
+// representatives — coefficients taken signed, each variable ranging over
+// its interval (the full signed range when it has none) — and whether some
+// multiple of p lies in it. In a satisfying assignment q ≡ 0 (mod p), so a
+// window without a multiple of p admits no solution.
+func (st *AbsState) window(q *poly.Quad) (lo, hi *big.Int, admits bool) {
 	f := st.sys.Field()
-	var (
-		terms  []projTerm
-		inQuad map[int]bool
-	)
-	tLo := f.Signed(q.Lin().Constant())
-	tHi := new(big.Int).Set(tLo)
+	lo = f.Signed(q.Lin().Constant())
+	hi = new(big.Int).Set(lo)
 	q.VisitQuadTerms(func(p poly.VarPair, coeff ff.Element) {
-		c := f.Signed(coeff)
-		lo, hi := prodRange(c, st.ivOf(p.X), st.ivOf(p.Y))
-		tLo.Add(tLo, lo)
-		tHi.Add(tHi, hi)
-		if inQuad == nil {
-			inQuad = make(map[int]bool, 2*q.NumQuadTerms())
-		}
-		inQuad[p.X] = true
-		inQuad[p.Y] = true
+		tLo, tHi := prodRange(f.Signed(coeff), st.ivOf(p.X), st.ivOf(p.Y))
+		lo.Add(lo, tLo)
+		hi.Add(hi, tHi)
 	})
 	q.Lin().VisitTerms(func(v int, coeff ff.Element) {
-		c := f.Signed(coeff)
-		lo, hi := termRange(c, st.ivOf(v))
-		tLo.Add(tLo, lo)
-		tHi.Add(tHi, hi)
-		terms = append(terms, projTerm{v: v, c: c, lo: lo, hi: hi})
+		tLo, tHi := termRange(f.Signed(coeff), st.ivOf(v))
+		lo.Add(lo, tLo)
+		hi.Add(hi, tHi)
 	})
-
-	kLo := ceilDiv(tLo, st.pMod)
-	kHi := floorDiv(tHi, st.pMod)
-	switch kHi.Cmp(kLo) {
-	case -1:
-		// No multiple of p fits: the established ranges exclude every
-		// solution of this constraint.
-		return st.recordConflict(ci, -1,
-			fmt.Sprintf("constraint #%d cannot hold for any values in the established ranges (residual value window [%v, %v] contains no multiple of the field modulus)", ci, tLo, tHi))
-	case 0:
-		// Exactly one multiple: integer equation established, project.
-	default:
-		return false
-	}
-	kp := new(big.Int).Mul(kLo, st.pMod)
-
-	changed := false
-	for _, t := range terms {
-		if inQuad[t.v] {
-			continue
-		}
-		// rest = V − t ∈ [tLo − t.hi, tHi − t.lo]; c·x = kp − rest.
-		pLo := new(big.Int).Sub(kp, new(big.Int).Sub(tHi, t.lo))
-		pHi := new(big.Int).Sub(kp, new(big.Int).Sub(tLo, t.hi))
-		iv, ok := divProject(pLo, pHi, t.c)
-		if !ok {
-			if st.recordConflict(ci, t.v,
-				fmt.Sprintf("constraint #%d admits no integer value for signal %s within the established ranges", ci, st.sys.Name(t.v))) {
-				changed = true
-			}
-			continue
-		}
-		if st.recordInterval(t.v, iv, ci) {
-			changed = true
-		}
-	}
-	return changed
+	return lo, hi, ceilDiv(lo, st.pMod).Cmp(floorDiv(hi, st.pMod)) <= 0
 }
 
-// projTerm is one linear term cᵥ·xᵥ of a residual with its exact signed
-// value range, as collected by ruleProject.
-type projTerm struct {
-	v      int
-	c      *big.Int
-	lo, hi *big.Int
+// checkWindows records a conflict for every constraint whose residual value
+// window, under the final intervals, contains no multiple of p: the
+// established ranges exclude every solution of that constraint. It runs
+// once, after the fixpoint, since no rule reads these conflicts. A residual
+// none of whose variables carries an interval fact is skipped: a variable
+// without one spans the full signed range, which widens the window to at
+// least p − 1 and so always admits a multiple of p, and a variable-free
+// nonzero residual is a constant-replay failure (Verify layer 1), not a
+// range one.
+func (st *AbsState) checkWindows() {
+	for ci, q := range st.residual {
+		info := false
+		q.Lin().VisitTerms(func(x int, _ ff.Element) {
+			if st.ival[x] != nil {
+				info = true
+			}
+		})
+		q.VisitQuadTerms(func(p poly.VarPair, _ ff.Element) {
+			if st.ival[p.X] != nil || st.ival[p.Y] != nil {
+				info = true
+			}
+		})
+		if !info {
+			continue
+		}
+		if lo, hi, admits := st.window(q); !admits {
+			st.recordConflict(ci, -1,
+				fmt.Sprintf("constraint #%d cannot hold for any values in the established ranges (residual value window [%v, %v] contains no multiple of the field modulus)", ci, lo, hi))
+		}
+	}
 }
 
 // ruleNonzeroProduct covers the nonzero product rules:

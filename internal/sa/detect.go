@@ -76,9 +76,10 @@ func detectRangeViolation(sys *r1cs.System, l *Lint) {
 // then alias the same field value, so the equation no longer pins the
 // bounded signals' integer interpretation (the AliasCheck wraparound
 // class). Constraints whose bounded span stays below p are wrap-free by the
-// same window argument ruleProject uses. Wrap-free is not alias-free: a
-// coefficient above (p−1)/2 has a negative signed value, so Num2Bits(254)'s
-// bit sum spans exactly p − 1 and stays silent although its bits alias.
+// window argument of Interpret's window check. Wrap-free is not alias-free:
+// a coefficient above (p−1)/2 has a negative signed value, so
+// Num2Bits(254)'s bit sum spans exactly p − 1 and stays silent although its
+// bits alias.
 func detectOverflowProneSum(sys *r1cs.System, l *Lint) {
 	f := sys.Field()
 	p := f.Modulus()

@@ -139,23 +139,6 @@ func prodRange(c *big.Int, a, b *Interval) (lo, hi *big.Int) {
 	return lo, hi
 }
 
-// divProject projects the constraint c·x ∈ [lo, hi] onto x for a nonzero
-// signed coefficient c: x ∈ [⌈lo/c⌉, ⌊hi/c⌋] (endpoints swapped for c < 0).
-// ok is false when the projected interval is empty — no integer x satisfies
-// the bound, which the caller records as a range conflict.
-func divProject(lo, hi, c *big.Int) (*Interval, bool) {
-	if c.Sign() < 0 {
-		lo, hi = new(big.Int).Neg(hi), new(big.Int).Neg(lo)
-		c = new(big.Int).Neg(c)
-	}
-	xlo := ceilDiv(lo, c)
-	xhi := floorDiv(hi, c)
-	if xlo.Cmp(xhi) > 0 {
-		return nil, false
-	}
-	return newInterval(xlo, xhi), true
-}
-
 // floorDiv returns ⌊a/b⌋ for b > 0.
 func floorDiv(a, b *big.Int) *big.Int {
 	q, r := new(big.Int).QuoRem(a, b, new(big.Int))

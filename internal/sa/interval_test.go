@@ -79,23 +79,6 @@ func TestTermAndProdRange(t *testing.T) {
 	}
 }
 
-func TestDivProject(t *testing.T) {
-	// 2x ∈ [3, 9] → x ∈ [2, 4].
-	got, ok := divProject(bi(3), bi(9), bi(2))
-	if !ok || got.Lo.Cmp(bi(2)) != 0 || got.Hi.Cmp(bi(4)) != 0 {
-		t.Errorf("divProject(3,9,2) = %v,%v", got, ok)
-	}
-	// -3x ∈ [2, 7] → x ∈ [-2, -1] (x = -1: -3·-1 = 3 ∈ [2,7]).
-	got, ok = divProject(bi(2), bi(7), bi(-3))
-	if !ok || got.Lo.Cmp(bi(-2)) != 0 || got.Hi.Cmp(bi(-1)) != 0 {
-		t.Errorf("divProject(2,7,-3) = %v,%v", got, ok)
-	}
-	// 5x ∈ [2, 4] holds for no integer x.
-	if _, ok := divProject(bi(2), bi(4), bi(5)); ok {
-		t.Error("divProject should report an empty projection")
-	}
-}
-
 func TestFloorCeilDiv(t *testing.T) {
 	for _, tc := range []struct{ a, b, fl, ce int64 }{
 		{7, 2, 3, 4},

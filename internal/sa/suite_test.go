@@ -221,11 +221,9 @@ func TestComponentsMatchReference(t *testing.T) {
 var updateFacts = flag.Bool("update-facts", false, "rewrite testdata/static_facts.golden")
 
 // factsDigest hashes one instance's static facts: per signal its constant,
-// boolean, determined, interval and range-determined facts, then every
-// recorded conflict. Values are rendered as big.Int decimal strings so the
-// digest does not depend on the machine word size. Nonzero facts are left
-// out: they are read only by the nonzero-divisor-proved detector, which the
-// findings gate pins on its own.
+// boolean, determined, interval, range-determined and nonzero facts, then
+// every recorded conflict. Values are rendered as big.Int decimal strings
+// so the digest does not depend on the machine word size.
 func factsDigest(sys *r1cs.System, st *sa.AbsState) string {
 	h := sha256.New()
 	f := sys.Field()
@@ -246,6 +244,9 @@ func factsDigest(sys *r1cs.System, st *sa.AbsState) string {
 		if iv := st.Interval(id); iv != nil {
 			fmt.Fprintf(h, " ival=[%s,%s]", iv.Lo, iv.Hi)
 		}
+		if st.Nonzero(id) {
+			fmt.Fprint(h, " nonzero")
+		}
 		fmt.Fprintln(h)
 	}
 	for _, c := range st.Conflicts() {
@@ -255,10 +256,9 @@ func factsDigest(sys *r1cs.System, st *sa.AbsState) string {
 }
 
 // TestStaticFactsDigest pins every fact the abstract interpretation derives
-// (nonzero facts aside, see factsDigest) on the suite and the corpus slice
-// the findings gate pins, one digest per instance. A change to the range
-// rules that is meant to derive the same facts must leave every line of
-// testdata/static_facts.golden unchanged.
+// on the suite and the whole pinned corpus, one digest per instance. A
+// change to the range rules that is meant to derive the same facts must
+// leave every line of testdata/static_facts.golden unchanged.
 func TestStaticFactsDigest(t *testing.T) {
 	if testing.Short() {
 		t.Skip("compiling the full suite is slow")
@@ -268,7 +268,7 @@ func TestStaticFactsDigest(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got strings.Builder
-	for _, inst := range append(bench.Suite(), corpus[:bench.FindingsCorpusSlice]...) {
+	for _, inst := range append(bench.Suite(), corpus...) {
 		prog, err := inst.Compile()
 		if err != nil {
 			t.Fatalf("%s: %v", inst.Name, err)

@@ -3,9 +3,6 @@ package sa
 import (
 	"fmt"
 	"math/big"
-
-	"qed2/internal/ff"
-	"qed2/internal/poly"
 )
 
 // Verify replays the derived facts against the original constraints as an
@@ -22,8 +19,8 @@ import (
 //     inside the signed range).
 //  3. Admissibility replay: re-deriving each constraint's signed value
 //     window from the final intervals, some multiple of p must fit — the
-//     exact check ruleProject's conflict detection is built on, but
-//     evaluated on the original (unsubstituted) constraints.
+//     window check Interpret runs on the residuals, evaluated here on the
+//     original (unsubstituted) constraints.
 //  4. Witness sampling: for signals whose interval is tiny (at most
 //     maxSampleCandidates values), each candidate is substituted into the
 //     signal's residual constraints; if every candidate contradicts some
@@ -75,21 +72,8 @@ func (st *AbsState) Verify() error {
 
 	// Layer 3: interval admissibility replay on the original constraints.
 	for ci := 0; ci < st.sys.NumConstraints(); ci++ {
-		q := st.sys.Constraint(ci).Quad()
-		tLo := f.Signed(q.Lin().Constant())
-		tHi := new(big.Int).Set(tLo)
-		q.VisitQuadTerms(func(p poly.VarPair, coeff ff.Element) {
-			lo, hi := prodRange(f.Signed(coeff), st.ivOf(p.X), st.ivOf(p.Y))
-			tLo.Add(tLo, lo)
-			tHi.Add(tHi, hi)
-		})
-		q.Lin().VisitTerms(func(v int, coeff ff.Element) {
-			lo, hi := termRange(f.Signed(coeff), st.ivOf(v))
-			tLo.Add(tLo, lo)
-			tHi.Add(tHi, hi)
-		})
-		if ceilDiv(tLo, st.pMod).Cmp(floorDiv(tHi, st.pMod)) > 0 {
-			return fmt.Errorf("sa: range replay failed on constraint #%d: value window [%v, %v] admits no multiple of the modulus", ci, tLo, tHi)
+		if lo, hi, admits := st.window(st.sys.Constraint(ci).Quad()); !admits {
+			return fmt.Errorf("sa: range replay failed on constraint #%d: value window [%v, %v] admits no multiple of the modulus", ci, lo, hi)
 		}
 	}
 
