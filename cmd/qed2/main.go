@@ -250,6 +250,10 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 				s.StaticUnique+s.StaticRangeUnique, s.StaticRangeUnique,
 				s.StaticQueriesAvoided+s.StaticRangePruned, s.StaticRangePruned)
 		}
+		if report.StaticVerifyError != "" {
+			fmt.Fprintf(stdout, "static pass:  facts dropped, replay check failed: %s\n", report.StaticVerifyError)
+			fmt.Fprintln(stdout, "              (the constraints may have no solution at all; -lint reports where)")
+		}
 		if ce := report.Counter; ce != nil {
 			printCounterexample(stdout, prog, ce)
 		}

@@ -344,6 +344,57 @@ func TestCLIStaticStatsInJSON(t *testing.T) {
 	if !strings.Contains(out, "static_unique") || !strings.Contains(out, "static_queries_avoided") {
 		t.Errorf("json stats missing static fields:\n%s", out)
 	}
+	if strings.Contains(out, "static_verify_error") {
+		t.Errorf("json reports a static replay failure on a satisfiable circuit:\n%s", out)
+	}
+}
+
+// windowConflictSrc has no satisfying assignment: b + c + 5 ranges over
+// [5, 7] for boolean b and c, a window holding no multiple of p. The static
+// pre-pass proves that, so its replay check fails and its facts are
+// dropped; the solver still answers safe (no two witnesses can differ).
+const windowConflictSrc = `
+pragma circom 2.0.0;
+template WindowConflict() {
+    signal input a;
+    signal b;
+    signal c;
+    b <-- a;
+    c <-- a;
+    b * (b - 1) === 0;
+    c * (c - 1) === 0;
+    b + c + 5 === 0;
+}
+component main = WindowConflict();
+`
+
+// TestCLIStaticVerifyFailureIsReported: when the static facts are dropped,
+// the text and -json reports say so and give the replay error, while the
+// verdict and the exit code stay those of the solver.
+func TestCLIStaticVerifyFailureIsReported(t *testing.T) {
+	path := writeCircuit(t, "wc.circom", windowConflictSrc)
+	const why = "sa: range replay failed on constraint #2: value window [5, 7] admits no multiple of the modulus"
+	code, out, _ := runCLI(t, path)
+	if code != 0 || !strings.Contains(out, "verdict:      safe") {
+		t.Fatalf("exit = %d, want 0 with verdict safe:\n%s", code, out)
+	}
+	if !strings.Contains(out, "static pass:  facts dropped, replay check failed: "+why+"\n") {
+		t.Errorf("text report does not give the replay failure:\n%s", out)
+	}
+	code, out, _ = runCLI(t, "-json", path)
+	if code != 0 {
+		t.Fatalf("-json exit = %d, want 0", code)
+	}
+	var rep struct {
+		Verdict           string `json:"verdict"`
+		StaticVerifyError string `json:"static_verify_error"`
+	}
+	if err := json.Unmarshal([]byte(out), &rep); err != nil {
+		t.Fatalf("-json output: %v\n%s", err, out)
+	}
+	if rep.Verdict != "safe" || rep.StaticVerifyError != why {
+		t.Errorf("-json verdict = %q, static_verify_error = %q; want safe, %q", rep.Verdict, rep.StaticVerifyError, why)
+	}
 }
 
 func TestCLICanceledContextYieldsUnknown(t *testing.T) {

@@ -4,7 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"math/big"
+	"strconv"
 	"strings"
+	"sync"
 
 	"qed2/internal/faultinject"
 	"qed2/internal/ff"
@@ -87,7 +89,7 @@ func loadWithIncludes(src string, library map[string]string) (*File, error) {
 		if !ok {
 			return nil, fmt.Errorf("circom: include %q not found in library", name)
 		}
-		inc, err := ParseFile(text)
+		inc, err := parseIncluded(text)
 		if err != nil {
 			return nil, fmt.Errorf("circom: in included file %q: %w", name, err)
 		}
@@ -99,6 +101,57 @@ func loadWithIncludes(src string, library map[string]string) (*File, error) {
 		queue = append(queue, inc.Includes...)
 	}
 	return root, nil
+}
+
+// maxCachedIncludes bounds the include-parse cache. The bundled library has
+// 20 files; the rest of the room is for sibling includes of user circuits.
+// A process that meets more distinct include texts than this starts the
+// cache over, so it re-parses but never grows without bound.
+const maxCachedIncludes = 256
+
+// includeCache holds parsed included files for the life of the process,
+// keyed by their source text, so compiling many circuits against one
+// library parses each library file once. Sharing one *File between
+// compilations, concurrent ones included, is sound because ParseFile is a
+// pure function of its text and compilation never writes to an AST node:
+// loadWithIncludes appends a cached file's templates to the fresh root's
+// slices, and literals are copied (Field.Reduce) before they become values.
+// TestIncludeCacheMatchesFreshParse pins the read-only invariant. The root
+// source is not cached: it differs for every circuit.
+var includeCache struct {
+	sync.Mutex
+	files map[string]*File
+}
+
+// parseIncluded returns the parse of an included file, from the cache when
+// the same text was parsed before. Parse errors are not cached.
+func parseIncluded(text string) (*File, error) {
+	includeCache.Lock()
+	f, ok := includeCache.files[text]
+	includeCache.Unlock()
+	if ok {
+		return f, nil
+	}
+	f, err := ParseFile(text)
+	if err != nil {
+		return nil, err
+	}
+	includeCache.Lock()
+	if includeCache.files == nil || len(includeCache.files) >= maxCachedIncludes {
+		includeCache.files = make(map[string]*File)
+	}
+	includeCache.files[text] = f
+	includeCache.Unlock()
+	return f, nil
+}
+
+// ResetIncludeCache empties the include-parse cache, so the next
+// compilation parses every included file again. Benchmarks and tests use it
+// to measure or exercise a cold cache; results never depend on it.
+func ResetIncludeCache() {
+	includeCache.Lock()
+	includeCache.files = nil
+	includeCache.Unlock()
 }
 
 // CompileFile compiles an already-parsed (and include-merged) file.
@@ -619,11 +672,13 @@ func indexSuffix(dims []int, flat int) string {
 		idx[i] = flat % dims[i]
 		flat /= dims[i]
 	}
-	var b strings.Builder
+	b := make([]byte, 0, 4*len(idx))
 	for _, k := range idx {
-		fmt.Fprintf(&b, "[%d]", k)
+		b = append(b, '[')
+		b = strconv.AppendInt(b, int64(k), 10)
+		b = append(b, ']')
 	}
-	return b.String()
+	return string(b)
 }
 
 func (e *env) execComponentDecl(st *ComponentDecl) error {
@@ -716,43 +771,48 @@ func (r *ref) dims() []int {
 	}
 }
 
-func (e *env) resolveRef(x Expr) (*ref, error) {
+// resolveRef returns the reference by value: it runs for every identifier
+// the compiler evaluates, and a value result stays off the heap.
+func (e *env) resolveRef(x Expr) (ref, error) {
 	switch ex := x.(type) {
 	case *Ident:
 		b, ok := e.lookup(ex.Name)
 		if !ok {
-			return nil, errAt(ex.Pos, "undefined identifier %q", ex.Name)
+			return ref{}, errAt(ex.Pos, "undefined identifier %q", ex.Name)
 		}
 		switch bb := b.(type) {
 		case *varCell:
-			return &ref{kind: refVar, cell: bb, pos: ex.Pos}, nil
+			return ref{kind: refVar, cell: bb, pos: ex.Pos}, nil
 		case *sigGroup:
-			return &ref{kind: refSig, sig: bb, pos: ex.Pos}, nil
+			return ref{kind: refSig, sig: bb, pos: ex.Pos}, nil
 		case *compGroup:
-			return &ref{kind: refComp, comp: bb, pos: ex.Pos}, nil
+			return ref{kind: refComp, comp: bb, pos: ex.Pos}, nil
 		default:
-			return nil, errAt(ex.Pos, "internal: unknown binding %T", b)
+			return ref{}, errAt(ex.Pos, "internal: unknown binding %T", b)
 		}
 	case *IndexExpr:
 		base, err := e.resolveRef(ex.X)
 		if err != nil {
-			return nil, err
+			return ref{}, err
 		}
 		iv, err := e.evalConstScalar(ex.Idx)
 		if err != nil {
-			return nil, err
+			return ref{}, err
 		}
-		si := e.c.f.SignedBig(iv)
-		if !si.IsInt64() {
-			return nil, errAt(ex.Pos, "array index out of range: %v", si)
+		i, ok := e.c.f.SmallNonNegBig(iv)
+		if !ok {
+			si := e.c.f.SignedBig(iv)
+			if !si.IsInt64() {
+				return ref{}, errAt(ex.Pos, "array index out of range: %v", si)
+			}
+			i = int(si.Int64())
 		}
-		i := int(si.Int64())
 		dims := base.dims()
 		if len(base.idx) >= len(dims) {
-			return nil, errAt(ex.Pos, "too many indices")
+			return ref{}, errAt(ex.Pos, "too many indices")
 		}
 		if i < 0 || i >= dims[len(base.idx)] {
-			return nil, errAt(ex.Pos, "index %d out of bounds [0,%d)", i, dims[len(base.idx)])
+			return ref{}, errAt(ex.Pos, "index %d out of bounds [0,%d)", i, dims[len(base.idx)])
 		}
 		base.idx = append(base.idx, i)
 		base.pos = ex.Pos
@@ -760,28 +820,28 @@ func (e *env) resolveRef(x Expr) (*ref, error) {
 	case *MemberExpr:
 		base, err := e.resolveRef(ex.X)
 		if err != nil {
-			return nil, err
+			return ref{}, err
 		}
 		if base.kind != refComp {
-			return nil, errAt(ex.Pos, "member access on non-component")
+			return ref{}, errAt(ex.Pos, "member access on non-component")
 		}
 		if len(base.idx) != len(base.comp.dims) {
-			return nil, errAt(ex.Pos, "component array %s must be fully indexed before member access", base.comp.name)
+			return ref{}, errAt(ex.Pos, "component array %s must be fully indexed before member access", base.comp.name)
 		}
 		inst := base.comp.slots[flattenIndex(base.comp.dims, base.idx)]
 		if inst == nil {
-			return nil, errAt(ex.Pos, "component %s%s used before instantiation", base.comp.name, indexSuffix(base.comp.dims, flattenIndex(base.comp.dims, base.idx)))
+			return ref{}, errAt(ex.Pos, "component %s%s used before instantiation", base.comp.name, indexSuffix(base.comp.dims, flattenIndex(base.comp.dims, base.idx)))
 		}
 		g, ok := inst.signals[ex.Name]
 		if !ok {
-			return nil, errAt(ex.Pos, "template %s has no signal %q", inst.tmplName, ex.Name)
+			return ref{}, errAt(ex.Pos, "template %s has no signal %q", inst.tmplName, ex.Name)
 		}
 		if g.class == SignalIntermediate {
-			return nil, errAt(ex.Pos, "intermediate signal %q of %s is not accessible from outside", ex.Name, inst.tmplName)
+			return ref{}, errAt(ex.Pos, "intermediate signal %q of %s is not accessible from outside", ex.Name, inst.tmplName)
 		}
-		return &ref{kind: refSig, sig: g, inst: inst, pos: ex.Pos}, nil
+		return ref{kind: refSig, sig: g, inst: inst, pos: ex.Pos}, nil
 	default:
-		return nil, errAt(x.exprPos(), "expression is not addressable")
+		return ref{}, errAt(x.exprPos(), "expression is not addressable")
 	}
 }
 
@@ -826,13 +886,13 @@ func (e *env) execAssign(st *AssignStmt) error {
 		return err
 	}
 	if st.Op == TokAssign {
-		return e.storeVar(r, rhs, st.Pos)
+		return e.storeVar(&r, rhs, st.Pos)
 	}
 	binOp, ok := compoundOps[st.Op]
 	if !ok {
 		return errAt(st.Pos, "unsupported assignment operator %q", st.Op.String())
 	}
-	cur, err := e.readVarValue(r)
+	cur, err := e.readVarValue(&r)
 	if err != nil {
 		return err
 	}
@@ -844,14 +904,14 @@ func (e *env) execAssign(st *AssignStmt) error {
 		if err != nil {
 			return errAt(st.Pos, "%v", err)
 		}
-		return e.storeVar(r, nv, st.Pos)
+		return e.storeVar(&r, nv, st.Pos)
 	}
 	// Symbolic path: combine the (symVal, WExpr) views of both sides.
 	nv, err := e.combineSymbolic(binOp, cur, rhs, st.Pos)
 	if err != nil {
 		return err
 	}
-	return e.storeVar(r, nv, st.Pos)
+	return e.storeVar(&r, nv, st.Pos)
 }
 
 // combineSymbolic applies a binary operator where at least one operand is
@@ -1161,11 +1221,11 @@ func (e *env) evalDims(dims []Expr) ([]int, error) {
 		if err != nil {
 			return nil, err
 		}
-		sv := e.c.f.SignedBig(v)
-		if !sv.IsInt64() || sv.Int64() < 0 || sv.Int64() > 1<<24 {
-			return nil, errAt(d.exprPos(), "array dimension out of range: %v", sv)
+		n, ok := e.c.f.SmallNonNegBig(v)
+		if !ok || n > 1<<24 {
+			return nil, errAt(d.exprPos(), "array dimension out of range: %v", e.c.f.SignedBig(v))
 		}
-		out = append(out, int(sv.Int64()))
+		out = append(out, n)
 	}
 	return out, nil
 }

@@ -75,7 +75,7 @@ func (e *env) evalConst(x Expr) (cval, error) {
 		if err != nil {
 			return nil, err
 		}
-		return e.readConstRef(r)
+		return e.readConstRef(&r)
 	case *CallExpr:
 		return e.callFunction(ex)
 	case *UnaryExpr:
@@ -305,7 +305,7 @@ func (e *env) evalSym(x Expr) (*symVal, error) {
 				return sr.sym, nil
 			}
 		}
-		v, err := e.readConstRef(r)
+		v, err := e.readConstRef(&r)
 		if err != nil {
 			return nil, err
 		}
@@ -464,7 +464,7 @@ func (e *env) buildWExpr(x Expr) (WExpr, error) {
 				return sr.wx, nil
 			}
 		}
-		v, err := e.readConstRef(r)
+		v, err := e.readConstRef(&r)
 		if err != nil {
 			return nil, err
 		}

@@ -73,13 +73,13 @@ func applyBin(f *ff.Field, op TokKind, a, b *big.Int) (*big.Int, error) {
 	case TokNeq:
 		return boolElt(a.Cmp(b) != 0), nil
 	case TokLt:
-		return boolElt(f.SignedBig(a).Cmp(f.SignedBig(b)) < 0), nil
+		return boolElt(f.CmpSignedBig(a, b) < 0), nil
 	case TokLeq:
-		return boolElt(f.SignedBig(a).Cmp(f.SignedBig(b)) <= 0), nil
+		return boolElt(f.CmpSignedBig(a, b) <= 0), nil
 	case TokGt:
-		return boolElt(f.SignedBig(a).Cmp(f.SignedBig(b)) > 0), nil
+		return boolElt(f.CmpSignedBig(a, b) > 0), nil
 	case TokGeq:
-		return boolElt(f.SignedBig(a).Cmp(f.SignedBig(b)) >= 0), nil
+		return boolElt(f.CmpSignedBig(a, b) >= 0), nil
 	case TokAndAnd:
 		return boolElt(truthy(a) && truthy(b)), nil
 	case TokOrOr:

@@ -59,6 +59,48 @@ func TestApplyBinTable(t *testing.T) {
 	}
 }
 
+// TestApplyBinComparisonsMatchSignedBig: the four relational operators
+// agree with comparing the SignedBig readings of their operands, over BN254
+// and F_97, on the values around the sign threshold and on random elements.
+func TestApplyBinComparisonsMatchSignedBig(t *testing.T) {
+	for _, f := range []*ff.Field{ff.BN254(), f97t} {
+		p := f.Modulus()
+		half := new(big.Int).Rsh(p, 1)
+		vals := []*big.Int{
+			big.NewInt(0), big.NewInt(1), half,
+			new(big.Int).Add(half, big.NewInt(1)),
+			new(big.Int).Sub(p, big.NewInt(1)),
+		}
+		rng := rand.New(rand.NewSource(7))
+		for i := 0; i < 32; i++ {
+			vals = append(vals, new(big.Int).Rand(rng, p))
+		}
+		ops := []struct {
+			op   TokKind
+			want func(c int) bool
+		}{
+			{TokLt, func(c int) bool { return c < 0 }},
+			{TokLeq, func(c int) bool { return c <= 0 }},
+			{TokGt, func(c int) bool { return c > 0 }},
+			{TokGeq, func(c int) bool { return c >= 0 }},
+		}
+		for _, a := range vals {
+			for _, b := range vals {
+				c := f.SignedBig(a).Cmp(f.SignedBig(b))
+				for _, o := range ops {
+					got, err := applyBin(f, o.op, a, b)
+					if err != nil {
+						t.Fatalf("%s: %v(%v, %v): %v", f.Name(), o.op, a, b, err)
+					}
+					if truthy(got) != o.want(c) {
+						t.Errorf("%s: %v(%v, %v) = %v, want %v", f.Name(), o.op, a, b, got, o.want(c))
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestPowMatchesBigReference checks the witness interpreter's ** (ff.Exp on
 // limbs) against the compile-time evaluator's (ff.ExpBig) over BN254, for
 // exponents from 0 up to the width of the field, where Exp switches from

@@ -186,7 +186,13 @@ type Report struct {
 	// Unsafe verdicts are never degraded — faults only ever move a verdict
 	// toward Unknown.
 	Degraded Degradation
-	Stats    Stats
+	// StaticVerifyError is the error of the static pre-pass's replay check
+	// (sa's AbsState.Verify) when it failed and the pass's facts were
+	// dropped; empty otherwise. The verdict never depends on it: the
+	// analysis then runs as if the pre-pass had not. A failure on a system
+	// with no satisfying assignment at all is the pre-pass's proof of that.
+	StaticVerifyError string
+	Stats             Stats
 }
 
 // analysis carries the mutable state of one Analyze call. The solver-step

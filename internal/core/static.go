@@ -49,6 +49,7 @@ func (a *analysis) runStaticPrePass() {
 		// the full analysis untouched (degradation, never unsoundness).
 		a.cfg.Obs.Event(a.span, "core.static.verify_failed", obs.KV("err", err.Error()))
 		a.cfg.Metrics.Counter("core.static.verify_failures").Inc()
+		a.report.StaticVerifyError = err.Error()
 		return
 	}
 	rangeAttr := make(map[int]bool, len(res.RangeDetermined))

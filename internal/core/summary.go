@@ -45,6 +45,9 @@ type Summary struct {
 	DurationMS           float64 `json:"duration_ms"`
 	// Version stamps the build that produced the summary (informational).
 	Version string `json:"version,omitempty"`
+	// StaticVerifyError is Report.StaticVerifyError: why the static
+	// pre-pass's facts were dropped, when they were.
+	StaticVerifyError string `json:"static_verify_error,omitempty"`
 }
 
 // Summary flattens the report against its system, which names the
@@ -70,6 +73,7 @@ func (r *Report) Summary(sys *r1cs.System) Summary {
 		Workers:              r.Stats.Workers,
 		DurationMS:           float64(r.Stats.Duration.Microseconds()) / 1000,
 		Version:              buildinfo.Get().String(),
+		StaticVerifyError:    r.StaticVerifyError,
 	}
 	if ce := r.Counter; ce != nil {
 		f := sys.Field()

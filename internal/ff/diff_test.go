@@ -430,3 +430,43 @@ func TestSqrtRootPinned(t *testing.T) {
 		})
 	}
 }
+
+// TestSignedHelpersMatchSignedBig: CmpSignedBig and SmallNonNegBig agree
+// with the allocating SignedBig reading they stand in for, on the values
+// around the sign threshold (0, 1, half, half+1, p−1), on random elements,
+// and, for the comparison, on unnormalized inputs that take its slow path.
+func TestSignedHelpersMatchSignedBig(t *testing.T) {
+	for _, f := range diffFields(t) {
+		f := f
+		t.Run(f.Name(), func(t *testing.T) {
+			p := f.Modulus()
+			half := new(big.Int).Rsh(p, 1)
+			vals := []*big.Int{
+				big.NewInt(0), big.NewInt(1), half,
+				new(big.Int).Add(half, big.NewInt(1)),
+				new(big.Int).Sub(p, big.NewInt(1)),
+			}
+			rng := rand.New(rand.NewSource(0x51ed))
+			for i := 0; i < 64; i++ {
+				vals = append(vals, randBig(f, rng))
+			}
+			for _, a := range vals {
+				sa := f.SignedBig(a)
+				n, ok := f.SmallNonNegBig(a)
+				wantOK := sa.Sign() >= 0 && sa.IsInt64() && int64(int(sa.Int64())) == sa.Int64()
+				if ok != wantOK || (ok && int64(n) != sa.Int64()) {
+					t.Errorf("SmallNonNegBig(%v) = %d, %v; signed reading %v", a, n, ok, sa)
+				}
+			}
+			unnormalized := []*big.Int{big.NewInt(-1), new(big.Int).Set(p), new(big.Int).Add(p, half)}
+			all := append(append([]*big.Int(nil), vals...), unnormalized...)
+			for _, a := range all {
+				for _, b := range all {
+					if got, want := f.CmpSignedBig(a, b), f.SignedBig(a).Cmp(f.SignedBig(b)); got != want {
+						t.Errorf("CmpSignedBig(%v, %v) = %d, want %d", a, b, got, want)
+					}
+				}
+			}
+		})
+	}
+}

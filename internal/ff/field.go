@@ -295,3 +295,36 @@ func (f *Field) SignedBig(a *big.Int) *big.Int {
 	}
 	return new(big.Int).Set(a)
 }
+
+// CmpSignedBig compares the signed readings (SignedBig) of a and b and
+// returns -1, 0 or +1. It allocates nothing when a and b are normalized, as
+// the Circom front-end's relational operators pass them; other inputs take
+// the SignedBig route.
+func (f *Field) CmpSignedBig(a, b *big.Int) int {
+	aNeg, bNeg := a.Cmp(f.half) > 0, b.Cmp(f.half) > 0
+	if aNeg == bNeg {
+		// Both readings shift by the same amount (0 or p).
+		return a.Cmp(b)
+	}
+	if !f.IsValidBig(a) || !f.IsValidBig(b) {
+		return f.SignedBig(a).Cmp(f.SignedBig(b))
+	}
+	if aNeg {
+		return -1
+	}
+	return 1
+}
+
+// SmallNonNegBig returns the signed reading (SignedBig) of a as an int when
+// that reading is non-negative and fits an int, without allocating; ok is
+// false otherwise, and callers that need the reading use SignedBig.
+func (f *Field) SmallNonNegBig(a *big.Int) (n int, ok bool) {
+	if !a.IsInt64() || a.Sign() < 0 || a.Cmp(f.half) > 0 {
+		return 0, false
+	}
+	v := a.Int64()
+	if int64(int(v)) != v {
+		return 0, false
+	}
+	return int(v), true
+}

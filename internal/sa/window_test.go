@@ -32,7 +32,7 @@ component main = WindowConflict();
 // TestWindowConflictIsReported: a constraint whose value window excludes
 // every multiple of p is one conflict, one range-violation error at the
 // constraint's source, a failed Verify, and a verdict from core, which drops
-// the static facts and falls back to the solver.
+// the static facts, falls back to the solver and reports the Verify error.
 func TestWindowConflictIsReported(t *testing.T) {
 	prog, err := circom.Compile(windowConflictSrc, nil)
 	if err != nil {
@@ -75,5 +75,13 @@ func TestWindowConflictIsReported(t *testing.T) {
 	}
 	if n := m.Counters()["core.static.verify_failures"]; n != 1 {
 		t.Errorf("core.static.verify_failures = %d, want 1", n)
+	}
+	// The report says why the facts were dropped, in Go and on the wire.
+	const why = "sa: range replay failed on constraint #2: value window [5, 7] admits no multiple of the modulus"
+	if r.StaticVerifyError != why {
+		t.Errorf("StaticVerifyError = %q, want %q", r.StaticVerifyError, why)
+	}
+	if got := r.Summary(sys).StaticVerifyError; got != why {
+		t.Errorf("Summary.StaticVerifyError = %q, want %q", got, why)
 	}
 }
