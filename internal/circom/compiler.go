@@ -206,7 +206,7 @@ func CompileFile(file *File, opts *CompileOptions) (prog *Program, err error) {
 	topEnv := &env{c: c, scopes: []map[string]any{{}}}
 	args := make([]cval, len(file.Main.Call.Args))
 	for i, a := range file.Main.Call.Args {
-		v, err := topEnv.evalConst(a)
+		v, err := topEnv.constant(a)
 		if err != nil {
 			return nil, err
 		}
@@ -262,7 +262,8 @@ func (c *compiler) step(pos Pos) error {
 	return nil
 }
 
-// cval is the compile-time value domain: *big.Int or *arrVal.
+// cval is a compile-time value, *big.Int or *arrVal; a variable may also
+// hold a *symRes over signals.
 type cval any
 
 // arrVal is a (possibly multi-dimensional) array of field elements, stored
@@ -298,9 +299,6 @@ func cloneCval(v cval) cval {
 		return new(big.Int).Set(x)
 	case *arrVal:
 		return x.clone()
-	case *symRes:
-		// symVal and WExpr values are treated as immutable; share them.
-		return &symRes{sym: x.sym, wx: x.wx}
 	default:
 		return v
 	}
@@ -461,11 +459,11 @@ func (e *env) execStmt(s Stmt) error {
 		if st.Op == TokDec {
 			op = TokMinusAssign
 		}
-		return e.execAssign(&AssignStmt{
-			LHS: st.LHS, Op: op,
-			RHS: &NumberLit{Val: big.NewInt(1), Pos: st.Pos},
-			Pos: st.Pos,
-		})
+		r, err := e.varTarget(st.LHS, op, st.Pos)
+		if err != nil {
+			return err
+		}
+		return e.updateVar(&r, op, constVal(one), st.Pos)
 	case *ForStmt:
 		e.pushScope()
 		defer e.popScope()
@@ -476,7 +474,7 @@ func (e *env) execStmt(s Stmt) error {
 		}
 		for {
 			if st.Cond != nil {
-				v, err := e.evalConstScalar(st.Cond)
+				v, err := e.constScalar(st.Cond)
 				if err != nil {
 					return err
 				}
@@ -502,7 +500,7 @@ func (e *env) execStmt(s Stmt) error {
 		return nil
 	case *WhileStmt:
 		for {
-			v, err := e.evalConstScalar(st.Cond)
+			v, err := e.constScalar(st.Cond)
 			if err != nil {
 				return err
 			}
@@ -520,7 +518,7 @@ func (e *env) execStmt(s Stmt) error {
 			}
 		}
 	case *IfStmt:
-		v, err := e.evalConstScalar(st.Cond)
+		v, err := e.constScalar(st.Cond)
 		if err != nil {
 			return err
 		}
@@ -535,7 +533,7 @@ func (e *env) execStmt(s Stmt) error {
 		if !e.isFn {
 			return errAt(st.Pos, "return outside function")
 		}
-		v, err := e.evalConst(st.Value)
+		v, err := e.constant(st.Value)
 		if err != nil {
 			return err
 		}
@@ -564,7 +562,7 @@ func (e *env) execVarDecl(st *VarDecl) error {
 			val = newArr(e.c.f, dims)
 		}
 		if d.Init != nil {
-			iv, err := e.evalValue(d.Init)
+			iv, err := e.settled(e.eval(d.Init))
 			if err != nil {
 				return err
 			}
@@ -581,18 +579,18 @@ func (e *env) execVarDecl(st *VarDecl) error {
 }
 
 // coerceInit checks that an initializer value matches the declared dims.
-func coerceInit(v cval, dims []int, pos Pos) (cval, error) {
-	switch x := v.(type) {
+func coerceInit(v value, dims []int, pos Pos) (cval, error) {
+	switch x := v.c.(type) {
+	case nil:
+		if len(dims) != 0 {
+			return nil, errAt(pos, "array variable initialized with a signal-dependent scalar")
+		}
+		return v.stored(), nil
 	case *big.Int:
 		if len(dims) != 0 {
 			return nil, errAt(pos, "array variable initialized with scalar")
 		}
 		return cloneCval(x), nil
-	case *symRes:
-		if len(dims) != 0 {
-			return nil, errAt(pos, "array variable initialized with a signal-dependent scalar")
-		}
-		return x, nil
 	case *arrVal:
 		if len(dims) == 0 {
 			return nil, errAt(pos, "scalar variable initialized with array")
@@ -604,7 +602,7 @@ func coerceInit(v cval, dims []int, pos Pos) (cval, error) {
 		out.dims = append([]int(nil), dims...)
 		return out, nil
 	default:
-		return nil, errAt(pos, "internal: bad initializer value %T", v)
+		return nil, errAt(pos, "internal: bad initializer value %T", v.c)
 	}
 }
 
@@ -717,7 +715,7 @@ func (e *env) instantiateInto(g *compGroup, flat int, call Expr, pos Pos) error 
 	}
 	args := make([]cval, len(ce.Args))
 	for i, a := range ce.Args {
-		v, err := e.evalConst(a)
+		v, err := e.constant(a)
 		if err != nil {
 			return err
 		}
@@ -795,7 +793,7 @@ func (e *env) resolveRef(x Expr) (ref, error) {
 		if err != nil {
 			return ref{}, err
 		}
-		iv, err := e.evalConstScalar(ex.Idx)
+		iv, err := e.constScalar(ex.Idx)
 		if err != nil {
 			return ref{}, err
 		}
@@ -863,117 +861,64 @@ func (e *env) execAssign(st *AssignStmt) error {
 	case TokAssignCon, TokAssignSig:
 		return e.execSignalAssign(st)
 	}
-	// Variable or component assignment.
-	r, err := e.resolveRef(st.LHS)
+	r, err := e.varTarget(st.LHS, st.Op, st.Pos)
 	if err != nil {
 		return err
 	}
-	switch r.kind {
-	case refComp:
-		if st.Op != TokAssign {
-			return errAt(st.Pos, "components only support plain '=' instantiation")
-		}
+	if r.kind == refComp {
 		if len(r.idx) != len(r.comp.dims) {
 			return errAt(st.Pos, "component array must be fully indexed for instantiation")
 		}
 		return e.instantiateInto(r.comp, flattenIndex(r.comp.dims, r.idx), st.RHS, st.Pos)
-	case refSig:
-		return errAt(st.Pos, "signals must be assigned with <== or <-- (not %q)", st.Op.String())
 	}
-	// Variable.
-	rhs, err := e.evalValue(st.RHS)
+	rhs, err := e.settled(e.eval(st.RHS))
 	if err != nil {
 		return err
 	}
-	if st.Op == TokAssign {
-		return e.storeVar(&r, rhs, st.Pos)
+	return e.updateVar(&r, st.Op, rhs, st.Pos)
+}
+
+// varTarget resolves the left side of a variable update. A component takes
+// only a plain '=' instantiation, and a signal no update at all.
+func (e *env) varTarget(lhs Expr, op TokKind, pos Pos) (ref, error) {
+	r, err := e.resolveRef(lhs)
+	if err != nil {
+		return r, err
 	}
-	binOp, ok := compoundOps[st.Op]
+	switch {
+	case r.kind == refComp && op != TokAssign:
+		return r, errAt(pos, "components only support plain '=' instantiation")
+	case r.kind == refSig:
+		return r, errAt(pos, "signals must be assigned with <== or <-- (not %q)", op.String())
+	}
+	return r, nil
+}
+
+// updateVar stores v through a variable reference (op '='), or combines it
+// with the current value first (a compound op such as '+=').
+func (e *env) updateVar(r *ref, op TokKind, v value, pos Pos) error {
+	if op == TokAssign {
+		return e.storeVar(r, v, pos)
+	}
+	binOp, ok := compoundOps[op]
 	if !ok {
-		return errAt(st.Pos, "unsupported assignment operator %q", st.Op.String())
+		return errAt(pos, "unsupported assignment operator %q", op.String())
 	}
-	cur, err := e.readVarValue(&r)
+	if a, ok := r.cell.val.(*arrVal); ok && len(r.idx) != len(a.dims) {
+		return errAt(r.pos, "partial array read where scalar expected")
+	}
+	cur, err := e.readRef(r)
 	if err != nil {
 		return err
 	}
-	// Fast path: both sides constant.
-	cv, cok := cur.(*big.Int)
-	rv, rok := rhs.(*big.Int)
-	if cok && rok {
-		nv, err := applyBin(e.c.f, binOp, cv, e.c.f.Reduce(rv))
-		if err != nil {
-			return errAt(st.Pos, "%v", err)
-		}
-		return e.storeVar(&r, nv, st.Pos)
+	if _, ok := v.c.(*arrVal); ok {
+		return errAt(pos, "array used as scalar")
 	}
-	// Symbolic path: combine the (symVal, WExpr) views of both sides.
-	nv, err := e.combineSymbolic(binOp, cur, rhs, st.Pos)
+	nv, err := e.settled(e.binop(binOp, &cur, &v, pos), nil)
 	if err != nil {
 		return err
 	}
-	return e.storeVar(&r, nv, st.Pos)
-}
-
-// combineSymbolic applies a binary operator where at least one operand is
-// signal-dependent, producing a symRes var value.
-func (e *env) combineSymbolic(op TokKind, l, r cval, pos Pos) (cval, error) {
-	ls, lw, err := e.liftScalar(l, pos)
-	if err != nil {
-		return nil, err
-	}
-	rs, rw, err := e.liftScalar(r, pos)
-	if err != nil {
-		return nil, err
-	}
-	var sym *symVal
-	if ls != nil && rs != nil {
-		var serr error
-		switch op {
-		case TokPlus:
-			sym, serr = symAdd(ls, rs)
-		case TokMinus:
-			sym, serr = symSub(ls, rs)
-		case TokStar:
-			sym, serr = symMul(ls, rs)
-		case TokSlash:
-			sym, serr = symDiv(ls, rs)
-		default:
-			serr = errors.New("non-arithmetic operator")
-		}
-		if serr != nil {
-			sym = nil // witness-only value from here on
-		}
-	}
-	var wx WExpr = &WBin{Op: op, L: lw, R: rw}
-	if lc, lok := lw.(*WConst); lok {
-		if rc, rok := rw.(*WConst); rok {
-			if v, err := applyBin(e.c.f, op, lc.V, rc.V); err == nil {
-				wx = &WConst{V: v}
-			}
-		}
-	}
-	return &symRes{sym: sym, wx: wx}, nil
-}
-
-// readVarValue reads a fully- or un-indexed variable reference.
-func (e *env) readVarValue(r *ref) (cval, error) {
-	if r.kind != refVar {
-		return nil, errAt(r.pos, "expected a variable")
-	}
-	switch v := r.cell.val.(type) {
-	case *big.Int, *symRes:
-		if len(r.idx) != 0 {
-			return nil, errAt(r.pos, "indexing a scalar variable")
-		}
-		return v, nil
-	case *arrVal:
-		if len(r.idx) != len(v.dims) {
-			return nil, errAt(r.pos, "partial array read where scalar expected")
-		}
-		return v.elems[flattenIndex(v.dims, r.idx)], nil
-	default:
-		return nil, errAt(r.pos, "internal: bad var value %T", r.cell.val)
-	}
+	return e.storeVar(r, nv, pos)
 }
 
 var compoundOps = map[TokKind]TokKind{
@@ -990,51 +935,44 @@ var compoundOps = map[TokKind]TokKind{
 	TokXorAssign:    TokBitXor,
 }
 
-// storeVar writes a value through a variable reference.
-func (e *env) storeVar(r *ref, v cval, pos Pos) error {
-	if r.kind != refVar {
-		return errAt(pos, "left-hand side is not assignable")
-	}
-	switch cur := r.cell.val.(type) {
-	case *big.Int, *symRes:
-		if len(r.idx) != 0 {
-			return errAt(pos, "indexing a scalar variable")
-		}
-		switch nv := v.(type) {
+// storeVar writes a value through a variable reference; varTarget and
+// resolveRef have checked that it names a variable, indexed no deeper than
+// its dims.
+func (e *env) storeVar(r *ref, v value, pos Pos) error {
+	cur, ok := r.cell.val.(*arrVal)
+	if !ok {
+		switch nv := v.c.(type) {
 		case *big.Int:
 			r.cell.val = e.c.f.Reduce(nv)
-		case *symRes:
-			r.cell.val = nv
+		case nil:
+			r.cell.val = v.stored()
 		default:
 			return errAt(pos, "cannot assign array to scalar variable")
 		}
 		return nil
-	case *arrVal:
-		if len(r.idx) == len(cur.dims) {
-			nv, ok := v.(*big.Int)
-			if !ok {
-				if _, isSym := v.(*symRes); isSym {
-					return errAt(pos, "array variables cannot hold signal-dependent values; use a signal array")
-				}
-				return errAt(pos, "cannot assign array to array element")
-			}
-			cur.elems[flattenIndex(cur.dims, r.idx)] = e.c.f.Reduce(nv)
-			return nil
-		}
-		if len(r.idx) == 0 {
-			nv, ok := v.(*arrVal)
-			if !ok || dimsProduct(nv.dims) != dimsProduct(cur.dims) {
-				return errAt(pos, "array assignment shape mismatch")
-			}
-			cp := nv.clone()
-			cp.dims = append([]int(nil), cur.dims...)
-			r.cell.val = cp
-			return nil
-		}
-		return errAt(pos, "partial array assignment is not supported")
-	default:
-		return errAt(pos, "internal: bad var value %T", r.cell.val)
 	}
+	if len(r.idx) == len(cur.dims) {
+		nv, ok := v.c.(*big.Int)
+		if !ok {
+			if v.c == nil {
+				return errAt(pos, "array variables cannot hold signal-dependent values; use a signal array")
+			}
+			return errAt(pos, "cannot assign array to array element")
+		}
+		cur.elems[flattenIndex(cur.dims, r.idx)] = e.c.f.Reduce(nv)
+		return nil
+	}
+	if len(r.idx) == 0 {
+		nv, ok := v.c.(*arrVal)
+		if !ok || dimsProduct(nv.dims) != dimsProduct(cur.dims) {
+			return errAt(pos, "array assignment shape mismatch")
+		}
+		cp := nv.clone()
+		cp.dims = append([]int(nil), cur.dims...)
+		r.cell.val = cp
+		return nil
+	}
+	return errAt(pos, "partial array assignment is not supported")
 }
 
 // execSignalAssign handles `target <== expr` and `target <-- expr`.
@@ -1066,7 +1004,7 @@ func (e *env) execSignalAssign(st *AssignStmt) error {
 
 	if st.Op == TokAssignCon {
 		// <== : constrain and assign.
-		sym, err := e.evalSym(st.RHS)
+		sym, err := e.constraintValue(st.RHS)
 		if err != nil {
 			return err
 		}
@@ -1104,7 +1042,7 @@ func (e *env) execSignalAssign(st *AssignStmt) error {
 	// constraints pin it down. The hint flag survives into the R1CS so the
 	// static-analysis pass can key detectors off it.
 	e.c.sys.MarkHinted(id)
-	wx, err := e.buildWExpr(st.RHS)
+	wx, err := e.witnessValue(st.RHS)
 	if err != nil {
 		return err
 	}
@@ -1133,11 +1071,11 @@ func (e *env) execConstraint(st *ConstraintStmt) error {
 	if e.isFn {
 		return errAt(st.Pos, "constraint inside function")
 	}
-	l, err := e.evalSym(st.L)
+	l, err := e.constraintValue(st.L)
 	if err != nil {
 		return err
 	}
-	r, err := e.evalSym(st.R)
+	r, err := e.constraintValue(st.R)
 	if err != nil {
 		return err
 	}
@@ -1162,28 +1100,20 @@ func (e *env) execConstraint(st *ConstraintStmt) error {
 func (e *env) execAssert(st *AssertStmt) error {
 	// Compile-time assert when the condition is signal-free; otherwise a
 	// witness-time check.
-	v, err := e.evalConst(st.Cond)
-	if err == nil {
-		sv, ok := v.(*big.Int)
-		if !ok {
-			return errAt(st.Pos, "assert on array value")
-		}
-		if !truthy(sv) {
+	v, err := e.settled(e.eval(st.Cond))
+	if err != nil {
+		return err
+	}
+	switch c := v.c.(type) {
+	case *big.Int:
+		if !truthy(c) {
 			return errAt(st.Pos, "assertion failed")
 		}
-		return nil
+	case *arrVal:
+		return errAt(st.Pos, "assert on array value")
+	default:
+		e.c.prog.Checks = append(e.c.prog.Checks, Check{Expr: v.wx, Pos: st.Pos, Msg: "assert"})
 	}
-	if !isSignalErr(err) {
-		return err
-	}
-	if e.isFn {
-		return err
-	}
-	wx, werr := e.buildWExpr(st.Cond)
-	if werr != nil {
-		return werr
-	}
-	e.c.prog.Checks = append(e.c.prog.Checks, Check{Expr: wx, Pos: st.Pos, Msg: "assert"})
 	return nil
 }
 
@@ -1194,19 +1124,17 @@ func (e *env) execLog(st *LogStmt) error {
 			parts = append(parts, s.Val)
 			continue
 		}
-		v, err := e.evalConst(a)
+		v, err := e.settled(e.eval(a))
 		if err != nil {
-			if errors.Is(err, errSignalInConst) {
-				parts = append(parts, "<signal>")
-				continue
-			}
 			return err
 		}
-		switch x := v.(type) {
+		switch x := v.c.(type) {
 		case *big.Int:
 			parts = append(parts, e.c.f.SignedBig(x).String())
 		case *arrVal:
 			parts = append(parts, fmt.Sprintf("<array[%d]>", len(x.elems)))
+		default:
+			parts = append(parts, "<signal>")
 		}
 	}
 	e.c.prog.Logs = append(e.c.prog.Logs, strings.Join(parts, " "))
@@ -1217,7 +1145,7 @@ func (e *env) execLog(st *LogStmt) error {
 func (e *env) evalDims(dims []Expr) ([]int, error) {
 	out := make([]int, 0, len(dims))
 	for _, d := range dims {
-		v, err := e.evalConstScalar(d)
+		v, err := e.constScalar(d)
 		if err != nil {
 			return nil, err
 		}

@@ -728,3 +728,94 @@ component main = Meta();`)
 		t.Error("=== constraint missing loc")
 	}
 }
+
+// TestLogPrintsSignalPlaceholder: a log argument that reads a signal prints
+// <signal> instead of failing compilation.
+func TestLogPrintsSignalPlaceholder(t *testing.T) {
+	p := mustCompile(t, `
+template T() {
+    signal input x;
+    signal output o;
+    o <== x;
+    log("x is", x, "and", x + 1, 3);
+}
+component main = T();
+`)
+	if len(p.Logs) != 1 || p.Logs[0] != "x is <signal> and <signal> 3" {
+		t.Errorf("logs = %q", p.Logs)
+	}
+}
+
+// TestSignalExpressionRunsEachCallOnce: a function called inside a
+// signal-dependent expression runs once per evaluation of the call, in
+// every statement position. The function logs each time it runs.
+func TestSignalExpressionRunsEachCallOnce(t *testing.T) {
+	for _, body := range []string{
+		`var t = f(2) * x; o <== t;`,
+		`o <== x; assert(f(5) * x != 7);`,
+		`o <== f(2) * x;`,
+		`o <-- f(2) * x; o === x;`,
+		`o <== x; x * f(2) === o * 3;`,
+		`var t = x; t += f(2); o <== t;`,
+	} {
+		p := mustCompile(t, `
+function f(n) { log("f", n); return n + 1; }
+template T() {
+    signal input x;
+    signal output o;
+    `+body+`
+}
+component main = T();
+`)
+		if len(p.Logs) != 1 {
+			t.Errorf("%s: f ran %d times (logs %q), want once", body, len(p.Logs), p.Logs)
+		}
+	}
+}
+
+// TestIncDecSharedOneNeverWritten: every i++ and i-- applies the one shared
+// constant 1, on constant and signal-dependent variables alike, comparisons
+// return the shared 0 and 1, and neither compilation nor witness generation
+// writes to them.
+func TestIncDecSharedOneNeverWritten(t *testing.T) {
+	p := mustCompile(t, `
+function g(n) { var k = n; k++; k++; k--; return k; }
+template T() {
+    signal input x;
+    signal output o;
+    signal h;
+    var i = 0;
+    for (var j = 0; j < 4; j++) { i++; }
+    i--;
+    var b = i == 3;
+    b++;
+    var c = i > 5;
+    c--;
+    i = i + b + c;
+    var t = x;
+    t++;
+    t--;
+    t++;
+    h <-- t * g(i);
+    o <== t + h;
+}
+component main = T();
+`)
+	if one.Cmp(big.NewInt(1)) != 0 || zero.Sign() != 0 {
+		t.Fatalf("shared constants written during compilation: one = %v, zero = %v", one, zero)
+	}
+	w, err := p.GenerateWitness(InputsFromInts(map[string]int64{"x": 5}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.System.CheckWitness(w); err != nil {
+		t.Fatal(err)
+	}
+	// i = 3 + 2 - 1 = 4, t = x + 1 = 6, g(4) = 5, h = 30, o = 36.
+	if got := p.System.Field().ToBig(w[p.OutputNames["o"]]); got.Int64() != 36 {
+		t.Errorf("o = %v, want 36", got)
+	}
+	if one.Cmp(big.NewInt(1)) != 0 || zero.Sign() != 0 {
+		t.Fatalf("shared constants written during witness generation: one = %v, zero = %v", one, zero)
+	}
+}

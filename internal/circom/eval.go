@@ -1,163 +1,256 @@
 package circom
 
 import (
-	"errors"
 	"math/big"
 
+	"qed2/internal/ff"
 	"qed2/internal/poly"
 )
 
-// errSignalInConst marks a compile-time evaluation that encountered a
-// signal; callers use it to distinguish "not a constant" from hard errors.
-var errSignalInConst = errors.New("expression depends on a signal")
-
-// symRes is a signal-dependent value stored in a var, mirroring circom's
-// semantics where variables may accumulate symbolic expressions over
-// signals (e.g. `lc += out[i] * e2`). sym is the constraint-side view and
-// is nil when the expression exceeds degree 2 or uses non-arithmetic
-// operators; wx is the witness-side residual expression and is always set.
+// symRes is a signal-dependent value as a variable holds it, mirroring
+// circom, where a var may accumulate an expression over signals (e.g.
+// `lc += out[i] * e2`): its witness view wx, always set, and its
+// at-most-quadratic constraint view sym, nil when there is none.
 type symRes struct {
-	sym *symVal
 	wx  WExpr
+	sym *symVal
 }
 
-// evalValue evaluates an expression to a var-storable value: a constant
-// (scalar or array) when signal-free, otherwise a symRes capturing both the
-// symbolic and witness views.
-func (e *env) evalValue(x Expr) (cval, error) {
-	v, err := e.evalConst(x)
-	if err == nil {
-		return v, nil
-	}
-	if !isSignalErr(err) {
-		return nil, err
-	}
-	if e.isFn {
-		return nil, err // functions are signal-free
-	}
-	wx, werr := e.buildWExpr(x)
-	if werr != nil {
-		return nil, werr
-	}
-	sym, serr := e.evalSym(x)
-	if serr != nil {
-		sym = nil // usable only in witness position; constraint use re-errors
-	}
-	return &symRes{sym: sym, wx: wx}, nil
+// value is what eval returns. c is the compile-time value, a *big.Int or an
+// *arrVal. When c is nil the expression reads a signal or one of its
+// constant folds failed, and the value carries three views: the embedded
+// witness and constraint views, symErr saying why there is no constraint
+// view (set whenever sym is nil), and the error a constant-only evaluation
+// raises (constErr). eval returns it by value, so no node of an expression
+// boxes its result on the heap.
+type value struct {
+	c cval
+	symRes
+	symErr *Error
+	// foldErr is the first constant fold that failed, left to right; it is
+	// nil when the first obstacle to a constant is the signal read at sigPos.
+	foldErr *Error
+	sigPos  Pos
 }
 
-// liftScalar views any scalar value through the (symbolic, witness) pair.
-func (e *env) liftScalar(v cval, pos Pos) (*symVal, WExpr, error) {
-	switch x := v.(type) {
-	case *big.Int:
-		return symConst(e.c.f, x), &WConst{V: new(big.Int).Set(x)}, nil
-	case *symRes:
-		return x.sym, x.wx, nil
-	case *arrVal:
-		return nil, nil, errAt(pos, "array used as scalar")
-	default:
-		return nil, nil, errAt(pos, "internal: bad value %T", v)
+func constVal(c cval) value { return value{c: c} }
+
+// constErr is the error a constant-only evaluation of a non-constant value
+// raises: the first signal read or failed fold, in left-to-right,
+// short-circuit order.
+func (v *value) constErr() error {
+	if v.foldErr != nil {
+		return v.foldErr
 	}
+	return errAt(v.sigPos, "expression depends on a signal")
 }
 
-// --- compile-time (constant) evaluation -------------------------------------------
+// stored is v as a variable holds it.
+func (v *value) stored() cval {
+	if v.c != nil {
+		return v.c
+	}
+	s := v.symRes
+	return &s
+}
 
-// evalConst evaluates an expression in the compile-time domain (variables,
-// parameters, function calls). Signals are rejected with errSignalInConst.
-func (e *env) evalConst(x Expr) (cval, error) {
+// symView is the constraint view of a scalar value.
+func (v *value) symView(f *ff.Field) (*symVal, error) {
+	switch {
+	case v.c != nil:
+		return symConst(f, v.c.(*big.Int)), nil
+	case v.sym == nil:
+		return nil, v.symErr
+	}
+	return v.sym, nil
+}
+
+// wxView is the witness view of a scalar value.
+func (v *value) wxView() WExpr {
+	if v.c != nil {
+		return &WConst{V: v.c.(*big.Int)}
+	}
+	return v.wx
+}
+
+// folded is the value of a fold that failed with err: a residual node wx,
+// whose constant and constraint views both fail with err.
+func folded(wx WExpr, err *Error) value {
+	return value{symRes: symRes{wx: wx}, symErr: err, foldErr: err}
+}
+
+// eval is the one expression evaluator. It walks the expression once:
+// each reference is resolved once and each function call runs once. A
+// signal-free expression whose folds all succeed gives its compile-time
+// value, a *big.Int or an *arrVal; anything else gives a value with three
+// views, which the statement positions read. && and || short-circuit on a
+// constant left operand, and ?: on a constant condition evaluates only the
+// branch it takes. An error is one that every view shares, such as an
+// unresolvable reference, a failed function call, or an array where a
+// scalar is needed.
+func (e *env) eval(x Expr) (value, error) {
 	switch ex := x.(type) {
 	case *NumberLit:
-		return e.c.f.Reduce(ex.Val), nil
+		return constVal(e.c.f.Reduce(ex.Val)), nil
 	case *StringLit:
-		return nil, errAt(ex.Pos, "string literal outside log()")
+		return value{}, errAt(ex.Pos, "string literal outside log()")
 	case *Ident, *IndexExpr, *MemberExpr:
 		r, err := e.resolveRef(x)
 		if err != nil {
-			return nil, err
+			return value{}, err
 		}
-		return e.readConstRef(&r)
+		return e.readRef(&r)
 	case *CallExpr:
-		return e.callFunction(ex)
+		v, err := e.callFunction(ex)
+		return constVal(v), err
 	case *UnaryExpr:
-		v, err := e.evalConstScalar(ex.X)
+		v, err := e.evalScalar(ex.X)
 		if err != nil {
-			return nil, err
+			return value{}, err
 		}
-		out, err := applyUn(e.c.f, ex.Op, v)
-		if err != nil {
-			return nil, errAt(ex.Pos, "%v", err)
-		}
-		return out, nil
+		return e.unop(ex.Op, &v, ex.Pos), nil
 	case *BinaryExpr:
-		l, err := e.evalConstScalar(ex.L)
+		l, err := e.evalScalar(ex.L)
 		if err != nil {
-			return nil, err
+			return value{}, err
 		}
-		// Short-circuit booleans.
-		switch ex.Op {
-		case TokAndAnd:
-			if !truthy(l) {
-				return boolElt(false), nil
+		if lc, ok := l.c.(*big.Int); ok {
+			switch {
+			case ex.Op == TokAndAnd && !truthy(lc):
+				return constVal(boolElt(false)), nil
+			case ex.Op == TokOrOr && truthy(lc):
+				return constVal(boolElt(true)), nil
 			}
-			r, err := e.evalConstScalar(ex.R)
-			if err != nil {
-				return nil, err
-			}
-			return boolElt(truthy(r)), nil
-		case TokOrOr:
-			if truthy(l) {
-				return boolElt(true), nil
-			}
-			r, err := e.evalConstScalar(ex.R)
-			if err != nil {
-				return nil, err
-			}
-			return boolElt(truthy(r)), nil
 		}
-		r, err := e.evalConstScalar(ex.R)
+		r, err := e.evalScalar(ex.R)
 		if err != nil {
-			return nil, err
+			return value{}, err
 		}
-		out, err := applyBin(e.c.f, ex.Op, l, r)
-		if err != nil {
-			return nil, errAt(ex.Pos, "%v", err)
-		}
-		return out, nil
+		return e.binop(ex.Op, &l, &r, ex.Pos), nil
 	case *CondExpr:
-		c, err := e.evalConstScalar(ex.C)
+		c, err := e.evalScalar(ex.C)
 		if err != nil {
-			return nil, err
+			return value{}, err
 		}
-		if truthy(c) {
-			return e.evalConst(ex.T)
+		if c.c != nil {
+			if truthy(c.c.(*big.Int)) {
+				return e.eval(ex.T)
+			}
+			return e.eval(ex.F)
 		}
-		return e.evalConst(ex.F)
+		t, err := e.evalScalar(ex.T)
+		if err != nil {
+			return value{}, err
+		}
+		f, err := e.evalScalar(ex.F)
+		if err != nil {
+			return value{}, err
+		}
+		symErr := c.foldErr
+		if symErr == nil {
+			symErr = errAt(ex.Pos, "ternary condition in a constraint must be signal-free")
+		}
+		return value{symRes: symRes{wx: &WCond{C: c.wx, T: t.wxView(), F: f.wxView()}}, symErr: symErr, foldErr: c.foldErr, sigPos: c.sigPos}, nil
 	case *ArrayLit:
-		return e.evalArrayLit(ex)
+		v, err := e.evalArrayLit(ex)
+		return constVal(v), err
 	default:
-		return nil, errAt(x.exprPos(), "internal: unknown expression %T", x)
+		return value{}, errAt(x.exprPos(), "internal: unknown expression %T", x)
 	}
 }
 
-// readConstRef reads a resolved reference as a compile-time value.
-func (e *env) readConstRef(r *ref) (cval, error) {
+// evalScalar evaluates an operand that must be a scalar.
+func (e *env) evalScalar(x Expr) (value, error) {
+	v, err := e.eval(x)
+	if _, ok := v.c.(*arrVal); ok {
+		return value{}, errAt(x.exprPos(), "expected scalar, got array")
+	}
+	return v, err
+}
+
+// constant evaluates an expression that must be a compile-time constant:
+// dims, conditions, indices, arguments, return values and array-literal
+// elements.
+func (e *env) constant(x Expr) (cval, error) {
+	v, err := e.eval(x)
+	if err == nil && v.c == nil {
+		return nil, v.constErr()
+	}
+	return v.c, err
+}
+
+// constScalar evaluates an expression that must be a scalar constant.
+func (e *env) constScalar(x Expr) (*big.Int, error) {
+	v, err := e.evalScalar(x)
+	if err != nil {
+		return nil, err
+	}
+	if v.c == nil {
+		return nil, v.constErr()
+	}
+	return v.c.(*big.Int), nil
+}
+
+// settled admits a value into a var, assert or log position: it rejects a
+// value whose constant view failed on a fold rather than on a signal, and,
+// in a function body, which reads no signals, any value that is not a
+// constant.
+func (e *env) settled(v value, err error) (value, error) {
+	if err == nil && v.c == nil && (v.foldErr != nil || e.isFn) {
+		return value{}, v.constErr()
+	}
+	return v, err
+}
+
+// constraintValue evaluates the side of a <== or === to its quadratic value.
+func (e *env) constraintValue(x Expr) (*symVal, error) {
+	v, err := e.eval(x)
+	if err != nil {
+		return nil, err
+	}
+	if _, ok := v.c.(*arrVal); ok {
+		return nil, errAt(x.exprPos(), "array used as scalar in constraint expression")
+	}
+	return v.symView(e.c.f)
+}
+
+// witnessValue evaluates the right side of a <-- to its witness expression.
+func (e *env) witnessValue(x Expr) (WExpr, error) {
+	v, err := e.eval(x)
+	if err != nil {
+		return nil, err
+	}
+	if _, ok := v.c.(*arrVal); ok {
+		return nil, errAt(x.exprPos(), "array used as scalar")
+	}
+	return v.wxView(), nil
+}
+
+// readRef reads a resolved reference as a value.
+func (e *env) readRef(r *ref) (value, error) {
 	switch r.kind {
 	case refSig:
-		return nil, &Error{Pos: r.pos, Msg: errSignalInConst.Error()}
+		id, err := r.scalarSignal()
+		if err != nil {
+			return value{}, err
+		}
+		return value{symRes: symRes{wx: &WSig{ID: id}, sym: symLin(e.c.f, poly.Var(e.c.f, id))}, sigPos: r.pos}, nil
 	case refComp:
-		return nil, errAt(r.pos, "component used as value")
+		return value{}, errAt(r.pos, "component used as value")
 	}
+	// resolveRef rejects an index on a scalar variable.
 	switch v := r.cell.val.(type) {
 	case *big.Int:
-		if len(r.idx) != 0 {
-			return nil, errAt(r.pos, "indexing a scalar variable")
-		}
-		return v, nil
+		return constVal(v), nil
 	case *symRes:
-		return nil, &Error{Pos: r.pos, Msg: errSignalInConst.Error()}
+		out := value{symRes: *v, sigPos: r.pos}
+		if v.sym == nil {
+			out.symErr = errAt(r.pos, "variable holds a non-quadratic signal expression; it cannot appear in a constraint")
+		}
+		return out, nil
 	case *arrVal:
 		if len(r.idx) == len(v.dims) {
-			return v.elems[flattenIndex(v.dims, r.idx)], nil
+			return constVal(v.elems[flattenIndex(v.dims, r.idx)]), nil
 		}
 		// Partial read: a sub-array (used to pass array slices to functions).
 		sub := v.dims[len(r.idx):]
@@ -171,35 +264,138 @@ func (e *env) readConstRef(r *ref) (cval, error) {
 		for i := 0; i < stride; i++ {
 			out.elems[i] = new(big.Int).Set(v.elems[base+i])
 		}
+		return constVal(out), nil
+	default:
+		return value{}, errAt(r.pos, "internal: bad var value %T", r.cell.val)
+	}
+}
+
+// unop applies a unary operator to a scalar value. A fold that fails stays
+// a residual node, so only witness-time execution can fail on it.
+func (e *env) unop(op TokKind, v *value, pos Pos) value {
+	if v.c != nil {
+		c := v.c.(*big.Int)
+		out, err := applyUn(e.c.f, op, c)
+		if err != nil {
+			return folded(&WUn{Op: op, X: &WConst{V: c}}, errAt(pos, "%v", err))
+		}
+		return constVal(out)
+	}
+	out := value{symRes: symRes{wx: &WUn{Op: op, X: v.wx}}, foldErr: v.foldErr, sigPos: v.sigPos}
+	if v.sym == nil {
+		out.symErr = v.symErr
+		return out
+	}
+	if op == TokMinus {
+		out.sym = symNeg(v.sym)
+		return out
+	}
+	c, ok := v.sym.isConst()
+	if !ok {
+		out.symErr = errAt(pos, "operator %q on a signal-dependent value is not quadratic", op.String())
+		return out
+	}
+	k, err := applyUn(e.c.f, op, c)
+	if err != nil {
+		out.symErr = errAt(pos, "%v", err)
+		return out
+	}
+	out.sym = symConst(e.c.f, k)
+	return out
+}
+
+// binop applies a binary operator to two scalar values; expressions and
+// compound assignments share it. A fold that fails stays a residual node.
+func (e *env) binop(op TokKind, l, r *value, pos Pos) value {
+	lc, lok := l.c.(*big.Int)
+	rc, rok := r.c.(*big.Int)
+	if lok && rok {
+		out, err := applyBin(e.c.f, op, lc, rc)
+		if err != nil {
+			// The constraint view of two constants fails the same way.
+			return folded(&WBin{Op: op, L: &WConst{V: lc}, R: &WConst{V: rc}}, errAt(pos, "%v", err))
+		}
+		return constVal(out)
+	}
+	first := r
+	if !lok {
+		first = l
+	}
+	out := value{symRes: symRes{wx: &WBin{Op: op, L: l.wxView(), R: r.wxView()}}, foldErr: first.foldErr, sigPos: first.sigPos}
+	switch {
+	case !lok && l.sym == nil:
+		out.symErr = l.symErr
+	case !rok && r.sym == nil:
+		out.symErr = r.symErr
+	default:
+		ls, _ := l.symView(e.c.f)
+		rs, _ := r.symView(e.c.f)
+		out.sym, out.symErr = e.symBin(op, ls, rs, pos)
+	}
+	return out
+}
+
+// symBin applies a binary operator in the constraint view, enforcing
+// Circom's "at most quadratic" discipline.
+func (e *env) symBin(op TokKind, l, r *symVal, pos Pos) (*symVal, *Error) {
+	var out *symVal
+	var err error
+	switch op {
+	case TokPlus:
+		out, err = symAdd(l, r)
+	case TokMinus:
+		out, err = symSub(l, r)
+	case TokStar:
+		out, err = symMul(l, r)
+	case TokSlash:
+		out, err = symDiv(l, r)
+	case TokPow:
+		return e.symPow(pos, l, r)
+	default:
+		lc, lok := l.isConst()
+		rc, rok := r.isConst()
+		if !lok || !rok {
+			return nil, errAt(pos, "operator %q on signal-dependent values is not allowed in constraints", op.String())
+		}
+		k, err := applyBin(e.c.f, op, lc, rc)
+		if err != nil {
+			return nil, errAt(pos, "%v", err)
+		}
+		return symConst(e.c.f, k), nil
+	}
+	if err != nil {
+		return nil, errAt(pos, "%v", err)
+	}
+	return out, nil
+}
+
+// symPow handles ** in constraint expressions: the exponent must be a
+// constant; small exponents on linear bases unfold into products.
+func (e *env) symPow(pos Pos, base, exp *symVal) (*symVal, *Error) {
+	ec, ok := exp.isConst()
+	if !ok {
+		return nil, errAt(pos, "exponent must be signal-free")
+	}
+	if bc, ok := base.isConst(); ok {
+		return symConst(e.c.f, e.c.f.ExpBig(bc, ec)), nil
+	}
+	if !ec.IsInt64() {
+		return nil, errAt(pos, "signal raised to a huge exponent is not quadratic")
+	}
+	switch ec.Int64() {
+	case 0:
+		return symConst(e.c.f, big.NewInt(1)), nil
+	case 1:
+		return base, nil
+	case 2:
+		out, err := symMul(base, base)
+		if err != nil {
+			return nil, errAt(pos, "%v", err)
+		}
 		return out, nil
 	default:
-		return nil, errAt(r.pos, "internal: bad var value %T", r.cell.val)
+		return nil, errAt(pos, "signal raised to power %v exceeds degree 2; introduce intermediate signals", ec)
 	}
-}
-
-// isSignalErr reports whether err is (or wraps) errSignalInConst.
-func isSignalErr(err error) bool {
-	if errors.Is(err, errSignalInConst) {
-		return true
-	}
-	var ce *Error
-	if errors.As(err, &ce) {
-		return ce.Msg == errSignalInConst.Error()
-	}
-	return false
-}
-
-// evalConstScalar evaluates to a scalar field element.
-func (e *env) evalConstScalar(x Expr) (*big.Int, error) {
-	v, err := e.evalConst(x)
-	if err != nil {
-		return nil, err
-	}
-	s, ok := v.(*big.Int)
-	if !ok {
-		return nil, errAt(x.exprPos(), "expected scalar, got array")
-	}
-	return s, nil
 }
 
 func (e *env) evalArrayLit(lit *ArrayLit) (cval, error) {
@@ -208,7 +404,7 @@ func (e *env) evalArrayLit(lit *ArrayLit) (cval, error) {
 	}
 	vals := make([]cval, len(lit.Elems))
 	for i, el := range lit.Elems {
-		v, err := e.evalConst(el)
+		v, err := e.constant(el)
 		if err != nil {
 			return nil, err
 		}
@@ -260,7 +456,7 @@ func (e *env) callFunction(call *CallExpr) (cval, error) {
 	}
 	fe := &env{c: e.c, scopes: []map[string]any{{}}, isFn: true}
 	for i, p := range fn.Params {
-		v, err := e.evalConst(call.Args[i])
+		v, err := e.constant(call.Args[i])
 		if err != nil {
 			return nil, err
 		}
@@ -275,270 +471,4 @@ func (e *env) callFunction(call *CallExpr) (cval, error) {
 		return nil, errAt(fn.Pos, "function %s finished without returning a value", fn.Name)
 	}
 	return fe.retVal, nil
-}
-
-// --- symbolic evaluation (constraint emission) --------------------------------------
-
-// evalSym evaluates an expression in the symbolic domain over signals,
-// enforcing Circom's "at most quadratic" discipline.
-func (e *env) evalSym(x Expr) (*symVal, error) {
-	switch ex := x.(type) {
-	case *NumberLit:
-		return symConst(e.c.f, ex.Val), nil
-	case *Ident, *IndexExpr, *MemberExpr:
-		r, err := e.resolveRef(x)
-		if err != nil {
-			return nil, err
-		}
-		if r.kind == refSig {
-			id, err := r.scalarSignal()
-			if err != nil {
-				return nil, err
-			}
-			return symLin(e.c.f, poly.Var(e.c.f, id)), nil
-		}
-		if r.kind == refVar && len(r.idx) == 0 {
-			if sr, ok := r.cell.val.(*symRes); ok {
-				if sr.sym == nil {
-					return nil, errAt(x.exprPos(), "variable holds a non-quadratic signal expression; it cannot appear in a constraint")
-				}
-				return sr.sym, nil
-			}
-		}
-		v, err := e.readConstRef(&r)
-		if err != nil {
-			return nil, err
-		}
-		s, ok := v.(*big.Int)
-		if !ok {
-			return nil, errAt(x.exprPos(), "array used as scalar in constraint expression")
-		}
-		return symConst(e.c.f, s), nil
-	case *CallExpr:
-		v, err := e.callFunction(ex)
-		if err != nil {
-			return nil, err
-		}
-		s, ok := v.(*big.Int)
-		if !ok {
-			return nil, errAt(ex.Pos, "function returning array used as scalar")
-		}
-		return symConst(e.c.f, s), nil
-	case *UnaryExpr:
-		v, err := e.evalSym(ex.X)
-		if err != nil {
-			return nil, err
-		}
-		if ex.Op == TokMinus {
-			return symNeg(v), nil
-		}
-		c, ok := v.isConst()
-		if !ok {
-			return nil, errAt(ex.Pos, "operator %q on a signal-dependent value is not quadratic", ex.Op.String())
-		}
-		out, err := applyUn(e.c.f, ex.Op, c)
-		if err != nil {
-			return nil, errAt(ex.Pos, "%v", err)
-		}
-		return symConst(e.c.f, out), nil
-	case *BinaryExpr:
-		l, err := e.evalSym(ex.L)
-		if err != nil {
-			return nil, err
-		}
-		r, err := e.evalSym(ex.R)
-		if err != nil {
-			return nil, err
-		}
-		switch ex.Op {
-		case TokPlus:
-			out, err := symAdd(l, r)
-			if err != nil {
-				return nil, errAt(ex.Pos, "%v", err)
-			}
-			return out, nil
-		case TokMinus:
-			out, err := symSub(l, r)
-			if err != nil {
-				return nil, errAt(ex.Pos, "%v", err)
-			}
-			return out, nil
-		case TokStar:
-			out, err := symMul(l, r)
-			if err != nil {
-				return nil, errAt(ex.Pos, "%v", err)
-			}
-			return out, nil
-		case TokSlash:
-			out, err := symDiv(l, r)
-			if err != nil {
-				return nil, errAt(ex.Pos, "%v", err)
-			}
-			return out, nil
-		case TokPow:
-			return e.symPow(ex, l, r)
-		default:
-			lc, lok := l.isConst()
-			rc, rok := r.isConst()
-			if !lok || !rok {
-				return nil, errAt(ex.Pos, "operator %q on signal-dependent values is not allowed in constraints", ex.Op.String())
-			}
-			out, err := applyBin(e.c.f, ex.Op, lc, rc)
-			if err != nil {
-				return nil, errAt(ex.Pos, "%v", err)
-			}
-			return symConst(e.c.f, out), nil
-		}
-	case *CondExpr:
-		c, err := e.evalConstScalar(ex.C)
-		if err != nil {
-			if isSignalErr(err) {
-				return nil, errAt(ex.Pos, "ternary condition in a constraint must be signal-free")
-			}
-			return nil, err
-		}
-		if truthy(c) {
-			return e.evalSym(ex.T)
-		}
-		return e.evalSym(ex.F)
-	case *ArrayLit:
-		return nil, errAt(ex.Pos, "array literal in constraint expression")
-	default:
-		return nil, errAt(x.exprPos(), "internal: unknown expression %T", x)
-	}
-}
-
-// symPow handles ** in constraint expressions: the exponent must be a
-// constant; small exponents on linear bases unfold into products.
-func (e *env) symPow(ex *BinaryExpr, base, exp *symVal) (*symVal, error) {
-	ec, ok := exp.isConst()
-	if !ok {
-		return nil, errAt(ex.Pos, "exponent must be signal-free")
-	}
-	if bc, ok := base.isConst(); ok {
-		return symConst(e.c.f, e.c.f.ExpBig(bc, ec)), nil
-	}
-	if !ec.IsInt64() {
-		return nil, errAt(ex.Pos, "signal raised to a huge exponent is not quadratic")
-	}
-	switch ec.Int64() {
-	case 0:
-		return symConst(e.c.f, big.NewInt(1)), nil
-	case 1:
-		return base, nil
-	case 2:
-		out, err := symMul(base, base)
-		if err != nil {
-			return nil, errAt(ex.Pos, "%v", err)
-		}
-		return out, nil
-	default:
-		return nil, errAt(ex.Pos, "signal raised to power %v exceeds degree 2; introduce intermediate signals", ec)
-	}
-}
-
-// --- witness-expression construction -------------------------------------------------
-
-// buildWExpr partially evaluates an expression for witness generation:
-// compile-time parts are folded to constants, signal references remain
-// symbolic, and every Circom operator (including division, comparisons and
-// bit operations on signals) is preserved as a residual node.
-func (e *env) buildWExpr(x Expr) (WExpr, error) {
-	switch ex := x.(type) {
-	case *NumberLit:
-		return &WConst{V: e.c.f.Reduce(ex.Val)}, nil
-	case *Ident, *IndexExpr, *MemberExpr:
-		r, err := e.resolveRef(x)
-		if err != nil {
-			return nil, err
-		}
-		if r.kind == refSig {
-			id, err := r.scalarSignal()
-			if err != nil {
-				return nil, err
-			}
-			return &WSig{ID: id}, nil
-		}
-		if r.kind == refVar && len(r.idx) == 0 {
-			if sr, ok := r.cell.val.(*symRes); ok {
-				return sr.wx, nil
-			}
-		}
-		v, err := e.readConstRef(&r)
-		if err != nil {
-			return nil, err
-		}
-		s, ok := v.(*big.Int)
-		if !ok {
-			return nil, errAt(x.exprPos(), "array used as scalar")
-		}
-		return &WConst{V: new(big.Int).Set(s)}, nil
-	case *CallExpr:
-		v, err := e.callFunction(ex)
-		if err != nil {
-			return nil, err
-		}
-		s, ok := v.(*big.Int)
-		if !ok {
-			return nil, errAt(ex.Pos, "function returning array used as scalar")
-		}
-		return &WConst{V: s}, nil
-	case *UnaryExpr:
-		xw, err := e.buildWExpr(ex.X)
-		if err != nil {
-			return nil, err
-		}
-		if c, ok := xw.(*WConst); ok {
-			if v, err := applyUn(e.c.f, ex.Op, c.V); err == nil {
-				return &WConst{V: v}, nil
-			}
-		}
-		return &WUn{Op: ex.Op, X: xw}, nil
-	case *BinaryExpr:
-		l, err := e.buildWExpr(ex.L)
-		if err != nil {
-			return nil, err
-		}
-		r, err := e.buildWExpr(ex.R)
-		if err != nil {
-			return nil, err
-		}
-		lc, lok := l.(*WConst)
-		rc, rok := r.(*WConst)
-		if lok && rok {
-			// Fold when the operation succeeds; a failing fold (e.g. 1/0 in
-			// a dead conditional branch) stays residual so only actual
-			// execution can fail.
-			if v, err := applyBin(e.c.f, ex.Op, lc.V, rc.V); err == nil {
-				return &WConst{V: v}, nil
-			}
-		}
-		return &WBin{Op: ex.Op, L: l, R: r}, nil
-	case *CondExpr:
-		c, err := e.buildWExpr(ex.C)
-		if err != nil {
-			return nil, err
-		}
-		if cc, ok := c.(*WConst); ok {
-			if truthy(cc.V) {
-				return e.buildWExpr(ex.T)
-			}
-			return e.buildWExpr(ex.F)
-		}
-		t, err := e.buildWExpr(ex.T)
-		if err != nil {
-			return nil, err
-		}
-		f, err := e.buildWExpr(ex.F)
-		if err != nil {
-			return nil, err
-		}
-		return &WCond{C: c, T: t, F: f}, nil
-	case *ArrayLit:
-		return nil, errAt(ex.Pos, "array literal cannot be assigned to a signal")
-	case *StringLit:
-		return nil, errAt(ex.Pos, "string literal cannot be assigned to a signal")
-	default:
-		return nil, errAt(x.exprPos(), "internal: unknown expression %T", x)
-	}
 }

@@ -72,6 +72,16 @@ func FuzzCompile(f *testing.F) {
 		"template T() { signal input a; signal output b[5000]; for (var i = 0; i < 5000; i++) { b[i] <== a*a; } } component main = T();",
 		// Signal-budget overflow.
 		"template T() { signal input a[5000]; signal output b; b <== a[0]; } component main = T();",
+		// Signal-dependent var accumulation.
+		"template T(n) { signal input x[n]; signal output o; var lc = 0; var e = 1; for (var i = 0; i < n; i++) { lc += x[i] * e; e = e + e; } o <== lc; } component main = T(4);",
+		// A failing fold in a branch of a signal-dependent ?: stays residual.
+		"template T() { signal input s; signal output o; var k = 0; o <-- s ? 1/k : 0; o * s === 0; } component main = T();",
+		// log of a signal prints <signal>.
+		"template T() { signal input x; signal output o; log(\"x is\", x, x + 1); o <== x; } component main = T();",
+		// assert on a signal expression becomes a witness-time check.
+		"template T() { signal input x; signal output o; assert(x * 2 != 7); o <== x; } component main = T();",
+		// s++ on a signal is rejected.
+		"template T() { signal input s; signal output o; s++; o <== s; } component main = T();",
 	}
 	for _, s := range seeds {
 		f.Add(s)

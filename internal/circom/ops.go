@@ -30,11 +30,15 @@ const maxShift = 1 << 20
 
 func truthy(v *big.Int) bool { return v.Sign() != 0 }
 
+// zero and one are shared: boolElt returns them, and i++ and i-- add and
+// subtract one. Compile-time values are never written in place.
+var zero, one = new(big.Int), big.NewInt(1)
+
 func boolElt(b bool) *big.Int {
 	if b {
-		return big.NewInt(1)
+		return one
 	}
-	return new(big.Int)
+	return zero
 }
 
 // applyBin applies a binary Circom operator to two normalized field
