@@ -16,6 +16,38 @@ type symRes struct {
 	sym *symVal
 }
 
+// lazyErr says why a value has no constraint view. Only <== and === read
+// it, so witness and var expressions pay no fmt.Sprintf for each of their
+// non-quadratic steps: why holds the message's parts, and render builds
+// the error. why is a rendered *Error, a cause error, a unaryOp or a
+// binaryOp operator, or a fixed message string; none of these boxes
+// allocates.
+type lazyErr struct {
+	pos Pos
+	why any
+}
+
+// unaryOp and binaryOp name the operator of a non-quadratic step.
+type (
+	unaryOp  TokKind
+	binaryOp TokKind
+)
+
+// render returns the error.
+func (l *lazyErr) render() *Error {
+	switch w := l.why.(type) {
+	case *Error:
+		return w
+	case error:
+		return errAt(l.pos, "%v", w)
+	case unaryOp:
+		return errAt(l.pos, "operator %q on a signal-dependent value is not quadratic", TokKind(w))
+	case binaryOp:
+		return errAt(l.pos, "operator %q on signal-dependent values is not allowed in constraints", TokKind(w))
+	}
+	return &Error{Pos: l.pos, Msg: l.why.(string)}
+}
+
 // value is what eval returns. c is the compile-time value, a *big.Int or an
 // *arrVal. When c is nil the expression reads a signal or one of its
 // constant folds failed, and the value carries three views: the embedded
@@ -26,7 +58,7 @@ type symRes struct {
 type value struct {
 	c cval
 	symRes
-	symErr *Error
+	symErr lazyErr
 	// foldErr is the first constant fold that failed, left to right; it is
 	// nil when the first obstacle to a constant is the signal read at sigPos.
 	foldErr *Error
@@ -60,7 +92,7 @@ func (v *value) symView(f *ff.Field) (*symVal, error) {
 	case v.c != nil:
 		return symConst(f, v.c.(*big.Int)), nil
 	case v.sym == nil:
-		return nil, v.symErr
+		return nil, v.symErr.render()
 	}
 	return v.sym, nil
 }
@@ -76,7 +108,7 @@ func (v *value) wxView() WExpr {
 // folded is the value of a fold that failed with err: a residual node wx,
 // whose constant and constraint views both fail with err.
 func folded(wx WExpr, err *Error) value {
-	return value{symRes: symRes{wx: wx}, symErr: err, foldErr: err}
+	return value{symRes: symRes{wx: wx}, symErr: lazyErr{why: err}, foldErr: err}
 }
 
 // eval is the one expression evaluator. It walks the expression once:
@@ -146,9 +178,9 @@ func (e *env) eval(x Expr) (value, error) {
 		if err != nil {
 			return value{}, err
 		}
-		symErr := c.foldErr
-		if symErr == nil {
-			symErr = errAt(ex.Pos, "ternary condition in a constraint must be signal-free")
+		symErr := lazyErr{pos: ex.Pos, why: "ternary condition in a constraint must be signal-free"}
+		if c.foldErr != nil {
+			symErr.why = c.foldErr
 		}
 		return value{symRes: symRes{wx: &WCond{C: c.wx, T: t.wxView(), F: f.wxView()}}, symErr: symErr, foldErr: c.foldErr, sigPos: c.sigPos}, nil
 	case *ArrayLit:
@@ -245,7 +277,7 @@ func (e *env) readRef(r *ref) (value, error) {
 	case *symRes:
 		out := value{symRes: *v, sigPos: r.pos}
 		if v.sym == nil {
-			out.symErr = errAt(r.pos, "variable holds a non-quadratic signal expression; it cannot appear in a constraint")
+			out.symErr = lazyErr{pos: r.pos, why: "variable holds a non-quadratic signal expression; it cannot appear in a constraint"}
 		}
 		return out, nil
 	case *arrVal:
@@ -292,12 +324,12 @@ func (e *env) unop(op TokKind, v *value, pos Pos) value {
 	}
 	c, ok := v.sym.isConst()
 	if !ok {
-		out.symErr = errAt(pos, "operator %q on a signal-dependent value is not quadratic", op.String())
+		out.symErr = lazyErr{pos: pos, why: unaryOp(op)}
 		return out
 	}
 	k, err := applyUn(e.c.f, op, c)
 	if err != nil {
-		out.symErr = errAt(pos, "%v", err)
+		out.symErr = lazyErr{pos: pos, why: err}
 		return out
 	}
 	out.sym = symConst(e.c.f, k)
@@ -337,7 +369,7 @@ func (e *env) binop(op TokKind, l, r *value, pos Pos) value {
 
 // symBin applies a binary operator in the constraint view, enforcing
 // Circom's "at most quadratic" discipline.
-func (e *env) symBin(op TokKind, l, r *symVal, pos Pos) (*symVal, *Error) {
+func (e *env) symBin(op TokKind, l, r *symVal, pos Pos) (*symVal, lazyErr) {
 	var out *symVal
 	var err error
 	switch op {
@@ -350,23 +382,27 @@ func (e *env) symBin(op TokKind, l, r *symVal, pos Pos) (*symVal, *Error) {
 	case TokSlash:
 		out, err = symDiv(l, r)
 	case TokPow:
-		return e.symPow(pos, l, r)
+		out, err := e.symPow(pos, l, r)
+		if err != nil {
+			return nil, lazyErr{why: err}
+		}
+		return out, lazyErr{}
 	default:
 		lc, lok := l.isConst()
 		rc, rok := r.isConst()
 		if !lok || !rok {
-			return nil, errAt(pos, "operator %q on signal-dependent values is not allowed in constraints", op.String())
+			return nil, lazyErr{pos: pos, why: binaryOp(op)}
 		}
 		k, err := applyBin(e.c.f, op, lc, rc)
 		if err != nil {
-			return nil, errAt(pos, "%v", err)
+			return nil, lazyErr{pos: pos, why: err}
 		}
-		return symConst(e.c.f, k), nil
+		return symConst(e.c.f, k), lazyErr{}
 	}
 	if err != nil {
-		return nil, errAt(pos, "%v", err)
+		return nil, lazyErr{pos: pos, why: err}
 	}
-	return out, nil
+	return out, lazyErr{}
 }
 
 // symPow handles ** in constraint expressions: the exponent must be a

@@ -295,9 +295,9 @@ func AnalyzeContext(ctx context.Context, sys *r1cs.System, cfg *Config) *Report 
 		a.runSMTOnly()
 	default:
 		a.prop = uniq.NewWithOptions(sys, uopts)
-		// Rule-ablation configs suppress the pre-pass too: its abstract
-		// interpretation re-derives the same rule classes (D-Solve ≈ R-Solve,
-		// D-Bits ≈ R-Bits), so leaving it on would quietly undo the ablation.
+		// Rule-ablation configs suppress the pre-pass too: its D-Solve and
+		// D-Bits are uniq's R-Solve and R-Bits applied to constant-substituted
+		// residuals, so leaving it on would quietly undo the ablation.
 		if !c.DisableSolveRule && !c.DisableBitsRule {
 			a.runStaticPrePass()
 			a.emitProgress("static", 0, 0, "")

@@ -111,6 +111,32 @@ func (lc *LinComb) Vars() []int {
 	return vs
 }
 
+// UnionVars returns the variables occurring in any of a, b and c,
+// ascending and without repeats, as one fresh slice. Each combination's
+// terms are already ascending, so this is a three-way merge.
+func UnionVars(a, b, c *LinComb) []int {
+	lcs := [3]*LinComb{a, b, c}
+	var pos [3]int
+	out := make([]int, 0, len(a.terms)+len(b.terms)+len(c.terms))
+	for {
+		next := -1
+		for i, lc := range lcs {
+			if pos[i] < len(lc.terms) && (next < 0 || lc.terms[pos[i]].v < next) {
+				next = lc.terms[pos[i]].v
+			}
+		}
+		if next < 0 {
+			return out
+		}
+		out = append(out, next)
+		for i, lc := range lcs {
+			if pos[i] < len(lc.terms) && lc.terms[pos[i]].v == next {
+				pos[i]++
+			}
+		}
+	}
+}
+
 // VisitTerms calls fn for every (variable, coefficient) pair in ascending
 // variable order, without allocating.
 func (lc *LinComb) VisitTerms(fn func(x int, coeff ff.Element)) {

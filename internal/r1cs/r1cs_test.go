@@ -2,7 +2,9 @@ package r1cs
 
 import (
 	"math/big"
+	"math/rand"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -131,6 +133,35 @@ func TestConstraintQuadAndLinear(t *testing.T) {
 	}
 	if !reflect.DeepEqual(s.Constraint(2).Vars(), []int{x, y}) {
 		t.Errorf("Vars = %v", s.Constraint(2).Vars())
+	}
+	// Vars merges the three sorted combinations; it must equal the sorted
+	// set of their variables, empty combinations and overlaps included.
+	rng := rand.New(rand.NewSource(5))
+	randLC := func() *poly.LinComb {
+		lc := poly.ConstInt(f97, int64(rng.Intn(3)))
+		for v := 0; v < 8; v++ {
+			if rng.Intn(3) == 0 {
+				lc = lc.AddTerm(v, f97.NewElement(int64(1+rng.Intn(96))))
+			}
+		}
+		return lc
+	}
+	for i := 0; i < 500; i++ {
+		c := Constraint{A: randLC(), B: randLC(), C: randLC()}
+		seen := map[int]bool{}
+		for _, lc := range []*poly.LinComb{c.A, c.B, c.C} {
+			for _, v := range lc.Vars() {
+				seen[v] = true
+			}
+		}
+		want := []int{}
+		for v := range seen {
+			want = append(want, v)
+		}
+		sort.Ints(want)
+		if got := c.Vars(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("Vars(%v) = %v, want %v", c, got, want)
+		}
 	}
 }
 

@@ -8,7 +8,6 @@ package r1cs
 
 import (
 	"fmt"
-	"sort"
 
 	"qed2/internal/ff"
 	"qed2/internal/poly"
@@ -109,20 +108,7 @@ func (c Constraint) Quad() *poly.Quad {
 
 // Vars returns the set of signal IDs mentioned by the constraint (excluding
 // the constant-one signal only if it does not appear), ascending.
-func (c Constraint) Vars() []int {
-	seen := map[int]bool{}
-	for _, lc := range []*poly.LinComb{c.A, c.B, c.C} {
-		for _, v := range lc.Vars() {
-			seen[v] = true
-		}
-	}
-	out := make([]int, 0, len(seen))
-	for v := range seen {
-		out = append(out, v)
-	}
-	sort.Ints(out)
-	return out
-}
+func (c Constraint) Vars() []int { return poly.UnionVars(c.A, c.B, c.C) }
 
 // IsLinear reports whether the constraint has an empty quadratic part
 // (i.e. A or B is constant, or the product cancels).

@@ -3,11 +3,11 @@ package sa
 import (
 	"fmt"
 	"math/big"
-	"sort"
 
 	"qed2/internal/ff"
 	"qed2/internal/poly"
 	"qed2/internal/r1cs"
+	"qed2/internal/uniq"
 )
 
 // AbsState is the result of an abstract interpretation of the constraint
@@ -154,24 +154,20 @@ func (st *AbsState) visit(ci int) bool {
 		}
 	}
 	// Rule B-Range: residual k·(x² − x) = 0 forces x ∈ {0,1}.
-	if x, ok := booleanOf(q); ok {
+	if x, ok := uniq.BooleanOf(q); ok {
 		if st.recordBool(x, ci) {
 			changed = true
 		}
 	}
-	// Rule D-Solve: if exactly one variable x of the residual is not yet
-	// determined, x occurs only linearly with a constant nonzero
-	// coefficient, then x = f(determined signals) is determined.
-	if x, ok := st.detSolve(q); ok {
+	// Rules D-Solve and D-Bits are uniq's R-Solve and R-Bits applied to the
+	// residual, with the determined and boolean domains as the known and
+	// boolean facts.
+	if x, ok := uniq.Solve(q, st.Determined); ok {
 		if st.recordDet(x) {
 			changed = true
 		}
 	}
-	// Rule D-Bits: a linear residual whose undetermined variables are all
-	// boolean with super-increasing coefficient magnitudes summing below
-	// the modulus has at most one {0,1}-solution per value of the
-	// determined part — every bit becomes determined.
-	for _, x := range st.detBits(q) {
+	for _, x := range uniq.Bits(q, st.Determined, st.Bool) {
 		if st.recordDet(x) {
 			changed = true
 		}
@@ -646,95 +642,6 @@ func constOf(q *poly.Quad) (x int, v ff.Element, ok bool) {
 		return 0, ff.Element{}, false
 	}
 	return x, f.Mul(f.Neg(lin.Constant()), f.MustInv(k)), true
-}
-
-// booleanOf recognizes a boolean-forcing residual: a nonzero multiple of
-// x² − x for a single variable x (same shape as uniq's R-Bits precondition,
-// but evaluated on the constant-substituted residual).
-func booleanOf(q *poly.Quad) (int, bool) {
-	vars := q.Vars()
-	if len(vars) != 1 || q.NumQuadTerms() != 1 {
-		return 0, false
-	}
-	x := vars[0]
-	c := q.CoeffPair(x, x)
-	if c.IsZero() || !q.Lin().Constant().IsZero() {
-		return 0, false
-	}
-	if q.Lin().Coeff(x) != q.Field().Neg(c) {
-		return 0, false
-	}
-	return x, true
-}
-
-// detSolve finds the unique undetermined variable of a residual, provided
-// it occurs only linearly with a constant nonzero coefficient.
-func (st *AbsState) detSolve(q *poly.Quad) (int, bool) {
-	x := -1
-	for _, v := range q.Vars() {
-		if v == r1cs.OneID || st.isDet[v] {
-			continue
-		}
-		if x != -1 {
-			return 0, false
-		}
-		x = v
-	}
-	if x == -1 {
-		return 0, false
-	}
-	for _, y := range q.Vars() {
-		if !q.CoeffPair(x, y).IsZero() {
-			return 0, false
-		}
-	}
-	if q.Lin().Coeff(x).IsZero() {
-		return 0, false
-	}
-	return x, true
-}
-
-// detBits implements the binary-decomposition rule over the determined
-// domain; it returns the bits that become determined (nil if the rule does
-// not fire).
-func (st *AbsState) detBits(q *poly.Quad) []int {
-	if !q.IsLinear() {
-		return nil
-	}
-	f := q.Field()
-	var unknowns []int
-	for _, v := range q.Vars() {
-		if v == r1cs.OneID || st.isDet[v] {
-			continue
-		}
-		if !st.isBool[v] {
-			return nil
-		}
-		unknowns = append(unknowns, v)
-	}
-	if len(unknowns) == 0 {
-		return nil
-	}
-	mags := make([]*big.Int, 0, len(unknowns))
-	for _, x := range unknowns {
-		c := q.Lin().Coeff(x)
-		if c.IsZero() {
-			return nil
-		}
-		mags = append(mags, new(big.Int).Abs(f.Signed(c)))
-	}
-	sort.Slice(mags, func(i, j int) bool { return mags[i].Cmp(mags[j]) < 0 })
-	sum := new(big.Int)
-	for _, m := range mags {
-		if m.Cmp(sum) <= 0 {
-			return nil
-		}
-		sum.Add(sum, m)
-	}
-	if sum.Cmp(f.Modulus()) >= 0 {
-		return nil
-	}
-	return unknowns
 }
 
 // --- accessors ---------------------------------------------------------------

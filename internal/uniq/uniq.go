@@ -4,7 +4,8 @@
 // solver.
 //
 // The engine maintains a set U of unique signals, seeded with the circuit
-// inputs and the constant-one signal. The workhorse rule is:
+// inputs and the constant-one signal (the paper's R-Input), and applies two
+// rules to fixpoint:
 //
 //	R-Solve:  for a constraint whose expanded polynomial q = A·B − C has
 //	          exactly one signal x ∉ U, where x occurs only linearly and
@@ -12,20 +13,37 @@
 //	          y, including y ∈ U), the constraint rewrites to
 //	          x = −rest/c with vars(rest) ⊆ U, so x is uniquely
 //	          determined ⇒ x ∈ U.
+//	R-Bits:   for a constraint whose unknowns are all boolean-constrained
+//	          (some constraint is a nonzero multiple of x² − x), all occur
+//	          only linearly, and whose coefficient magnitudes form a
+//	          super-increasing sequence summing below the modulus, every
+//	          unknown is uniquely determined ⇒ all of them join U.
 //
-// The constant-coefficient requirement is what keeps the rule sound: in
+// R-Solve covers the paper's R-Lin (a constraint linear in its single
+// unknown), R-Prod (z = x·y with x, y ∈ U: the monomial is over known
+// signals) and R-Eq (x = y, in either direction). The paper's
+// R-Bool/R-Cond mux patterns have no rule of their own; their selectors
+// are left to the solver-backed queries of the core analysis.
+//
+// The constant-coefficient requirement is what keeps R-Solve sound: in
 // x·u = v with u ∈ U the coefficient of x vanishes when u = 0, leaving x
-// free, so such constraints are deliberately left to the solver-backed
-// reasoning in the core analysis.
+// free, so such constraints are deliberately left to the core analysis.
 //
-// External facts (signals proven unique by SMT queries) are injected with
-// AddUnique, which re-runs propagation to fixpoint incrementally.
+// Solve, Bits and BooleanOf are the rules themselves, over one polynomial
+// and predicates for the known and boolean facts. The Propagator applies
+// them to a system's constraints; the static pre-pass (internal/sa)
+// applies the same functions to its constant-substituted residuals.
+//
+// External facts (signals proven unique by SMT queries, or determined by
+// the static pre-pass) are injected with AddUniqueExternal and
+// AddUniqueStatic, which re-run propagation to fixpoint incrementally.
 package uniq
 
 import (
 	"math/big"
-	"sort"
+	"slices"
 
+	"qed2/internal/ff"
 	"qed2/internal/obs"
 	"qed2/internal/poly"
 	"qed2/internal/r1cs"
@@ -56,22 +74,29 @@ const (
 // Source records the provenance of a uniqueness fact.
 type Source struct {
 	Rule Rule
-	// Constraint is the index of the constraint that fired (RuleSolve), or
-	// -1 otherwise.
+	// Constraint is the index of the constraint that fired (RuleSolve,
+	// RuleBits), or -1 otherwise.
 	Constraint int
 }
 
 // Propagator incrementally maintains the set of known-unique signals of
 // one constraint system.
 type Propagator struct {
-	sys    *r1cs.System
-	opts   Options
-	unique map[int]Source
-	quads  []*poly.Quad // cached expansion per constraint
-	// sigCons[v] lists constraints mentioning v.
-	sigCons map[int][]int
+	sys  *r1cs.System
+	opts Options
+	// facts[id] is id's provenance; the zero Source (empty Rule) marks a
+	// signal not known unique. count is the number of known-unique signals.
+	facts []Source
+	count int
+	quads []*poly.Quad // cached expansion per constraint
 	// boolean[v] records that some constraint forces v ∈ {0,1}.
-	boolean map[int]bool
+	boolean []bool
+	// pending[ci] marks constraints queued for a rule check; npending
+	// counts them, and every pending index is ≥ next, so the worklist
+	// takes the smallest pending constraint first by scanning up from next.
+	pending  []bool
+	npending int
+	next     int
 	// Per-rule observability counters, resolved once from Options.Metrics
 	// (nil handles are no-ops): attempts count rule evaluations, fired
 	// counts firings, and bits.resolved counts signals resolved by R-Bits
@@ -100,11 +125,14 @@ func New(sys *r1cs.System) *Propagator {
 
 // NewWithOptions is New with selected rules disabled.
 func NewWithOptions(sys *r1cs.System, opts Options) *Propagator {
+	n := sys.NumConstraints()
 	p := &Propagator{
 		sys:     sys,
 		opts:    opts,
-		unique:  map[int]Source{},
-		sigCons: map[int][]int{},
+		facts:   make([]Source, sys.NumSignals()),
+		quads:   make([]*poly.Quad, n),
+		boolean: make([]bool, sys.NumSignals()),
+		pending: make([]bool, n),
 
 		cSolveAttempts: opts.Metrics.Counter("uniq.rule.solve.attempts"),
 		cSolveFired:    opts.Metrics.Counter("uniq.rule.solve.fired"),
@@ -114,62 +142,42 @@ func NewWithOptions(sys *r1cs.System, opts Options) *Propagator {
 		cSeeds:         opts.Metrics.Counter("uniq.seeds"),
 		cExternal:      opts.Metrics.Counter("uniq.external"),
 	}
-	p.quads = make([]*poly.Quad, sys.NumConstraints())
-	p.boolean = map[int]bool{}
-	for i := 0; i < sys.NumConstraints(); i++ {
-		q := sys.Constraint(i).Quad()
-		p.quads[i] = q
-		for _, v := range q.Vars() {
-			p.sigCons[v] = append(p.sigCons[v], i)
-		}
-		if b, ok := booleanOf(q); ok {
+	for ci := range p.quads {
+		q := sys.Constraint(ci).Quad()
+		p.quads[ci] = q
+		if b, ok := BooleanOf(q); ok {
 			p.boolean[b] = true
 		}
+		p.queue(ci)
 	}
-	p.seed(r1cs.OneID)
+	seed := Source{Rule: RuleSeed, Constraint: -1}
+	if p.learn(r1cs.OneID, seed) {
+		p.cSeeds.Inc()
+	}
 	for _, in := range sys.Inputs() {
-		p.seed(in)
+		if p.learn(in, seed) {
+			p.cSeeds.Inc()
+		}
 	}
-	p.fixpoint(nil)
+	p.fixpoint()
 	return p
 }
 
-func (p *Propagator) seed(id int) {
-	if _, ok := p.unique[id]; !ok {
-		p.unique[id] = Source{Rule: RuleSeed, Constraint: -1}
-		p.cSeeds.Inc()
-	}
-}
-
 // IsUnique reports whether signal id is known to be uniquely determined.
-func (p *Propagator) IsUnique(id int) bool {
-	_, ok := p.unique[id]
-	return ok
-}
+func (p *Propagator) IsUnique(id int) bool { return p.facts[id].Rule != "" }
 
 // SourceOf returns the provenance of a uniqueness fact.
 func (p *Propagator) SourceOf(id int) (Source, bool) {
-	s, ok := p.unique[id]
-	return s, ok
+	return p.facts[id], p.IsUnique(id)
 }
 
 // NumUnique returns the number of known-unique signals.
-func (p *Propagator) NumUnique() int { return len(p.unique) }
-
-// Unique returns the known-unique signal IDs, ascending.
-func (p *Propagator) Unique() []int {
-	out := make([]int, 0, len(p.unique))
-	for v := range p.unique {
-		out = append(out, v)
-	}
-	sort.Ints(out)
-	return out
-}
+func (p *Propagator) NumUnique() int { return p.count }
 
 // Unknown returns the signals not (yet) known unique, ascending.
 func (p *Propagator) Unknown() []int {
 	var out []int
-	for id := 0; id < p.sys.NumSignals(); id++ {
+	for id := range p.facts {
 		if !p.IsUnique(id) {
 			out = append(out, id)
 		}
@@ -180,8 +188,10 @@ func (p *Propagator) Unknown() []int {
 // CountByRule tallies uniqueness facts per rule.
 func (p *Propagator) CountByRule() map[Rule]int {
 	out := map[Rule]int{}
-	for _, s := range p.unique {
-		out[s.Rule]++
+	for id, s := range p.facts {
+		if p.IsUnique(id) {
+			out[s.Rule]++
+		}
 	}
 	return out
 }
@@ -200,11 +210,11 @@ type Snapshot struct {
 // changes, even if the propagator keeps deriving facts.
 func (p *Propagator) Snapshot() *Snapshot {
 	s := &Snapshot{
-		unique: make([]bool, p.sys.NumSignals()),
-		count:  len(p.unique),
+		unique: make([]bool, len(p.facts)),
+		count:  p.count,
 	}
-	for id := range p.unique {
-		s.unique[id] = true
+	for id := range p.facts {
+		s.unique[id] = p.IsUnique(id)
 	}
 	return s
 }
@@ -217,64 +227,71 @@ func (s *Snapshot) IsUnique(id int) bool {
 // NumUnique returns the number of known-unique signals at snapshot time.
 func (s *Snapshot) NumUnique() int { return s.count }
 
-// AddUnique injects an externally-proven fact and re-propagates.
-// It reports whether the fact was new.
-func (p *Propagator) AddUnique(id int, src Source) bool {
-	if p.IsUnique(id) {
+// AddUniqueExternal injects a fact proven outside the rules (an SMT query)
+// with RuleExternal provenance and re-propagates. It reports whether the
+// fact was new.
+func (p *Propagator) AddUniqueExternal(id int) bool {
+	if !p.learn(id, Source{Rule: RuleExternal, Constraint: -1}) {
 		return false
 	}
-	p.unique[id] = src
-	if src.Rule == RuleExternal {
-		p.cExternal.Inc()
-	}
-	p.fixpoint([]int{id})
+	p.cExternal.Inc()
+	p.fixpoint()
 	return true
 }
 
-// AddUniqueExternal is AddUnique with RuleExternal provenance.
-func (p *Propagator) AddUniqueExternal(id int) bool {
-	return p.AddUnique(id, Source{Rule: RuleExternal, Constraint: -1})
-}
-
-// AddUniqueStatic is AddUnique with RuleStatic provenance (facts from the
-// static-analysis pre-pass).
+// AddUniqueStatic injects a fact from the static-analysis pre-pass with
+// RuleStatic provenance and re-propagates. It reports whether the fact was
+// new.
 func (p *Propagator) AddUniqueStatic(id int) bool {
-	return p.AddUnique(id, Source{Rule: RuleStatic, Constraint: -1})
+	if !p.learn(id, Source{Rule: RuleStatic, Constraint: -1}) {
+		return false
+	}
+	p.fixpoint()
+	return true
 }
 
-// fixpoint applies R-Solve until no constraint fires. If dirty is nil every
-// constraint is considered; otherwise only constraints reachable from the
-// given freshly-unique signals.
-func (p *Propagator) fixpoint(dirty []int) {
-	pending := map[int]bool{}
-	if dirty == nil {
-		for ci := range p.quads {
-			pending[ci] = true
-		}
-	} else {
-		for _, v := range dirty {
-			for _, ci := range p.sigCons[v] {
-				pending[ci] = true
-			}
-		}
+// learn records a new fact and queues every constraint mentioning id. It
+// reports whether the fact was new.
+func (p *Propagator) learn(id int, src Source) bool {
+	if p.IsUnique(id) {
+		return false
 	}
-	// Worklist loop.
-	for len(pending) > 0 {
-		// Deterministic order: smallest constraint index first.
-		var ci int
-		first := true
-		for k := range pending {
-			if first || k < ci {
-				ci = k
-				first = false
-			}
+	p.facts[id] = src
+	p.count++
+	for _, ci := range p.sys.ConstraintsOf(id) {
+		p.queue(ci)
+	}
+	return true
+}
+
+// queue marks constraint ci for a rule check.
+func (p *Propagator) queue(ci int) {
+	if p.pending[ci] {
+		return
+	}
+	p.pending[ci] = true
+	p.npending++
+	if p.npending == 1 || ci < p.next {
+		p.next = ci
+	}
+}
+
+// fixpoint applies the rules to the queued constraints, smallest index
+// first, until none is queued.
+func (p *Propagator) fixpoint() {
+	for p.npending > 0 {
+		for !p.pending[p.next] {
+			p.next++
 		}
-		delete(pending, ci)
+		ci := p.next
+		p.pending[ci] = false
+		p.npending--
+		q := p.quads[ci]
 		var resolved []int
 		var rule Rule
 		if !p.opts.DisableSolve {
 			p.cSolveAttempts.Inc()
-			if x, ok := p.ruleSolve(ci); ok {
+			if x, ok := Solve(q, p.IsUnique); ok {
 				resolved = []int{x}
 				rule = RuleSolve
 				p.cSolveFired.Inc()
@@ -282,7 +299,7 @@ func (p *Propagator) fixpoint(dirty []int) {
 		}
 		if resolved == nil && !p.opts.DisableBits {
 			p.cBitsAttempts.Inc()
-			if xs, ok := p.ruleBits(ci); ok {
+			if xs := Bits(q, p.IsUnique, p.isBoolean); xs != nil {
 				resolved = xs
 				rule = RuleBits
 				p.cBitsFired.Inc()
@@ -290,125 +307,12 @@ func (p *Propagator) fixpoint(dirty []int) {
 			}
 		}
 		for _, x := range resolved {
-			p.unique[x] = Source{Rule: rule, Constraint: ci}
-			for _, next := range p.sigCons[x] {
-				pending[next] = true
-			}
+			p.learn(x, Source{Rule: rule, Constraint: ci})
 		}
 	}
 }
 
-// booleanOf recognizes a boolean constraint: the expanded polynomial is a
-// nonzero multiple of x² − x for a single signal x, which forces x ∈ {0,1}.
-func booleanOf(q *poly.Quad) (int, bool) {
-	vars := q.Vars()
-	if len(vars) != 1 || q.NumQuadTerms() != 1 {
-		return 0, false
-	}
-	x := vars[0]
-	c := q.CoeffPair(x, x)
-	if c.IsZero() {
-		return 0, false
-	}
-	f := q.Field()
-	if !q.Lin().Constant().IsZero() {
-		return 0, false
-	}
-	if q.Lin().Coeff(x) != f.Neg(c) {
-		return 0, false
-	}
-	return x, true
-}
-
-// ruleBits fires on a constraint whose unknowns are all boolean-constrained
-// signals occurring linearly with constant coefficients that form a
-// super-increasing sequence with total magnitude below the field modulus.
-// Such a linear equation has at most one solution over {0,1}^k for any
-// fixed value of the known part, so every unknown becomes unique.
-func (p *Propagator) ruleBits(ci int) ([]int, bool) {
-	q := p.quads[ci]
-	f := q.Field()
-	var unknowns []int
-	for _, v := range q.Vars() {
-		if p.IsUnique(v) {
-			continue
-		}
-		if !p.boolean[v] {
-			return nil, false
-		}
-		unknowns = append(unknowns, v)
-	}
-	if len(unknowns) == 0 {
-		return nil, false
-	}
-	// Every unknown must occur only linearly (no quadratic monomial may
-	// involve an unknown), with a constant nonzero coefficient.
-	mags := make([]*big.Int, 0, len(unknowns))
-	for _, x := range unknowns {
-		for _, y := range q.Vars() {
-			if !q.CoeffPair(x, y).IsZero() {
-				return nil, false
-			}
-		}
-		c := q.Lin().Coeff(x)
-		if c.IsZero() {
-			return nil, false
-		}
-		mag := new(big.Int).Abs(f.Signed(c))
-		mags = append(mags, mag)
-	}
-	// Super-increasing check on magnitudes: sorted ascending, each entry
-	// strictly exceeds the sum of all previous ones, and the total stays
-	// below the modulus (so field arithmetic cannot wrap a collision in).
-	sort.Slice(mags, func(i, j int) bool { return mags[i].Cmp(mags[j]) < 0 })
-	sum := new(big.Int)
-	for _, m := range mags {
-		if m.Cmp(sum) <= 0 {
-			return nil, false
-		}
-		sum.Add(sum, m)
-	}
-	if sum.Cmp(f.Modulus()) >= 0 {
-		return nil, false
-	}
-	return unknowns, true
-}
-
-// ruleSolve checks whether constraint ci pins down exactly one new signal,
-// returning it.
-func (p *Propagator) ruleSolve(ci int) (int, bool) {
-	q := p.quads[ci]
-	// Find the unknowns.
-	unknown := -1
-	for _, v := range q.Vars() {
-		if p.IsUnique(v) {
-			continue
-		}
-		if unknown != -1 {
-			return 0, false // two or more unknowns
-		}
-		unknown = v
-	}
-	if unknown == -1 {
-		return 0, false
-	}
-	x := unknown
-	// x must not occur in any quadratic monomial: x² would give two roots,
-	// and x·y (even with y unique) has a vanishing coefficient when y = 0.
-	if !q.CoeffPair(x, x).IsZero() {
-		return 0, false
-	}
-	for _, y := range q.Vars() {
-		if y != x && !q.CoeffPair(x, y).IsZero() {
-			return 0, false
-		}
-	}
-	// Linear occurrence with a constant nonzero coefficient.
-	if q.Lin().Coeff(x).IsZero() {
-		return 0, false
-	}
-	return x, true
-}
+func (p *Propagator) isBoolean(id int) bool { return p.boolean[id] }
 
 // OutputsUnique reports whether every output signal is known unique.
 func (p *Propagator) OutputsUnique() bool {
@@ -418,4 +322,106 @@ func (p *Propagator) OutputsUnique() bool {
 		}
 	}
 	return true
+}
+
+// --- the rules ---------------------------------------------------------------
+//
+// Each rule reads the facts through predicates, so the Propagator and the
+// static pre-pass share one implementation while each keeps its own state.
+// Both rules walk q's terms without building a variable list: the
+// quadratic monomials first, where any monomial that touches an unknown
+// signal blocks the rule (x² has two roots, and x·y has a coefficient that
+// vanishes when y = 0), then the linear terms. R-Bits walks the linear
+// terms a second time only to collect a candidate's unknowns and
+// coefficients.
+
+// BooleanOf recognizes a boolean constraint: q is a nonzero multiple of
+// x² − x for a single signal x, which forces x ∈ {0,1}.
+func BooleanOf(q *poly.Quad) (int, bool) {
+	if q.NumQuadTerms() != 1 {
+		return 0, false
+	}
+	var sq poly.VarPair
+	var c ff.Element
+	q.VisitQuadTerms(func(p poly.VarPair, coeff ff.Element) { sq, c = p, coeff })
+	lin := q.Lin()
+	x, single := lin.IsSingleVar()
+	if !single || sq.X != x || sq.Y != x || !lin.Constant().IsZero() {
+		return 0, false
+	}
+	if lin.Coeff(x) != q.Field().Neg(c) {
+		return 0, false
+	}
+	return x, true
+}
+
+// quadKnown reports whether every quadratic monomial of q is over known
+// signals only.
+func quadKnown(q *poly.Quad, known func(int) bool) bool {
+	ok := true
+	q.VisitQuadTerms(func(p poly.VarPair, _ ff.Element) {
+		ok = ok && known(p.X) && known(p.Y)
+	})
+	return ok
+}
+
+// Solve is R-Solve on q = 0: when exactly one signal x of q is unknown and
+// x occurs only linearly (its coefficient is a nonzero constant), it
+// returns x, which the equation pins to one value.
+func Solve(q *poly.Quad, known func(int) bool) (int, bool) {
+	if !quadKnown(q, known) {
+		return 0, false
+	}
+	x, n := -1, 0
+	q.Lin().VisitTerms(func(v int, _ ff.Element) {
+		if !known(v) {
+			x = v
+			n++
+		}
+	})
+	return x, n == 1
+}
+
+// Bits is R-Bits on q = 0: when every unknown signal of q is boolean and
+// occurs only linearly, and the magnitudes of the unknowns' signed
+// coefficients, sorted ascending, each exceed the sum of the smaller ones
+// and total below the modulus, the equation has at most one solution over
+// {0,1}^k for any value of the known part (field arithmetic cannot wrap a
+// collision in). It returns those unknowns, ascending, or nil.
+func Bits(q *poly.Quad, known, boolean func(int) bool) []int {
+	if !quadKnown(q, known) {
+		return nil
+	}
+	n, allBool := 0, true
+	q.Lin().VisitTerms(func(v int, _ ff.Element) {
+		if !known(v) {
+			n++
+			allBool = allBool && boolean(v)
+		}
+	})
+	if n == 0 || !allBool {
+		return nil
+	}
+	f := q.Field()
+	xs := make([]int, 0, n)
+	mags := make([]*big.Int, 0, n)
+	q.Lin().VisitTerms(func(v int, c ff.Element) {
+		if !known(v) {
+			m := f.Signed(c)
+			xs = append(xs, v)
+			mags = append(mags, m.Abs(m))
+		}
+	})
+	slices.SortFunc(mags, (*big.Int).Cmp)
+	sum := new(big.Int)
+	for _, m := range mags {
+		if m.Cmp(sum) <= 0 {
+			return nil
+		}
+		sum.Add(sum, m)
+	}
+	if sum.Cmp(f.Modulus()) >= 0 {
+		return nil
+	}
+	return xs
 }

@@ -43,7 +43,7 @@ func TestSolveRuleChain(t *testing.T) {
 	sys.AddConstraint(poly.ConstInt(f97, 1), lcv(f97, b).Scale(f97.NewElement(2)).AddConst(f97.NewElement(-5)), lcv(f97, c), "")
 	p := New(sys)
 	if !p.IsUnique(b) || !p.IsUnique(c) {
-		t.Fatalf("chain not resolved: unique=%v", p.Unique())
+		t.Fatalf("chain not resolved: unknown=%v", p.Unknown())
 	}
 	if !p.OutputsUnique() {
 		t.Error("OutputsUnique false")
@@ -415,5 +415,47 @@ func TestSnapshotImmutable(t *testing.T) {
 	// Out-of-range queries are false, not panics.
 	if snap.IsUnique(-1) || snap.IsUnique(sys.NumSignals()) {
 		t.Error("out-of-range signal claimed unique")
+	}
+}
+
+// TestRuleAblationsStayExact: with R-Solve off, R-Bits still resolves a
+// constraint whose single unknown is boolean; with R-Bits off it does not.
+func TestRuleAblationsStayExact(t *testing.T) {
+	sys, bits := buildBits(t, 1, []int64{1})
+	if p := NewWithOptions(sys, Options{DisableSolve: true}); !p.IsUnique(bits[0]) {
+		t.Error("DisableSolve: single boolean unknown not resolved by R-Bits")
+	} else if src, _ := p.SourceOf(bits[0]); src.Rule != RuleBits {
+		t.Errorf("DisableSolve: source = %+v, want bits", src)
+	}
+	if p := NewWithOptions(sys, Options{DisableSolve: true, DisableBits: true}); p.IsUnique(bits[0]) {
+		t.Error("both rules off: bit resolved")
+	}
+}
+
+// TestRulesReadQuadraticTerms: a monomial over known signals leaves both
+// rules free to fire, and a monomial that touches an unknown blocks both.
+func TestRulesReadQuadraticTerms(t *testing.T) {
+	const a, b, x, y = 1, 2, 3, 4
+	known := func(v int) bool { return v <= b }
+	boolean := func(v int) bool { return v >= x }
+	// a·b + x + 2y − 1 = 0: the unknowns x, y are boolean, coefficients 1, 2.
+	q := poly.MulLin(lcv(f97, a), lcv(f97, b)).Add(poly.QuadFromLin(
+		lcv(f97, x).AddTerm(y, f97.NewElement(2)).AddConst(f97.NewElement(-1))))
+	if got := Bits(q, known, boolean); len(got) != 2 || got[0] != x || got[1] != y {
+		t.Errorf("Bits = %v, want [%d %d]", got, x, y)
+	}
+	if _, ok := Solve(q, known); ok {
+		t.Error("Solve fired with two unknowns")
+	}
+	// a·x + y = 0: x·a has a coefficient that vanishes at a = 0.
+	q = poly.MulLin(lcv(f97, a), lcv(f97, x)).Add(poly.QuadFromLin(lcv(f97, y)))
+	if got := Bits(q, known, boolean); got != nil {
+		t.Errorf("Bits = %v through a monomial over an unknown", got)
+	}
+	if _, ok := Solve(q, func(v int) bool { return v != y }); !ok {
+		t.Error("Solve did not resolve y when x is known")
+	}
+	if _, ok := Solve(q, func(v int) bool { return v != x }); ok {
+		t.Error("Solve resolved x through a·x")
 	}
 }
