@@ -245,14 +245,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			report.Stats.SolverSteps, report.Stats.Workers)
 		fmt.Fprintf(stdout, "uniqueness:   %d/%d signals proven unique (%d by propagation, %d by SMT)\n",
 			report.Stats.UniqueTotal, st.Signals, report.Stats.PropagationUnique, report.Stats.SMTUnique)
-		if s := report.Stats; s.StaticUnique > 0 || s.StaticRangeUnique > 0 || s.StaticQueriesAvoided > 0 {
-			fmt.Fprintf(stdout, "static pass:  %d extra signals proven determined (%d by range domains), %d SMT queries avoided (%d range-pruned)\n",
-				s.StaticUnique+s.StaticRangeUnique, s.StaticRangeUnique,
-				s.StaticQueriesAvoided+s.StaticRangePruned, s.StaticRangePruned)
-		}
-		if report.StaticVerifyError != "" {
-			fmt.Fprintf(stdout, "static pass:  facts dropped, replay check failed: %s\n", report.StaticVerifyError)
-			fmt.Fprintln(stdout, "              (the constraints may have no solution at all; -lint reports where)")
+		if n := report.Stats.StaticQueriesAvoided; n > 0 {
+			fmt.Fprintf(stdout, "static pass:  %d SMT queries avoided (output-free components)\n", n)
 		}
 		if ce := report.Counter; ce != nil {
 			printCounterexample(stdout, prog, ce)

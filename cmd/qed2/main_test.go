@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"qed2/internal/sa"
 )
 
 func writeCircuit(t *testing.T, name, src string) string {
@@ -106,12 +108,13 @@ func TestCLIJSON(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, k := range []string{"stats", "counterexample", "cache_hits", "batch_groups", "incremental_reuses",
-		"incremental_extends", "incremental_fallbacks", "incremental_base_steps", "learned_facts", "facts_injected"} {
+		"incremental_extends", "incremental_fallbacks", "incremental_base_steps", "learned_facts", "facts_injected",
+		"static_unique", "static_range_unique", "static_range_pruned", "static_verify_error"} {
 		if _, ok := raw[k]; ok {
 			t.Errorf("report still carries %q", k)
 		}
 	}
-	for _, k := range []string{"circuit", "main_template", "queries", "solver_steps", "static_unique", "ce_inputs"} {
+	for _, k := range []string{"circuit", "main_template", "queries", "solver_steps", "static_queries_avoided", "ce_inputs"} {
 		if _, ok := raw[k]; !ok {
 			t.Errorf("report lacks %q", k)
 		}
@@ -334,25 +337,26 @@ func TestCLILintOnR1CSDump(t *testing.T) {
 
 func TestCLIStaticStatsInJSON(t *testing.T) {
 	// A pure Num2Bits-style circuit is discharged by propagation; the static
-	// pre-pass runs alongside and its stats fields must be present (zero is
-	// fine) and the verdict unchanged.
+	// pre-pass only prunes, so its one stats field must be present (zero is
+	// fine), the fields of the removed fact injection absent, and the
+	// verdict unchanged.
 	path := writeCircuit(t, "mul.circom", safeSrc)
 	code, out, _ := runCLI(t, "-json", path)
 	if code != 0 {
 		t.Fatalf("exit = %d", code)
 	}
-	if !strings.Contains(out, "static_unique") || !strings.Contains(out, "static_queries_avoided") {
-		t.Errorf("json stats missing static fields:\n%s", out)
+	if !strings.Contains(out, "static_queries_avoided") {
+		t.Errorf("json stats missing static_queries_avoided:\n%s", out)
 	}
-	if strings.Contains(out, "static_verify_error") {
-		t.Errorf("json reports a static replay failure on a satisfiable circuit:\n%s", out)
+	if strings.Contains(out, "static_unique") || strings.Contains(out, "static_verify_error") {
+		t.Errorf("json stats still carry a static fact field:\n%s", out)
 	}
 }
 
 // windowConflictSrc has no satisfying assignment: b + c + 5 ranges over
-// [5, 7] for boolean b and c, a window holding no multiple of p. The static
-// pre-pass proves that, so its replay check fails and its facts are
-// dropped; the solver still answers safe (no two witnesses can differ).
+// [5, 7] for boolean b and c, a window holding no multiple of p. Only the
+// abstract interpreter behind -lint proves that; the analysis answers safe
+// (no two witnesses can differ).
 const windowConflictSrc = `
 pragma circom 2.0.0;
 template WindowConflict() {
@@ -368,32 +372,53 @@ template WindowConflict() {
 component main = WindowConflict();
 `
 
-// TestCLIStaticVerifyFailureIsReported: when the static facts are dropped,
-// the text and -json reports say so and give the replay error, while the
-// verdict and the exit code stay those of the solver.
+// TestCLIStaticVerifyFailureIsReported: an unsatisfiable window is reported
+// where the abstract interpreter runs, by -lint as a range-violation error
+// at constraint #2. The analysis runs no replay check, so its text and
+// -json reports carry no static failure, and its verdict and exit code stay
+// safe and 0.
 func TestCLIStaticVerifyFailureIsReported(t *testing.T) {
 	path := writeCircuit(t, "wc.circom", windowConflictSrc)
-	const why = "sa: range replay failed on constraint #2: value window [5, 7] admits no multiple of the modulus"
 	code, out, _ := runCLI(t, path)
 	if code != 0 || !strings.Contains(out, "verdict:      safe") {
 		t.Fatalf("exit = %d, want 0 with verdict safe:\n%s", code, out)
 	}
-	if !strings.Contains(out, "static pass:  facts dropped, replay check failed: "+why+"\n") {
-		t.Errorf("text report does not give the replay failure:\n%s", out)
+	if strings.Contains(out, "static pass:") {
+		t.Errorf("text report has a static pass line:\n%s", out)
 	}
 	code, out, _ = runCLI(t, "-json", path)
 	if code != 0 {
 		t.Fatalf("-json exit = %d, want 0", code)
 	}
-	var rep struct {
-		Verdict           string `json:"verdict"`
-		StaticVerifyError string `json:"static_verify_error"`
-	}
+	var rep map[string]json.RawMessage
 	if err := json.Unmarshal([]byte(out), &rep); err != nil {
 		t.Fatalf("-json output: %v\n%s", err, out)
 	}
-	if rep.Verdict != "safe" || rep.StaticVerifyError != why {
-		t.Errorf("-json verdict = %q, static_verify_error = %q; want safe, %q", rep.Verdict, rep.StaticVerifyError, why)
+	if string(rep["verdict"]) != `"safe"` {
+		t.Errorf("-json verdict = %s, want \"safe\"", rep["verdict"])
+	}
+	if _, ok := rep["static_verify_error"]; ok {
+		t.Errorf("-json report has static_verify_error:\n%s", out)
+	}
+	code, out, _ = runCLI(t, "-lint", "-format", "json", path)
+	if code != 1 {
+		t.Fatalf("-lint exit = %d, want 1 (an error finding)", code)
+	}
+	var lint struct {
+		Findings []sa.Finding `json:"findings"`
+	}
+	if err := json.Unmarshal([]byte(out), &lint); err != nil {
+		t.Fatalf("-lint output: %v\n%s", err, out)
+	}
+	var violations []sa.Finding
+	for _, f := range lint.Findings {
+		if f.Detector == "range-violation" {
+			violations = append(violations, f)
+		}
+	}
+	if len(violations) != 1 || violations[0].Constraint != 2 || violations[0].SeverityName != "error" ||
+		!strings.Contains(violations[0].Message, "value window [5, 7] contains no multiple of the field modulus") {
+		t.Errorf("-lint range-violation findings = %+v, want one error at constraint #2", violations)
 	}
 }
 

@@ -28,8 +28,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	unsafe := core.Summary{
 		Verdict: "unsafe", CEOutput: "out", CEValues: [2]string{"1", "0"}, CESignals: []string{"out", "tmp"},
 		Signals: 7, Constraints: 4, UniqueSignals: 5, ByPropagation: 2, ByBitsRule: 1, BySMT: 1,
-		Queries: 3, SolverSteps: 40, StaticUnique: 1, StaticRangeUnique: 1, StaticQueriesAvoided: 1,
-		StaticRangePruned: 1, Workers: 1, DurationMS: 0.5, Version: "v",
+		Queries: 3, SolverSteps: 40, StaticQueriesAvoided: 1, Workers: 1, DurationMS: 0.5, Version: "v",
 	}
 	w.Append(InstanceRecord{Name: "a", Summary: core.Summary{Verdict: "safe", Queries: 3}})
 	w.Append(InstanceRecord{Name: "b", AnalyzeMS: 2, Summary: unsafe})

@@ -1079,22 +1079,29 @@ func (e *env) execConstraint(st *ConstraintStmt) error {
 	if err != nil {
 		return err
 	}
-	d, err := symSub(l, r)
-	if err != nil {
-		return errAt(st.Pos, "constraint is not quadratic: %v", err)
-	}
-	if c, ok := d.isConst(); ok {
-		if c.Sign() != 0 {
-			return errAt(st.Pos, "constraint is constant-false: %v === 0 is unsatisfiable", e.c.f.SignedBig(c).String())
+	// l − r = 0 as A·B = C. Where one side is quadratic, qa·qb + qc, C is
+	// the other side minus qc, one merge; a quadratic r enters negated.
+	f := e.c.f
+	var qa, qb, qc *poly.LinComb
+	switch {
+	case l.lin != nil && r.lin != nil:
+		d := l.lin.Sub(r.lin)
+		if d.IsConst() {
+			if c := f.ToBig(d.Constant()); c.Sign() != 0 {
+				return errAt(st.Pos, "constraint is constant-false: %v === 0 is unsatisfiable", f.SignedBig(c).String())
+			}
+			// Constant-true constraints are dropped, matching circom.
+			return nil
 		}
-		// Constant-true constraints are dropped, matching circom.
-		return nil
+		qa, qb, qc = poly.ConstInt(f, 1), d, poly.NewLinComb(f)
+	case r.lin != nil:
+		qa, qb, qc = l.qa, l.qb, r.lin.Sub(l.qc)
+	case l.lin != nil:
+		qa, qb, qc = r.qa.Neg(), r.qb, r.qc.Sub(l.lin)
+	default:
+		return errAt(st.Pos, "constraint is not quadratic: %v", errQuadSum)
 	}
-	tag := fmt.Sprintf("=== @%s", st.Pos)
-	if d.lin != nil {
-		return e.emitConstraint(poly.ConstInt(e.c.f, 1), d.lin, poly.NewLinComb(e.c.f), tag, st.Pos, 0)
-	}
-	return e.emitConstraint(d.qa, d.qb, d.qc.Neg(), tag, st.Pos, 0)
+	return e.emitConstraint(qa, qb, qc, fmt.Sprintf("=== @%s", st.Pos), st.Pos, 0)
 }
 
 func (e *env) execAssert(st *AssertStmt) error {

@@ -66,9 +66,12 @@ func symAdd(a, b *symVal) (*symVal, error) {
 	case b.lin != nil:
 		return symQuad(a.f, a.qa, a.qb, a.qc.Add(b.lin)), nil
 	default:
-		return nil, fmt.Errorf("sum of two quadratic expressions is not quadratic")
+		return nil, errQuadSum
 	}
 }
+
+// errQuadSum rejects the sum or difference of two quadratic values.
+var errQuadSum = fmt.Errorf("sum of two quadratic expressions is not quadratic")
 
 // symNeg returns -a.
 func symNeg(a *symVal) *symVal {
@@ -78,8 +81,20 @@ func symNeg(a *symVal) *symVal {
 	return symQuad(a.f, a.qa.Neg(), a.qb, a.qc.Neg())
 }
 
-// symSub returns a - b.
-func symSub(a, b *symVal) (*symVal, error) { return symAdd(a, symNeg(b)) }
+// symSub returns a - b, merging the linear parts with one subtraction: only
+// a quadratic b has a factor to negate.
+func symSub(a, b *symVal) (*symVal, error) {
+	switch {
+	case a.lin != nil && b.lin != nil:
+		return symLin(a.f, a.lin.Sub(b.lin)), nil
+	case a.lin != nil:
+		return symQuad(a.f, b.qa.Neg(), b.qb, a.lin.Sub(b.qc)), nil
+	case b.lin != nil:
+		return symQuad(a.f, a.qa, a.qb, a.qc.Sub(b.lin)), nil
+	default:
+		return nil, errQuadSum
+	}
+}
 
 // symMul returns a·b, rejecting products whose degree would exceed 2.
 func symMul(a, b *symVal) (*symVal, error) {

@@ -124,23 +124,10 @@ type Stats struct {
 	// only degrade a verdict to Unknown, never flip it — see DESIGN.md §11.
 	QueryPanics  int
 	QueryRetries int
-	// StaticUnique counts signals the static-analysis pre-pass proved
-	// determined by its classic rules (const/solve/bits propagation) beyond
-	// what uniqueness propagation derives on its own (provenance
-	// RuleStatic); StaticRangeUnique counts those proven only by the range
-	// domains (interval singleton promotion — facts the classic rules
-	// cannot derive, see DESIGN.md §17). Their sum is the total number of
-	// injected static facts. StaticQueriesAvoided counts slice
-	// queries skipped because the pre-pass proved the target lives in a
-	// component no output verdict can observe, and StaticRangePruned counts
-	// solver queries (the round-1 slice query, plus the final whole-circuit
-	// query for outputs) never issued because a range-domain fact had
-	// already decided the target's uniqueness. All are zero when the
-	// pre-pass did not run or its replay check failed — see DESIGN.md §12.
-	StaticUnique         int
-	StaticRangeUnique    int
+	// StaticQueriesAvoided counts slice queries skipped because the static
+	// pre-pass found the target in a component no output verdict can
+	// observe; zero when the pre-pass did not run (DESIGN.md §12).
 	StaticQueriesAvoided int
-	StaticRangePruned    int
 	// Workers records the degree of query parallelism used.
 	Workers int
 	// Duration is wall-clock analysis time.
@@ -186,13 +173,7 @@ type Report struct {
 	// Unsafe verdicts are never degraded — faults only ever move a verdict
 	// toward Unknown.
 	Degraded Degradation
-	// StaticVerifyError is the error of the static pre-pass's replay check
-	// (sa's AbsState.Verify) when it failed and the pass's facts were
-	// dropped; empty otherwise. The verdict never depends on it: the
-	// analysis then runs as if the pre-pass had not. A failure on a system
-	// with no satisfying assignment at all is the pre-pass's proof of that.
-	StaticVerifyError string
-	Stats             Stats
+	Stats    Stats
 }
 
 // analysis carries the mutable state of one Analyze call. The solver-step
@@ -217,13 +198,11 @@ type analysis struct {
 	// Folded into Stats at the end of the analysis.
 	nPanics  atomic.Int64
 	nRetries atomic.Int64
-	// staticPruned marks signals whose slice queries the static pre-pass
-	// proved irrelevant to every output verdict (nil when the pass did not
-	// run); staticUnreachable lists outputs the reachability analysis wants
-	// queried first in the final whole-circuit stage. Both written once
-	// before the first round, read-only afterwards.
-	staticPruned      map[int]bool
-	staticUnreachable []int
+	// staticPruned marks, by signal ID, the signals whose slice queries the
+	// static pre-pass proved irrelevant to every output verdict (nil when
+	// the pass did not run or pruned nothing). Written once before the
+	// first round, read-only afterwards.
+	staticPruned []bool
 	// span is the root "core.analyze" span; the observability handles
 	// below are nil-safe no-ops when Config.Obs / Config.Metrics are unset.
 	span            *obs.Span
@@ -295,9 +274,9 @@ func AnalyzeContext(ctx context.Context, sys *r1cs.System, cfg *Config) *Report 
 		a.runSMTOnly()
 	default:
 		a.prop = uniq.NewWithOptions(sys, uopts)
-		// Rule-ablation configs suppress the pre-pass too: its D-Solve and
-		// D-Bits are uniq's R-Solve and R-Bits applied to constant-substituted
-		// residuals, so leaving it on would quietly undo the ablation.
+		// Rule-ablation configs skip the pruning pre-pass, and uniq turns
+		// R-OneHot off under them: Table 3 and Figure 4 measure the paper's
+		// rules alone, with every slice query issued.
 		if !c.DisableSolveRule && !c.DisableBitsRule {
 			a.runStaticPrePass()
 			a.emitProgress("static", 0, 0, "")
@@ -316,7 +295,7 @@ func AnalyzeContext(ctx context.Context, sys *r1cs.System, cfg *Config) *Report 
 	a.report.Stats.QueryRetries = int(a.nRetries.Load())
 	if a.prop != nil {
 		counts := a.prop.CountByRule()
-		a.report.Stats.PropagationUnique = counts[uniq.RuleSolve] + counts[uniq.RuleBits]
+		a.report.Stats.PropagationUnique = counts[uniq.RuleSolve] + counts[uniq.RuleBits] + counts[uniq.RuleOneHot]
 		a.report.Stats.BitsUnique = counts[uniq.RuleBits]
 		a.report.Stats.SMTUnique = counts[uniq.RuleExternal]
 		a.report.Stats.UniqueTotal = a.prop.NumUnique()
@@ -529,7 +508,7 @@ func (a *analysis) finalOutputsStage() {
 		}
 		snap := a.prop.Snapshot()
 		var tasks []*queryTask
-		for _, o := range a.orderFinalOutputs() {
+		for _, o := range a.sys.Outputs() {
 			if snap.IsUnique(o) {
 				continue
 			}

@@ -104,11 +104,10 @@ type Config struct {
 	// DisableSolveRule / DisableBitsRule switch off individual propagation
 	// rules (rule-ablation experiments). With both set, the analysis still
 	// seeds inputs and issues sliced SMT queries. Either one also switches
-	// off the static-analysis pre-pass (internal/sa), which otherwise runs
-	// before the SMT rounds of ModeFull, pruning, ordering and shrinking the
-	// scheduler's queries. The baselines (ModePropagationOnly, ModeSMTOnly)
-	// never run the pre-pass so they stay faithful to the systems the paper
-	// compares against.
+	// off R-OneHot, and the static pre-pass, which otherwise runs before
+	// the SMT rounds of ModeFull and prunes the slice queries of
+	// output-free components. The baselines (ModePropagationOnly,
+	// ModeSMTOnly) never run the pre-pass.
 	DisableSolveRule bool `json:"no_solve_rule,omitempty"`
 	DisableBitsRule  bool `json:"no_bits_rule,omitempty"`
 	// Obs, when non-nil, receives hierarchical spans for every phase of

@@ -36,18 +36,12 @@ type Summary struct {
 	BySMT         int   `json:"by_smt"`
 	Queries       int   `json:"queries"`
 	SolverSteps   int64 `json:"solver_steps"`
-	// The static pre-pass's contribution (the Stats fields of equal names).
-	StaticUnique         int     `json:"static_unique"`
-	StaticRangeUnique    int     `json:"static_range_unique"`
+	// The static pre-pass's contribution (Stats.StaticQueriesAvoided).
 	StaticQueriesAvoided int     `json:"static_queries_avoided"`
-	StaticRangePruned    int     `json:"static_range_pruned"`
 	Workers              int     `json:"workers"`
 	DurationMS           float64 `json:"duration_ms"`
 	// Version stamps the build that produced the summary (informational).
 	Version string `json:"version,omitempty"`
-	// StaticVerifyError is Report.StaticVerifyError: why the static
-	// pre-pass's facts were dropped, when they were.
-	StaticVerifyError string `json:"static_verify_error,omitempty"`
 }
 
 // Summary flattens the report against its system, which names the
@@ -66,14 +60,10 @@ func (r *Report) Summary(sys *r1cs.System) Summary {
 		BySMT:                r.Stats.SMTUnique,
 		Queries:              r.Stats.Queries,
 		SolverSteps:          r.Stats.SolverSteps,
-		StaticUnique:         r.Stats.StaticUnique,
-		StaticRangeUnique:    r.Stats.StaticRangeUnique,
 		StaticQueriesAvoided: r.Stats.StaticQueriesAvoided,
-		StaticRangePruned:    r.Stats.StaticRangePruned,
 		Workers:              r.Stats.Workers,
 		DurationMS:           float64(r.Stats.Duration.Microseconds()) / 1000,
 		Version:              buildinfo.Get().String(),
-		StaticVerifyError:    r.StaticVerifyError,
 	}
 	if ce := r.Counter; ce != nil {
 		f := sys.Field()

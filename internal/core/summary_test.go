@@ -18,8 +18,7 @@ func TestSummaryJSONKeys(t *testing.T) {
 		Verdict: "unsafe", Reason: "r", Degraded: DegradedInternal,
 		CEOutput: "o", CEValues: [2]string{"1", "0"}, CESignals: []string{"o"},
 		Signals: 1, Constraints: 1, UniqueSignals: 1, ByPropagation: 1, ByBitsRule: 1, BySMT: 1,
-		Queries: 1, SolverSteps: 1, StaticUnique: 1, StaticRangeUnique: 1, StaticQueriesAvoided: 1,
-		StaticRangePruned: 1, StaticVerifyError: "e", Workers: 1, DurationMS: 1, Version: "v",
+		Queries: 1, SolverSteps: 1, StaticQueriesAvoided: 1, Workers: 1, DurationMS: 1, Version: "v",
 	}
 	b, err := json.Marshal(s)
 	if err != nil {
@@ -37,8 +36,7 @@ func TestSummaryJSONKeys(t *testing.T) {
 	want := []string{
 		"by_bits_rule", "by_propagation", "by_smt", "ce_output", "ce_signals",
 		"ce_values", "constraints", "degraded", "duration_ms", "queries", "reason", "signals",
-		"solver_steps", "static_queries_avoided", "static_range_pruned", "static_range_unique",
-		"static_unique", "static_verify_error", "unique_signals", "verdict", "version", "workers",
+		"solver_steps", "static_queries_avoided", "unique_signals", "verdict", "version", "workers",
 	}
 	if !reflect.DeepEqual(keys, want) {
 		t.Fatalf("Summary JSON keys = %v\nwant %v", keys, want)

@@ -50,8 +50,7 @@ type AbsState struct {
 	nonzero []bool
 	// rangeDet[id] marks signals whose determinedness was FIRST established
 	// by a range-domain rule (singleton interval promotion) rather than a
-	// classic const/solve/bits rule — the attribution behind core's
-	// Stats.StaticRangeUnique.
+	// classic const/solve/bits rule (AbsState.RangeDetermined).
 	rangeDet []bool
 
 	// conflicts lists proofs of unsatisfiability — facts that exclude each
@@ -297,7 +296,7 @@ func (st *AbsState) recordDet(id int) bool {
 
 // recordRelDet records a determinedness fact derived by a range/relational
 // rule, attributed to the range engine when no classic rule got there first
-// (the provenance behind core's Stats.StaticRangeUnique).
+// (AbsState.RangeDetermined).
 func (st *AbsState) recordRelDet(id int) bool {
 	if st.isDet[id] {
 		return false
@@ -531,6 +530,10 @@ func (st *AbsState) ruleGuard(ci int, q *poly.Quad) bool {
 // (x is), with value set {0, −C/cᵢ} — an interval fact, and a booleanness
 // fact when −C/cᵢ = 1. Additional constraints can only shrink the solution
 // set, so deriving from this subset is sound for the full system.
+//
+// Verdicts use uniq's value-free form of the rule (Propagator.oneHot),
+// which needs no C ≠ 0 because it concludes uniqueness only; this form also
+// derives each summand's value set.
 func (st *AbsState) ruleOneHot(ci int, q *poly.Quad) bool {
 	if st.onehotAt[ci] || !q.IsLinear() {
 		return false

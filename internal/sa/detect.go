@@ -117,9 +117,8 @@ func detectOverflowProneSum(sys *r1cs.System, l *Lint) {
 // constraint path from any input that is not statically determined either
 // is a definite under-constraint candidate — any satisfying assignment can
 // be perturbed on the output's component without touching the inputs — but
-// the verdict is still core's to make: the finding is a prioritization
-// hint, and core must confirm a concrete witness pair before reporting
-// unsafe.
+// the verdict is still core's to make: core reports unsafe only on a
+// confirmed witness pair.
 func detectReachability(sys *r1cs.System, l *Lint) {
 	for _, out := range l.UnreachableOutputs {
 		sig := sys.Signal(out)

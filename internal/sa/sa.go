@@ -1,19 +1,19 @@
 // Package sa is the circuit static-analysis pass: cheap, solver-free
-// structural reasoning over an R1CS that runs before (and independently of)
-// the SMT-driven core analysis. It labels the connected components of the
-// constraint graph, runs an abstract interpretation over F_p (constant
-// propagation, a boolean domain, a determinedness domain and range
-// domains), and checks input→output reachability.
+// structural reasoning over an R1CS, independent of the SMT-driven core
+// analysis. It labels the connected components of the constraint graph,
+// runs an abstract interpretation over F_p (constant propagation, a boolean
+// domain, a determinedness domain and range domains), and checks
+// input→output reachability.
 //
 // The pass has two entry points, and each computes only what its caller
 // reads:
 //
-//   - Analyze, the pre-phase of core.Analyze, returns facts only. They
-//     prune, order, and shrink the scheduler's SMT queries. Facts may only
-//     skip a query when they are replay-verified proofs (see
-//     AbsState.Verify); reachability "unsafe" hints never decide a verdict —
-//     they only prioritize the full-circuit queries whose SAT models core
-//     confirms into checked witness pairs.
+//   - Analyze returns facts only, with AbsState.Verify as their replay
+//     check. No verdict reads them: core.Analyze uses only the component
+//     graph (BuildGraph, SignalsWithoutOutputComponent) to prune slice
+//     queries, and its uniqueness facts come from internal/uniq's rules,
+//     R-OneHot included. Analyze serves tests and measurements that compare
+//     the two engines.
 //   - AnalyzeProgram, behind `qed2 -lint` and the findings gate, returns the
 //     same facts plus Circomspect-style pattern detector findings:
 //     deterministic, source-located, human- and machine-readable, over a
@@ -105,36 +105,16 @@ type Result struct {
 	// Abs is the final abstract state.
 	Abs *AbsState
 	// DeterminedOutputs lists outputs the abstract interpretation proved
-	// uniquely determined by the inputs — discharged without any SMT call.
+	// uniquely determined by the inputs.
 	DeterminedOutputs []int
 	// DeterminedSignals lists every signal proven determined (sorted;
 	// includes inputs, constants, and DeterminedOutputs).
 	DeterminedSignals []int
-	// RangeDetermined lists the subset of DeterminedSignals whose
-	// determinedness was first established by a range-domain rule (interval
-	// singleton promotion) rather than a classic const/solve/bits rule —
-	// facts the pre-PR analysis could not derive at all.
-	RangeDetermined []int
 	// UnreachableOutputs lists outputs with no constraint path from any
 	// input that the abstract interpretation could not discharge either:
-	// candidates for definite under-constraint. core treats these as
-	// prioritization hints only — an unsafe verdict still requires a
-	// confirmed witness pair from a full-circuit query.
+	// candidates for definite under-constraint, reported by the
+	// reachability detector. They never decide a verdict.
 	UnreachableOutputs []int
-	// PrunedSignals lists signals whose slice queries are sound to skip:
-	// they live in constraint-graph components containing no output, so
-	// their uniqueness can never influence an output verdict (uniqueness
-	// propagation and slicing are component-local).
-	PrunedSignals []int
-}
-
-// PrunedSet returns the pruned signals as a membership set.
-func (r *Result) PrunedSet() map[int]bool {
-	out := make(map[int]bool, len(r.PrunedSignals))
-	for _, s := range r.PrunedSignals {
-		out[s] = true
-	}
-	return out
 }
 
 // Analyze runs the pass over a system and returns its facts. It never
@@ -167,9 +147,6 @@ func analyze(sys *r1cs.System, o Options) (*Result, *Graph) {
 	for id := 1; id < sys.NumSignals(); id++ {
 		if abs.Determined(id) {
 			res.DeterminedSignals = append(res.DeterminedSignals, id)
-			if abs.RangeDetermined(id) {
-				res.RangeDetermined = append(res.RangeDetermined, id)
-			}
 		}
 	}
 	// An output with no constraint path from any input is an
@@ -183,13 +160,10 @@ func analyze(sys *r1cs.System, o Options) (*Result, *Graph) {
 			res.UnreachableOutputs = append(res.UnreachableOutputs, out)
 		}
 	}
-	res.PrunedSignals = g.SignalsWithoutOutputComponent()
-
 	o.Metrics.Counter("sa.outputs.discharged").Add(int64(len(res.DeterminedOutputs)))
 	o.Metrics.Counter("sa.outputs.unreachable").Add(int64(len(res.UnreachableOutputs)))
 	span.End(obs.KV("outputs_discharged", len(res.DeterminedOutputs)),
-		obs.KV("outputs_unreachable", len(res.UnreachableOutputs)),
-		obs.KV("signals_pruned", len(res.PrunedSignals)))
+		obs.KV("outputs_unreachable", len(res.UnreachableOutputs)))
 	return res, g
 }
 

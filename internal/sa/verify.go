@@ -6,10 +6,10 @@ import (
 )
 
 // Verify replays the derived facts against the original constraints as an
-// independent consistency check. Downstream consumers (core's pre-phase)
-// refuse to inject facts when the replay fails, keeping the soundness
-// contract "hints may only skip work when the proof is replayed" mechanical
-// rather than aspirational. Four layers run, cheapest first:
+// independent consistency check of the abstract interpreter. No verdict
+// reads the facts; a failed replay on a satisfiable system is an absint
+// bug, and on an unsatisfiable one it is that system's proof, which -lint
+// reports as a range-violation finding. Four layers run, cheapest first:
 //
 //  1. Constant replay: with every proven constant substituted, no original
 //     constraint may reduce to a nonzero constant.
@@ -28,8 +28,8 @@ import (
 //     missed.
 //
 // Any conflict recorded during interpretation also fails Verify: a
-// conflict claims the system is unsatisfiable, which core must never act
-// on as a fact (it degrades to the solver instead).
+// conflict claims the system is unsatisfiable, and a fact derived from an
+// unsatisfiable system holds vacuously.
 func (st *AbsState) Verify() error {
 	// Layer 1: constant replay.
 	for ci := 0; ci < st.sys.NumConstraints(); ci++ {

@@ -24,11 +24,19 @@ import (
 //	go test -run TestPropagationDigest ./internal/uniq/ -args -update
 var update = flag.Bool("update", false, "rewrite testdata/propagation.golden")
 
-// hashFacts writes every unique signal's provenance, ascending by ID.
+// hashFacts writes every unique signal's provenance, ascending by ID. The
+// digest injects no SMT facts, so an external fact is one of sa's
+// determined signals; it is written as "static", the rule such facts had
+// when core injected them, which keeps the digest lines of the instances
+// R-OneHot does not touch.
 func hashFacts(h hash.Hash, sys *r1cs.System, p *uniq.Propagator) {
 	for id := 0; id < sys.NumSignals(); id++ {
 		if src, ok := p.SourceOf(id); ok {
-			fmt.Fprintf(h, "%d %s %d\n", id, src.Rule, src.Constraint)
+			rule := src.Rule
+			if rule == uniq.RuleExternal {
+				rule = "static"
+			}
+			fmt.Fprintf(h, "%d %s %d\n", id, rule, src.Constraint)
 		}
 	}
 }
@@ -36,10 +44,10 @@ func hashFacts(h hash.Hash, sys *r1cs.System, p *uniq.Propagator) {
 // TestPropagationDigest pins every uniqueness fact the propagator derives
 // on the suite and the whole pinned corpus, one digest per instance. Each
 // digest covers the rule ablations ({}, DisableSolve, DisableBits), each
-// before and after the static pre-pass's determined signals are injected
-// in ascending order, as core injects them. It also checks that every
-// signal the full rule set proves unique is one the pre-pass proves
-// determined.
+// before and after sa's determined signals are injected in ascending
+// order, which measures what sa's abstract interpreter still knows beyond
+// the rules. It also checks that every signal the full rule set proves
+// unique is one sa proves determined.
 func TestPropagationDigest(t *testing.T) {
 	if testing.Short() {
 		t.Skip("compiling the full suite is slow")
@@ -70,7 +78,7 @@ func TestPropagationDigest(t *testing.T) {
 			fmt.Fprintf(h, "options %d\n", i)
 			hashFacts(h, sys, p)
 			for _, id := range res.DeterminedSignals {
-				p.AddUniqueStatic(id)
+				p.AddUniqueExternal(id)
 			}
 			fmt.Fprintln(h, "static")
 			hashFacts(h, sys, p)

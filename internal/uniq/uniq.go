@@ -4,8 +4,8 @@
 // solver.
 //
 // The engine maintains a set U of unique signals, seeded with the circuit
-// inputs and the constant-one signal (the paper's R-Input), and applies two
-// rules to fixpoint:
+// inputs and the constant-one signal (the paper's R-Input), and applies
+// three rules to fixpoint:
 //
 //	R-Solve:  for a constraint whose expanded polynomial q = A·B − C has
 //	          exactly one signal x ∉ U, where x occurs only linearly and
@@ -18,6 +18,11 @@
 //	          only linearly, and whose coefficient magnitudes form a
 //	          super-increasing sequence summing below the modulus, every
 //	          unknown is uniquely determined ⇒ all of them join U.
+//	R-OneHot: for a constraint whose unknowns sᵢ all occur only linearly,
+//	          where each sᵢ has a selector guard sᵢ·(x − kᵢ) = 0 (some
+//	          constraint factors that way) against one common selector
+//	          x ∈ U, with the kᵢ pairwise distinct, every unknown is
+//	          uniquely determined ⇒ all of them join U.
 //
 // R-Solve covers the paper's R-Lin (a constraint linear in its single
 // unknown), R-Prod (z = x·y with x, y ∈ U: the monomial is over known
@@ -28,15 +33,19 @@
 // The constant-coefficient requirement is what keeps R-Solve sound: in
 // x·u = v with u ∈ U the coefficient of x vanishes when u = 0, leaving x
 // free, so such constraints are deliberately left to the core analysis.
+// R-OneHot needs no constant values at all: for any fixed value of x, each
+// sᵢ with kᵢ ≠ x is 0 by its guard, at most one sⱼ has kⱼ = x, and the
+// constraint pins that one to (known part)/cⱼ. It targets circomlib's
+// Decoder inside Multiplexer, whose sum Σ out[i] − success = 0 only
+// fires once success is pinned by success − 1 = 0.
 //
 // Solve, Bits and BooleanOf are the rules themselves, over one polynomial
 // and predicates for the known and boolean facts. The Propagator applies
-// them to a system's constraints; the static pre-pass (internal/sa)
-// applies the same functions to its constant-substituted residuals.
+// them to a system's constraints; the static pass (internal/sa) applies
+// Solve and Bits to its constant-substituted residuals.
 //
-// External facts (signals proven unique by SMT queries, or determined by
-// the static pre-pass) are injected with AddUniqueExternal and
-// AddUniqueStatic, which re-run propagation to fixpoint incrementally.
+// External facts (signals proven unique by SMT queries) are injected with
+// AddUniqueExternal, which re-runs propagation to fixpoint incrementally.
 package uniq
 
 import (
@@ -63,19 +72,20 @@ const (
 	// coefficients form a super-increasing sequence (e.g. powers of two),
 	// which makes the subset sum — and hence every bit — unique.
 	RuleBits Rule = "bits"
+	// RuleOneHot marks signals resolved by the one-hot selector rule: the
+	// summands of a linear equation, each guarded by s·(x − k) = 0 against
+	// one known selector x with pairwise-distinct k, of which at most one
+	// can be nonzero for any value of x.
+	RuleOneHot Rule = "onehot"
 	// RuleExternal marks facts injected by the caller (e.g. SMT queries).
 	RuleExternal Rule = "external"
-	// RuleStatic marks facts injected by the static-analysis pre-pass
-	// (internal/sa): outputs and intermediates proven determined by
-	// constant propagation / abstract interpretation before any SMT query.
-	RuleStatic Rule = "static"
 )
 
 // Source records the provenance of a uniqueness fact.
 type Source struct {
 	Rule Rule
 	// Constraint is the index of the constraint that fired (RuleSolve,
-	// RuleBits), or -1 otherwise.
+	// RuleBits, RuleOneHot), or -1 otherwise.
 	Constraint int
 }
 
@@ -91,6 +101,11 @@ type Propagator struct {
 	quads []*poly.Quad // cached expansion per constraint
 	// boolean[v] records that some constraint forces v ∈ {0,1}.
 	boolean []bool
+	// guards[s] lists the selector guards on s, in constraint order, and
+	// guarded[x] the signals guarded against x; both stay nil when the
+	// system has no guard or R-OneHot is off.
+	guards  map[int][]guard
+	guarded map[int][]int
 	// pending[ci] marks constraints queued for a rule check; npending
 	// counts them, and every pending index is ≥ next, so the worklist
 	// takes the smallest pending constraint first by scanning up from next.
@@ -99,18 +114,28 @@ type Propagator struct {
 	next     int
 	// Per-rule observability counters, resolved once from Options.Metrics
 	// (nil handles are no-ops): attempts count rule evaluations, fired
-	// counts firings, and bits.resolved counts signals resolved by R-Bits
-	// (one firing can resolve many bits).
-	cSolveAttempts, cSolveFired             *obs.Counter
-	cBitsAttempts, cBitsFired, cBitsResolve *obs.Counter
-	cSeeds, cExternal                       *obs.Counter
+	// counts firings, and bits.resolved / onehot.resolved count signals
+	// resolved by R-Bits / R-OneHot (one firing can resolve many).
+	cSolveAttempts, cSolveFired                   *obs.Counter
+	cBitsAttempts, cBitsFired, cBitsResolve       *obs.Counter
+	cOneHotAttempts, cOneHotFired, cOneHotResolve *obs.Counter
+	cSeeds, cExternal                             *obs.Counter
+}
+
+// guard is a selector guard s·(x − k) = 0 on a signal s: whenever x ≠ k,
+// s = 0.
+type guard struct {
+	x int
+	k ff.Element
 }
 
 // Options disables individual inference rules, for ablation studies.
 type Options struct {
-	// DisableSolve turns the linear-solve rule off.
+	// DisableSolve turns the linear-solve rule off, and R-OneHot with it.
 	DisableSolve bool
-	// DisableBits turns the binary-decomposition rule off.
+	// DisableBits turns the binary-decomposition rule off, and R-OneHot
+	// with it. The ablations measure the paper's two rules; R-OneHot
+	// reaches further only on top of both.
 	DisableBits bool
 	// Metrics, when non-nil, receives the uniq.* counters (see DESIGN §10
 	// for the taxonomy).
@@ -142,11 +167,19 @@ func NewWithOptions(sys *r1cs.System, opts Options) *Propagator {
 		cSeeds:         opts.Metrics.Counter("uniq.seeds"),
 		cExternal:      opts.Metrics.Counter("uniq.external"),
 	}
+	oneHot := !opts.DisableSolve && !opts.DisableBits
+	if oneHot {
+		p.cOneHotAttempts = opts.Metrics.Counter("uniq.rule.onehot.attempts")
+		p.cOneHotFired = opts.Metrics.Counter("uniq.rule.onehot.fired")
+		p.cOneHotResolve = opts.Metrics.Counter("uniq.rule.onehot.resolved")
+	}
 	for ci := range p.quads {
 		q := sys.Constraint(ci).Quad()
 		p.quads[ci] = q
 		if b, ok := BooleanOf(q); ok {
 			p.boolean[b] = true
+		} else if oneHot {
+			p.indexGuards(q)
 		}
 		p.queue(ci)
 	}
@@ -239,19 +272,10 @@ func (p *Propagator) AddUniqueExternal(id int) bool {
 	return true
 }
 
-// AddUniqueStatic injects a fact from the static-analysis pre-pass with
-// RuleStatic provenance and re-propagates. It reports whether the fact was
-// new.
-func (p *Propagator) AddUniqueStatic(id int) bool {
-	if !p.learn(id, Source{Rule: RuleStatic, Constraint: -1}) {
-		return false
-	}
-	p.fixpoint()
-	return true
-}
-
-// learn records a new fact and queues every constraint mentioning id. It
-// reports whether the fact was new.
+// learn records a new fact and queues every constraint mentioning id. A
+// selector also queues the constraints of the signals it guards: the sum
+// R-OneHot resolves does not mention its selector. It reports whether the
+// fact was new.
 func (p *Propagator) learn(id int, src Source) bool {
 	if p.IsUnique(id) {
 		return false
@@ -260,6 +284,11 @@ func (p *Propagator) learn(id int, src Source) bool {
 	p.count++
 	for _, ci := range p.sys.ConstraintsOf(id) {
 		p.queue(ci)
+	}
+	for _, s := range p.guarded[id] {
+		for _, ci := range p.sys.ConstraintsOf(s) {
+			p.queue(ci)
+		}
 	}
 	return true
 }
@@ -306,6 +335,15 @@ func (p *Propagator) fixpoint() {
 				p.cBitsResolve.Add(int64(len(xs)))
 			}
 		}
+		if resolved == nil && len(p.guards) > 0 {
+			p.cOneHotAttempts.Inc()
+			if xs := p.oneHot(q); xs != nil {
+				resolved = xs
+				rule = RuleOneHot
+				p.cOneHotFired.Inc()
+				p.cOneHotResolve.Add(int64(len(xs)))
+			}
+		}
 		for _, x := range resolved {
 			p.learn(x, Source{Rule: rule, Constraint: ci})
 		}
@@ -326,14 +364,14 @@ func (p *Propagator) OutputsUnique() bool {
 
 // --- the rules ---------------------------------------------------------------
 //
-// Each rule reads the facts through predicates, so the Propagator and the
-// static pre-pass share one implementation while each keeps its own state.
-// Both rules walk q's terms without building a variable list: the
-// quadratic monomials first, where any monomial that touches an unknown
-// signal blocks the rule (x² has two roots, and x·y has a coefficient that
-// vanishes when y = 0), then the linear terms. R-Bits walks the linear
-// terms a second time only to collect a candidate's unknowns and
-// coefficients.
+// Solve and Bits read the facts through predicates, so the Propagator and
+// the static pass share one implementation while each keeps its own state;
+// R-OneHot reads the Propagator's guard index too. The rules walk q's
+// terms without building a variable list: the quadratic monomials first,
+// where any monomial that touches an unknown signal blocks the rule (x² has
+// two roots, and x·y has a coefficient that vanishes when y = 0), then the
+// linear terms. R-Bits and R-OneHot walk the linear terms a second time
+// only to collect a candidate's unknowns.
 
 // BooleanOf recognizes a boolean constraint: q is a nonzero multiple of
 // x² − x for a single signal x, which forces x ∈ {0,1}.
@@ -424,4 +462,94 @@ func Bits(q *poly.Quad, known, boolean func(int) bool) []int {
 		return nil
 	}
 	return xs
+}
+
+// indexGuards records the selector guards of one constraint q = 0: one
+// quadratic term c·s·x with s ≠ x, no constant, and at most one linear
+// term, on s. Then q = s·(c·x + d), a guard s·(x − k) = 0 with k = −d/c.
+// With no linear term, s and x guard each other with k = 0.
+func (p *Propagator) indexGuards(q *poly.Quad) {
+	lin := q.Lin()
+	if q.NumQuadTerms() != 1 || lin.NumTerms() > 1 || !lin.Constant().IsZero() {
+		return
+	}
+	var a, b int
+	var c ff.Element
+	q.VisitQuadTerms(func(pr poly.VarPair, coeff ff.Element) { a, b, c = pr.X, pr.Y, coeff })
+	if a == b {
+		return
+	}
+	f := q.Field()
+	s, ok := lin.IsSingleVar()
+	switch {
+	case !ok:
+		p.addGuard(a, b, f.Zero())
+		p.addGuard(b, a, f.Zero())
+	case s == a || s == b:
+		p.addGuard(s, a+b-s, f.Mul(f.Neg(lin.Coeff(s)), f.MustInv(c)))
+	}
+}
+
+func (p *Propagator) addGuard(s, x int, k ff.Element) {
+	if p.guards == nil {
+		p.guards = map[int][]guard{}
+		p.guarded = map[int][]int{}
+	}
+	p.guards[s] = append(p.guards[s], guard{x: x, k: k})
+	p.guarded[x] = append(p.guarded[x], s)
+}
+
+// oneHot is R-OneHot on q = 0: when every unknown of q occurs only
+// linearly and has a guard against one common known selector x, with the
+// guards' constants pairwise distinct, it returns those unknowns,
+// ascending, or nil. A known x is never one of q's unknowns. For any value
+// of x every unknown sᵢ with kᵢ ≠ x is 0, and at most one has kⱼ = x; the
+// equation fixes that one from its known part, since cⱼ is a nonzero
+// constant. So no constant of q or value of x needs to be known.
+func (p *Propagator) oneHot(q *poly.Quad) []int {
+	if !quadKnown(q, p.IsUnique) {
+		return nil
+	}
+	n, guarded := 0, true
+	q.Lin().VisitTerms(func(v int, _ ff.Element) {
+		if guarded && !p.IsUnique(v) {
+			n++
+			guarded = len(p.guards[v]) > 0
+		}
+	})
+	if !guarded || n == 0 {
+		return nil
+	}
+	xs := make([]int, 0, n)
+	q.Lin().VisitTerms(func(v int, _ ff.Element) {
+		if !p.IsUnique(v) {
+			xs = append(xs, v)
+		}
+	})
+	ks := make([]ff.Element, n)
+	for _, g0 := range p.guards[xs[0]] {
+		if p.IsUnique(g0.x) && p.guardedAgainst(xs, g0.x, ks) {
+			return xs
+		}
+	}
+	return nil
+}
+
+// guardedAgainst reports whether every signal of xs has a guard against x,
+// filling ks with the guards' constants, and the constants are pairwise
+// distinct.
+func (p *Propagator) guardedAgainst(xs []int, x int, ks []ff.Element) bool {
+	for i, v := range xs {
+		j := slices.IndexFunc(p.guards[v], func(g guard) bool { return g.x == x })
+		if j < 0 {
+			return false
+		}
+		ks[i] = p.guards[v][j].k
+		for _, k := range ks[:i] {
+			if k == ks[i] {
+				return false
+			}
+		}
+	}
+	return true
 }

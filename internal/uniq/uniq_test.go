@@ -1,12 +1,14 @@
 package uniq
 
 import (
+	"fmt"
 	"math/big"
 	"math/rand"
 	"testing"
 
 	"qed2/internal/circom"
 	"qed2/internal/ff"
+	"qed2/internal/obs"
 	"qed2/internal/poly"
 	"qed2/internal/r1cs"
 )
@@ -458,4 +460,339 @@ func TestRulesReadQuadraticTerms(t *testing.T) {
 	if _, ok := Solve(q, func(v int) bool { return v != x }); ok {
 		t.Error("Solve resolved x through a·x")
 	}
+}
+
+// --- R-OneHot -------------------------------------------------------------------
+
+// forEachSolution calls fn on every satisfying witness of a small system,
+// by backtracking over the signals in ID order: a constraint is checked as
+// soon as its highest signal is assigned. It shares nothing with the rules.
+func forEachSolution(sys *r1cs.System, fn func(w r1cs.Witness)) {
+	f := sys.Field()
+	p := int64(f.SmallModulus())
+	n := sys.NumSignals()
+	checkAt := make([][]*poly.Quad, n)
+	for ci := 0; ci < sys.NumConstraints(); ci++ {
+		q := sys.Constraint(ci).Quad()
+		last := 1
+		for _, v := range q.Vars() {
+			last = max(last, v)
+		}
+		checkAt[last] = append(checkAt[last], q)
+	}
+	w := sys.NewWitness()
+	var assign func(id int)
+	assign = func(id int) {
+		if id == n {
+			fn(w)
+			return
+		}
+		for v := int64(0); v < p; v++ {
+			w[id] = f.NewElement(v)
+			ok := true
+			for _, q := range checkAt[id] {
+				if !q.Eval(func(x int) ff.Element { return w[x] }).IsZero() {
+					ok = false
+					break
+				}
+			}
+			if ok {
+				assign(id + 1)
+			}
+		}
+	}
+	assign(1)
+}
+
+// nonUniqueSignal returns a signal of ids on which two solutions that agree
+// on the inputs differ, or −1 when every one of ids is a function of the
+// inputs over the solution set.
+func nonUniqueSignal(sys *r1cs.System, ids []int) int {
+	f := sys.Field()
+	seen := map[string][]ff.Element{}
+	bad := -1
+	forEachSolution(sys, func(w r1cs.Witness) {
+		key := ""
+		for _, in := range sys.Inputs() {
+			key += f.String(w[in]) + ","
+		}
+		first, ok := seen[key]
+		if !ok {
+			vals := make([]ff.Element, len(ids))
+			for i, id := range ids {
+				vals[i] = w[id]
+			}
+			seen[key] = vals
+			return
+		}
+		for i, id := range ids {
+			if first[i] != w[id] && bad < 0 {
+				bad = id
+			}
+		}
+	})
+	return bad
+}
+
+// randomOneHot builds a one-hot system over f: m guarded summands sᵢ, each
+// with a guard sᵢ·(x − kᵢ) = 0 in one of three constraint shapes, and one
+// sum Σ cᵢ·sᵢ + c₀ (+ d·y) = 0, possibly with the known monomial y·x. kᵢ
+// are drawn from the field, so they collide often over F_5. The selector
+// is the input x, or an internal z = x + 1 whose defining constraint comes
+// last, so the rule must wait for it; with small set, that constraint is
+// sometimes left out, so z stays free. A guard is sometimes left out.
+// small also adds a second input y to the sum.
+func randomOneHot(f *ff.Field, rng *rand.Rand, maxSum int, small bool) *r1cs.System {
+	p := int64(f.SmallModulus())
+	el := func(v int64) ff.Element { return f.NewElement(v) }
+	nonzero := func() ff.Element { return el(1 + rng.Int63n(p-1)) }
+	sys := r1cs.NewSystem(f)
+	x := sys.AddSignal("x", r1cs.KindInput)
+	y, withY := -1, small
+	if withY {
+		y = sys.AddSignal("y", r1cs.KindInput)
+	}
+	sel, viaZ := x, rng.Intn(3) == 0
+	if viaZ {
+		sel = sys.AddSignal("z", r1cs.KindInternal)
+	}
+	m := 1 + rng.Intn(maxSum)
+	ss := make([]int, m)
+	for i := range ss {
+		ss[i] = sys.AddSignal(fmt.Sprintf("s%d", i), r1cs.KindOutput)
+	}
+	zero := poly.NewLinComb(f)
+	for _, s := range ss {
+		if rng.Intn(8) == 0 {
+			continue
+		}
+		k := el(rng.Int63n(p))
+		selMinusK := lcv(f, sel).AddConst(f.Neg(k))
+		switch rng.Intn(3) {
+		case 0:
+			sys.AddConstraint(lcv(f, s), selMinusK, zero, "guard")
+		case 1:
+			sys.AddConstraint(selMinusK.Scale(nonzero()), lcv(f, s), zero, "guard")
+		default:
+			sys.AddConstraint(lcv(f, s), lcv(f, sel), lcv(f, s).Scale(k), "guard")
+		}
+	}
+	sum := poly.Const(f, el(rng.Int63n(p)))
+	for _, s := range ss {
+		sum = sum.AddTerm(s, nonzero())
+	}
+	switch {
+	case withY && rng.Intn(2) == 0:
+		sys.AddConstraint(lcv(f, y), lcv(f, x), sum, "sum")
+	case withY:
+		sys.AddConstraint(poly.ConstInt(f, 1), sum.AddTerm(y, nonzero()), zero, "sum")
+	default:
+		sys.AddConstraint(poly.ConstInt(f, 1), sum, zero, "sum")
+	}
+	if viaZ && (!small || rng.Intn(4) != 0) {
+		sys.AddConstraint(poly.ConstInt(f, 1), lcv(f, x).AddConst(el(1)), lcv(f, sel), "z")
+	}
+	return sys
+}
+
+// TestOneHotSoundnessExhaustive: on random one-hot systems over F_5, F_7
+// and F_97, whenever R-OneHot fires, every signal the propagator calls
+// unique takes one value across all solutions that agree on the inputs.
+func TestOneHotSoundnessExhaustive(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+	for _, c := range []struct {
+		p      int64
+		iters  int
+		maxSum int
+		small  bool
+	}{{5, 400, 3, true}, {7, 300, 3, true}, {97, 60, 2, false}} {
+		f := ff.MustField(big.NewInt(c.p))
+		fired, held := 0, 0
+		for iter := 0; iter < c.iters; iter++ {
+			sys := randomOneHot(f, rng, c.maxSum, c.small)
+			p := New(sys)
+			var unique []int
+			onehot := false
+			for id := 1; id < sys.NumSignals(); id++ {
+				if src, ok := p.SourceOf(id); ok {
+					unique = append(unique, id)
+					onehot = onehot || src.Rule == RuleOneHot
+				}
+			}
+			if !onehot {
+				if len(sys.Outputs()) > 1 && nonUniqueSignal(sys, sys.Outputs()) >= 0 {
+					held++
+				}
+				continue
+			}
+			fired++
+			if bad := nonUniqueSignal(sys, unique); bad >= 0 {
+				t.Fatalf("F_%d iter %d: R-OneHot UNSOUND: %s claimed unique but varies\n%s",
+					c.p, iter, sys.Name(bad), sys.MarshalText())
+			}
+		}
+		// Both outcomes must be well represented, or the generator tests
+		// nothing: firings, and non-firings on genuinely free summands.
+		t.Logf("F_%d: fired on %d of %d systems, held back on %d non-unique ones", c.p, fired, c.iters, held)
+		if fired < c.iters/4 || held < c.iters/20 {
+			t.Errorf("F_%d: rule fired on %d of %d systems, held back on %d non-unique ones", c.p, fired, c.iters, held)
+		}
+	}
+}
+
+// oneHotSystem builds Σ sᵢ − 1 = 0 with guards sᵢ·(sel − ks[i]) = 0 over
+// F_97, the selector sel an input unless selIn is false.
+func oneHotSystem(ks []int64, selIn bool) (*r1cs.System, int, []int) {
+	sys := r1cs.NewSystem(f97)
+	kind := r1cs.KindInput
+	if !selIn {
+		kind = r1cs.KindInternal
+	}
+	sel := sys.AddSignal("sel", kind)
+	ss := make([]int, len(ks))
+	sum := poly.ConstInt(f97, -1)
+	for i := range ks {
+		ss[i] = sys.AddSignal(fmt.Sprintf("s%d", i), r1cs.KindOutput)
+		sum = sum.AddTerm(ss[i], f97.One())
+	}
+	for i, k := range ks {
+		sys.AddConstraint(lcv(f97, ss[i]), lcv(f97, sel).AddConst(f97.NewElement(-k)), poly.NewLinComb(f97), "guard")
+	}
+	sys.AddConstraint(poly.ConstInt(f97, 1), sum, poly.NewLinComb(f97), "sum")
+	return sys, sel, ss
+}
+
+// TestOneHotFires: distinct guards against a known selector resolve every
+// summand, with the sum as provenance and the onehot counters, also when
+// the selector becomes known only after the sum was checked: its defining
+// constraint comes last, and the sum does not mention it.
+func TestOneHotFires(t *testing.T) {
+	for _, selIn := range []bool{true, false} {
+		sys, sel, ss := oneHotSystem([]int64{0, 1, 2, 3}, selIn)
+		if !selIn {
+			in := sys.AddSignal("in", r1cs.KindInput)
+			sys.AddConstraint(poly.ConstInt(f97, 1), lcv(f97, in), lcv(f97, sel), "sel")
+		}
+		m := obs.NewMetrics()
+		p := NewWithOptions(sys, Options{Metrics: m})
+		for _, s := range ss {
+			if src, ok := p.SourceOf(s); !ok || src.Rule != RuleOneHot || src.Constraint != len(ss) {
+				t.Errorf("selector input %v: %s: source = %+v, %v; want onehot on constraint #%d", selIn, sys.Name(s), src, ok, len(ss))
+			}
+		}
+		c := m.Counters()
+		if c["uniq.rule.onehot.fired"] != 1 || c["uniq.rule.onehot.resolved"] != int64(len(ss)) {
+			t.Errorf("selector input %v: onehot counters = fired %d, resolved %d", selIn, c["uniq.rule.onehot.fired"], c["uniq.rule.onehot.resolved"])
+		}
+	}
+}
+
+// TestOneHotHoldsBack: the systems the rule must leave alone, each of which
+// has two solutions that agree on the inputs and differ on a summand.
+func TestOneHotHoldsBack(t *testing.T) {
+	repeated, _, _ := oneHotSystem([]int64{1, 2, 2}, true)
+	unknownSel, _, _ := oneHotSystem([]int64{1, 2}, false)
+	// The selector t is a summand: sᵢ·(t − i) = 0 for i = 1, 2 and
+	// s₁ + s₂ + t − 3 = 0, solved by (2, 0, 1), (0, 1, 2) and (0, 0, 3).
+	selSummand := r1cs.NewSystem(f97)
+	selSummand.AddSignal("in", r1cs.KindInput)
+	tt := selSummand.AddSignal("t", r1cs.KindInternal)
+	sum := lcv(f97, tt).AddConst(f97.NewElement(-3))
+	for i := int64(1); i <= 2; i++ {
+		s := selSummand.AddSignal(fmt.Sprintf("s%d", i), r1cs.KindOutput)
+		selSummand.AddConstraint(lcv(f97, s), lcv(f97, tt).AddConst(f97.NewElement(-i)), poly.NewLinComb(f97), "guard")
+		sum = sum.AddTerm(s, f97.One())
+	}
+	selSummand.AddConstraint(poly.ConstInt(f97, 1), sum, poly.NewLinComb(f97), "sum")
+	// Bare circomlib Decoder: Σ out[i] − success = 0 with success free of
+	// any guard, only boolean; all-zero outputs with success = 0 solve it.
+	// MultiplexerBuggy drops success === 1, which leaves the same sum.
+	f7 := &circom.CompileOptions{Field: ff.MustField(big.NewInt(7))}
+	decoder, err := circom.Compile(muxTemplates+"component main = Decoder(3);\n", f7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	muxBuggy, err := circom.Compile(muxTemplates+"component main = MultiplexerBuggy(1, 2);\n", f7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		sys  *r1cs.System
+		opts Options
+	}{
+		{"repeated k", repeated, Options{}},
+		{"unknown selector", unknownSel, Options{}},
+		{"selector among the summands", selSummand, Options{}},
+		{"bare Decoder(3)", decoder.System, Options{}},
+		{"MultiplexerBuggy(1, 2)", muxBuggy.System, Options{}},
+		{"DisableSolve", oneHotSys(t), Options{DisableSolve: true}},
+		{"DisableBits", oneHotSys(t), Options{DisableBits: true}},
+	} {
+		p := NewWithOptions(c.sys, c.opts)
+		if n := p.CountByRule()[RuleOneHot]; n != 0 {
+			t.Errorf("%s: R-OneHot resolved %d signals", c.name, n)
+		}
+		if c.opts == (Options{}) && nonUniqueSignal(c.sys, c.sys.Outputs()) < 0 {
+			t.Errorf("%s: every output is unique; the case tests nothing", c.name)
+		}
+	}
+}
+
+// muxTemplates are circomlib's Decoder and EscalarProduct and the suite's
+// MultiplexerBuggy, which lacks Multiplexer's dec.success === 1.
+const muxTemplates = `
+template Decoder(w) {
+    signal input inp;
+    signal output out[w];
+    signal output success;
+    var lc = 0;
+    for (var i = 0; i < w; i++) {
+        out[i] <-- (inp == i) ? 1 : 0;
+        out[i] * (inp - i) === 0;
+        lc = lc + out[i];
+    }
+    lc ==> success;
+    success * (success - 1) === 0;
+}
+
+template EscalarProduct(w) {
+    signal input in1[w];
+    signal input in2[w];
+    signal output out;
+    signal aux[w];
+    var lc = 0;
+    for (var i = 0; i < w; i++) {
+        aux[i] <== in1[i] * in2[i];
+        lc = lc + aux[i];
+    }
+    out <== lc;
+}
+
+template MultiplexerBuggy(wIn, nIn) {
+    signal input inp[nIn][wIn];
+    signal input sel;
+    signal output out[wIn];
+    component dec = Decoder(nIn);
+    component ep[wIn];
+    for (var k = 0; k < wIn; k++) {
+        ep[k] = EscalarProduct(nIn);
+    }
+    sel ==> dec.inp;
+    for (var j = 0; j < wIn; j++) {
+        for (var k = 0; k < nIn; k++) {
+            inp[k][j] ==> ep[j].in1[k];
+            dec.out[k] ==> ep[j].in2[k];
+        }
+        ep[j].out ==> out[j];
+    }
+}
+`
+
+func oneHotSys(t *testing.T) *r1cs.System {
+	sys, _, _ := oneHotSystem([]int64{0, 1, 2}, true)
+	if New(sys).CountByRule()[RuleOneHot] != 3 {
+		t.Fatal("the ablation system does not fire with every rule on")
+	}
+	return sys
 }
