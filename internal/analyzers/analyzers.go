@@ -22,11 +22,10 @@
 //     loop's line or the line above.
 //
 //   - rangefact: inside qed2/internal/sa, the abstract-domain fact arrays on
-//     AbsState (isConst, isBool, isDet, constVal, ival, nonzero, rangeDet)
-//     may only be written by the recording helpers (setConst,
-//     promoteSingleton, and the record* methods). Those helpers are where
-//     the soundness discipline lives — generation bumps, conflict checks,
-//     domain-closure meets, and range-rule attribution.
+//     AbsState (isConst, isBool, constVal, ival, nonzero) may only be
+//     written by the recording helpers (setConst and the record* methods).
+//     Those helpers are where the soundness discipline lives — generation
+//     bumps, conflict checks and domain-closure meets.
 //     A rule function that pokes a fact array directly bypasses all of it
 //     and silently corrupts Verify/Stats. A deliberate exception is
 //     annotated `//qed2:allow-rangefact` on the assignment's line or the
@@ -62,11 +61,9 @@ const RangeFactPackage = "qed2/internal/sa"
 var rangeFactArrays = map[string]bool{
 	"isConst":  true,
 	"isBool":   true,
-	"isDet":    true,
 	"constVal": true,
 	"ival":     true,
 	"nonzero":  true,
-	"rangeDet": true,
 }
 
 // Directives recognized in comments.
@@ -170,13 +167,13 @@ func checkCtxLoop(fset *token.FileSet, f *ast.File) []Diagnostic {
 // rangeFactRecorder reports whether a function is one of the sanctioned
 // AbsState recording helpers.
 func rangeFactRecorder(name string) bool {
-	return name == "setConst" || name == "promoteSingleton" || strings.HasPrefix(name, "record")
+	return name == "setConst" || strings.HasPrefix(name, "record")
 }
 
 // checkRangeFact flags direct writes to AbsState fact arrays outside the
 // recording helpers: assignments (including compound ones) whose left-hand
 // side indexes a selector field named after a guarded array, e.g.
-// `st.isDet[id] = true` inside a rule function.
+// `st.isBool[id] = true` inside a rule function.
 func checkRangeFact(fset *token.FileSet, f *ast.File) []Diagnostic {
 	allowed := directiveLines(fset, f, AllowRangeFact)
 	var diags []Diagnostic

@@ -157,7 +157,7 @@ func g() {}
 func TestRangeFactFlagsDirectWrite(t *testing.T) {
 	_, _, check := parse(t, `package sa
 func (st *AbsState) ruleBogus(id int) bool {
-	st.isDet[id] = true
+	st.isBool[id] = true
 	st.ival[id] = nil
 	return true
 }
@@ -178,8 +178,8 @@ func (st *AbsState) ruleBogus(id int) bool {
 
 func TestRangeFactAllowsRecorders(t *testing.T) {
 	_, _, check := parse(t, `package sa
-func (st *AbsState) recordDet(id int) bool {
-	st.isDet[id] = true
+func (st *AbsState) recordBool(id int) bool {
+	st.isBool[id] = true
 	return true
 }
 func (st *AbsState) setConst(id int, v int) bool {
@@ -187,8 +187,8 @@ func (st *AbsState) setConst(id int, v int) bool {
 	st.constVal[id] = v
 	return true
 }
-func (st *AbsState) promoteSingleton(id int) {
-	st.rangeDet[id] = true
+func (st *AbsState) recordInterval(id int) {
+	st.ival[id] = nil
 }
 `)
 	if diags := check("qed2/internal/sa"); len(diags) != 0 {
@@ -203,7 +203,7 @@ func TestRangeFactIgnoresNonFactArrays(t *testing.T) {
 func (st *AbsState) visit(ci int) bool {
 	st.scanGen[ci] = st.constGen
 	seen := map[int]bool{}
-	seen[ci] = st.isDet[ci]
+	seen[ci] = st.isBool[ci]
 	return seen[ci]
 }
 `)
@@ -215,7 +215,7 @@ func (st *AbsState) visit(ci int) bool {
 func TestRangeFactScopedToSA(t *testing.T) {
 	_, _, check := parse(t, `package other
 func f(st *AbsState, id int) {
-	st.isDet[id] = true
+	st.isBool[id] = true
 }
 `)
 	if diags := check("qed2/internal/other"); len(diags) != 0 {

@@ -247,15 +247,14 @@ func AnalyzeContext(ctx context.Context, sys *r1cs.System, cfg *Config) *Report 
 	if d, ok := ctx.Deadline(); ok && (a.deadline.IsZero() || d.Before(a.deadline)) {
 		a.deadline = d
 	}
-	st := sys.Stats()
-	a.report.Stats.SignalsTotal = st.Signals
-	a.report.Stats.Outputs = st.Outputs
-	a.report.Stats.Constraints = st.Constraints
+	a.report.Stats.SignalsTotal = sys.NumSignals()
+	a.report.Stats.Outputs = len(sys.Outputs())
+	a.report.Stats.Constraints = sys.NumConstraints()
 	a.report.Stats.Workers = c.Workers
 
 	a.span = c.Obs.Start(c.ObsParent, "core.analyze",
 		obs.KV("mode", c.Mode.String()), obs.KV("workers", c.Workers),
-		obs.KV("signals", st.Signals), obs.KV("constraints", st.Constraints))
+		obs.KV("signals", sys.NumSignals()), obs.KV("constraints", sys.NumConstraints()))
 	a.cRounds = c.Metrics.Counter("core.rounds")
 	a.cConfirmAttempt = c.Metrics.Counter("core.confirm.attempts")
 	a.cConfirmOK = c.Metrics.Counter("core.confirm.ok")

@@ -11,18 +11,19 @@ import (
 )
 
 // AbsState is the result of an abstract interpretation of the constraint
-// system over F_p. Five interacting domains are tracked per signal:
+// system over F_p. Four interacting domains are tracked per signal:
 //
 //   - Const: the signal provably takes one fixed value in every satisfying
 //     assignment (derived by constant propagation through constraints).
 //   - Bool: some constraint forces the signal into {0,1} (the s·(s−1)=0
 //     pattern, possibly after constant substitution).
-//   - Determined: the signal is a deterministic function of the inputs —
-//     every pair of satisfying assignments agreeing on the inputs agrees on
-//     it. Inputs and constants seed the domain; linear chains of determined
-//     signals and binary decompositions extend it.
 //   - Interval: the signed representative lies in [Lo, Hi] (interval.go).
 //   - Nonzero: no satisfying assignment gives the signal the value 0.
+//
+// Determinedness (the signal is a function of the inputs) is not a domain
+// of the interpreter: Determined reads the facts of internal/uniq's
+// propagator, whose R-Solve, R-Bits and R-OneHot rules also decide the
+// core analysis, plus the constants, which are trivially determined.
 //
 // Every fact is a theorem about the constraint set, derived by rules whose
 // soundness arguments live in DESIGN.md §12 and §17; Verify replays the
@@ -30,16 +31,18 @@ import (
 // check before anything downstream is allowed to act on them.
 //
 // All fact writes flow through the recording helpers (setConst, recordBool,
-// recordDet, recordInterval, recordNonzero) so the cross-domain meets fire
-// on every update and Verify sees a coherent state; the `rangefact` vet
-// check enforces this mechanically.
+// recordInterval, recordNonzero) so the cross-domain meets fire on every
+// update and Verify sees a coherent state; the `rangefact` vet check
+// enforces this mechanically.
 type AbsState struct {
 	sys *r1cs.System
+	// prop holds the uniqueness facts and each constraint's expansion
+	// A·B − C, which the residuals, the detectors and Verify all read.
+	prop *uniq.Propagator
 	// constVal[id] is the proven constant (valid iff isConst[id]).
 	constVal []ff.Element
 	isConst  []bool
 	isBool   []bool
-	isDet    []bool
 	// residual[ci] is constraint ci's Quad with every proven constant
 	// substituted.
 	residual []*poly.Quad
@@ -48,22 +51,11 @@ type AbsState struct {
 	// proven ≠ 0.
 	ival    []*Interval
 	nonzero []bool
-	// rangeDet[id] marks signals whose determinedness was FIRST established
-	// by a range-domain rule (singleton interval promotion) rather than a
-	// classic const/solve/bits rule (AbsState.RangeDetermined).
-	rangeDet []bool
 
 	// conflicts lists proofs of unsatisfiability — facts that exclude each
 	// other, or a constraint no value in the established ranges satisfies —
 	// surfaced as range-violation findings.
 	conflicts []Conflict
-
-	// guards[s] lists the selector-guard facts s·(x−k) = 0 feeding the
-	// relational one-hot rule; guardSeen/onehotAt dedupe extraction and
-	// firing per constraint.
-	guards    map[int][]guardFact
-	guardSeen []bool
-	onehotAt  []bool
 
 	// constGen counts constant facts; scanGen[ci] is the constGen at which
 	// residual[ci] was last scanned. Equal generations mean no new constant
@@ -90,26 +82,23 @@ type Conflict struct {
 	Msg        string
 }
 
-// Interpret runs the abstract interpretation to fixpoint. The iteration
-// order is deterministic (ascending constraint index per round, rules in
-// fixed order per visit), so equal systems produce identical states.
+// Interpret runs uniq's propagation and then the abstract interpretation to
+// fixpoint. The iteration order is deterministic (ascending constraint index
+// per round, rules in fixed order per visit), so equal systems produce
+// identical states.
 func Interpret(sys *r1cs.System) *AbsState {
 	n := sys.NumSignals()
 	st := &AbsState{
-		sys:       sys,
-		constVal:  make([]ff.Element, n),
-		isConst:   make([]bool, n),
-		isBool:    make([]bool, n),
-		isDet:     make([]bool, n),
-		residual:  make([]*poly.Quad, sys.NumConstraints()),
-		ival:      make([]*Interval, n),
-		nonzero:   make([]bool, n),
-		rangeDet:  make([]bool, n),
-		scanGen:   make([]int, sys.NumConstraints()),
-		guards:    make(map[int][]guardFact),
-		guardSeen: make([]bool, sys.NumConstraints()),
-		onehotAt:  make([]bool, sys.NumConstraints()),
-		pMod:      sys.Field().Modulus(),
+		sys:      sys,
+		prop:     uniq.New(sys),
+		constVal: make([]ff.Element, n),
+		isConst:  make([]bool, n),
+		isBool:   make([]bool, n),
+		residual: make([]*poly.Quad, sys.NumConstraints()),
+		ival:     make([]*Interval, n),
+		nonzero:  make([]bool, n),
+		scanGen:  make([]int, sys.NumConstraints()),
+		pMod:     sys.Field().Modulus(),
 	}
 	st.loLim, st.hiLim = signedBounds(sys.Field())
 	st.full = newInterval(st.loLim, st.hiLim)
@@ -117,17 +106,14 @@ func Interpret(sys *r1cs.System) *AbsState {
 		st.scanGen[i] = -1
 	}
 	st.setConst(r1cs.OneID, sys.Field().One())
-	for _, in := range sys.Inputs() {
-		st.recordDet(in)
-	}
-	for ci := 0; ci < sys.NumConstraints(); ci++ {
-		st.residual[ci] = sys.Constraint(ci).Quad()
+	for ci := range st.residual {
+		st.residual[ci] = st.prop.Quad(ci)
 	}
 	// Round-based fixpoint: scan all constraints in index order until a
 	// full round derives nothing new. The boolean domains are monotone and
 	// finite, and every interval fact comes from a rule that fires at most
-	// once per signal (setConst, recordBool) or once per constraint
-	// (ruleOneHot), so this terminates in a bounded number of rounds.
+	// once per signal (setConst, recordBool), so this terminates in a
+	// bounded number of rounds.
 	for changed := true; changed; {
 		changed = false
 		for ci := range st.residual {
@@ -158,29 +144,8 @@ func (st *AbsState) visit(ci int) bool {
 			changed = true
 		}
 	}
-	// Rules D-Solve and D-Bits are uniq's R-Solve and R-Bits applied to the
-	// residual, with the determined and boolean domains as the known and
-	// boolean facts.
-	if x, ok := uniq.Solve(q, st.Determined); ok {
-		if st.recordDet(x) {
-			changed = true
-		}
-	}
-	for _, x := range uniq.Bits(q, st.Determined, st.Bool) {
-		if st.recordDet(x) {
-			changed = true
-		}
-	}
 	// Rules N-Inv / N-Mul: nonzero propagation through products.
 	if st.ruleNonzeroProduct(ci, q) {
-		changed = true
-	}
-	// Rule R-OneHot, part 1: index selector guards s·(x−k) = 0.
-	if st.ruleGuard(ci, q) {
-		changed = true
-	}
-	// Rule R-OneHot, part 2: fire on guarded nonzero-constant sums.
-	if st.ruleOneHot(ci, q) {
 		changed = true
 	}
 	return changed
@@ -234,8 +199,8 @@ func (st *AbsState) applyConsts(ci int) *poly.Quad {
 // writes to the fact arrays outside these helpers are rejected by the
 // `rangefact` vet analyzer.
 
-// setConst records a constant fact (constants are also determined, have a
-// singleton interval, and are nonzero when the value is).
+// setConst records a constant fact (constants also have a singleton
+// interval, and are nonzero when the value is).
 func (st *AbsState) setConst(id int, v ff.Element) bool {
 	if st.isConst[id] {
 		return false
@@ -251,25 +216,10 @@ func (st *AbsState) setConst(id int, v ff.Element) bool {
 	}
 	st.isConst[id] = true
 	st.constVal[id] = v
-	st.isDet[id] = true
 	st.constGen++
 	st.ival[id] = intervalOfConst(st.sys.Field(), v)
 	if !v.IsZero() {
 		st.nonzero[id] = true
-	}
-	return true
-}
-
-// promoteSingleton records the constant fact implied by a singleton
-// abstract set derived in the range domains; the determinedness it implies
-// is attributed to the range rules when no classic rule got there first.
-func (st *AbsState) promoteSingleton(id int, v *big.Int) bool {
-	wasDet := st.isDet[id]
-	if !st.setConst(id, st.sys.Field().FromBig(v)) {
-		return false
-	}
-	if !wasDet {
-		st.rangeDet[id] = true
 	}
 	return true
 }
@@ -282,27 +232,6 @@ func (st *AbsState) recordBool(id, ci int) bool {
 	}
 	st.isBool[id] = true
 	st.recordInterval(id, boolInterval(), ci)
-	return true
-}
-
-// recordDet records a classic determinedness fact.
-func (st *AbsState) recordDet(id int) bool {
-	if st.isDet[id] {
-		return false
-	}
-	st.isDet[id] = true
-	return true
-}
-
-// recordRelDet records a determinedness fact derived by a range/relational
-// rule, attributed to the range engine when no classic rule got there first
-// (AbsState.RangeDetermined).
-func (st *AbsState) recordRelDet(id int) bool {
-	if st.isDet[id] {
-		return false
-	}
-	st.isDet[id] = true
-	st.rangeDet[id] = true
 	return true
 }
 
@@ -343,7 +272,7 @@ func (st *AbsState) recordInterval(id int, iv *Interval, ci int) bool {
 	}
 	st.ival[id] = m
 	if m.IsSingleton() {
-		st.promoteSingleton(id, m.Lo)
+		st.setConst(id, st.sys.Field().FromBig(m.Lo))
 	} else if !m.ContainsZero() {
 		st.recordNonzero(id)
 	}
@@ -460,173 +389,6 @@ func (st *AbsState) ruleNonzeroProduct(ci int, q *poly.Quad) bool {
 	return changed
 }
 
-// guardFact records a selector-guard constraint s·(x−k) = 0 for signal s:
-// in every satisfying assignment, s ≠ 0 forces x = k.
-type guardFact struct {
-	x  int
-	k  ff.Element
-	ci int
-}
-
-// ruleGuard extracts selector guards, part 1 of Rule R-OneHot. A residual of
-// the shape c·a·b + d·s = 0 with s ∈ {a, b} (or no linear part at all)
-// factors as s·(c·x + d) = 0, i.e. s·(x − k) = 0 with k = −d/c: whenever
-// s ≠ 0 the co-factor x is pinned to k. Guards are indexed once per
-// constraint; they are derived from the residual, which agrees with the
-// original constraint on every satisfying assignment, so a guard stays valid
-// even if the residual is later folded further.
-func (st *AbsState) ruleGuard(ci int, q *poly.Quad) bool {
-	if st.guardSeen[ci] || q.NumQuadTerms() != 1 {
-		return false
-	}
-	var a, b int
-	var cq ff.Element
-	q.VisitQuadTerms(func(p poly.VarPair, c ff.Element) { a, b, cq = p.X, p.Y, c })
-	if a == b || cq.IsZero() {
-		return false
-	}
-	lin := q.Lin()
-	if !lin.Constant().IsZero() {
-		return false
-	}
-	f := q.Field()
-	changed := false
-	add := func(s, x int, k ff.Element) {
-		st.guards[s] = append(st.guards[s], guardFact{x: x, k: k, ci: ci})
-		changed = true
-	}
-	switch lin.NumTerms() {
-	case 0:
-		// s·x = 0: both factors guard each other with k = 0.
-		add(a, b, f.Zero())
-		add(b, a, f.Zero())
-	case 1:
-		s, _ := lin.IsSingleVar()
-		if s != a && s != b {
-			return false
-		}
-		x := a + b - s
-		add(s, x, f.Mul(f.Neg(lin.Coeff(s)), f.MustInv(cq)))
-	default:
-		return false
-	}
-	st.guardSeen[ci] = true
-	return changed
-}
-
-// ruleOneHot is part 2 of Rule R-OneHot, the relational one-hot selector
-// rule (the Decoder-with-success pattern of circomlib's Multiplexer).
-//
-// Preconditions on a linear residual Σ cᵢ·sᵢ + C = 0 with C ≠ 0:
-//
-//   - every summand sᵢ has a selector guard sᵢ·(x − kᵢ) = 0 against one
-//     common signal x, with the kᵢ pairwise distinct;
-//   - x is determined and does not itself appear in the sum.
-//
-// Then in any satisfying assignment at most one sᵢ is nonzero (two nonzero
-// summands would pin x to two different kᵢ), and all-zero contradicts
-// C ≠ 0; so x = kᵢ for exactly one i, sᵢ = −C/cᵢ, and every other summand
-// is 0. Each sᵢ is therefore a two-valued function of x alone: determined
-// (x is), with value set {0, −C/cᵢ} — an interval fact, and a booleanness
-// fact when −C/cᵢ = 1. Additional constraints can only shrink the solution
-// set, so deriving from this subset is sound for the full system.
-//
-// Verdicts use uniq's value-free form of the rule (Propagator.oneHot),
-// which needs no C ≠ 0 because it concludes uniqueness only; this form also
-// derives each summand's value set.
-func (st *AbsState) ruleOneHot(ci int, q *poly.Quad) bool {
-	if st.onehotAt[ci] || !q.IsLinear() {
-		return false
-	}
-	lin := q.Lin()
-	if lin.Constant().IsZero() || lin.NumTerms() < 2 {
-		return false
-	}
-	// Cheap bail: every summand needs at least one guard.
-	missing := false
-	lin.VisitTerms(func(v int, _ ff.Element) {
-		if len(st.guards[v]) == 0 {
-			missing = true
-		}
-	})
-	if missing {
-		return false
-	}
-	type summand struct {
-		v int
-		c ff.Element
-	}
-	var terms []summand
-	lin.VisitTerms(func(v int, c ff.Element) {
-		terms = append(terms, summand{v: v, c: c})
-	})
-	// Candidate common selectors: the determined guard signals of the first
-	// summand, in guard-recording order (deterministic).
-	f := q.Field()
-	for _, g0 := range st.guards[terms[0].v] {
-		x := g0.x
-		if !st.isDet[x] {
-			continue
-		}
-		ks := make([]ff.Element, len(terms))
-		ok := true
-		for i, t := range terms {
-			if t.v == x {
-				ok = false
-				break
-			}
-			found := false
-			for _, g := range st.guards[t.v] {
-				if g.x == x {
-					ks[i] = g.k
-					found = true
-					break
-				}
-			}
-			if !found {
-				ok = false
-				break
-			}
-		}
-		if !ok {
-			continue
-		}
-		for i := 0; i < len(ks) && ok; i++ {
-			for j := i + 1; j < len(ks); j++ {
-				if ks[i] == ks[j] {
-					ok = false
-					break
-				}
-			}
-		}
-		if !ok {
-			continue
-		}
-		st.onehotAt[ci] = true
-		changed := false
-		negC := f.Neg(lin.Constant())
-		for _, t := range terms {
-			val := f.Mul(negC, f.MustInv(t.c))
-			if st.recordRelDet(t.v) {
-				changed = true
-			}
-			if val == f.One() && st.recordBool(t.v, ci) {
-				changed = true
-			}
-			s := f.Signed(val)
-			lo, hi := new(big.Int), s
-			if s.Sign() < 0 {
-				lo, hi = s, new(big.Int)
-			}
-			if st.recordInterval(t.v, newInterval(lo, hi), ci) {
-				changed = true
-			}
-		}
-		return changed
-	}
-	return false
-}
-
 // --- classic rule recognizers ------------------------------------------------
 
 // constOf recognizes a single-variable linear residual k·x + c = 0.
@@ -650,8 +412,8 @@ func constOf(q *poly.Quad) (x int, v ff.Element, ok bool) {
 // --- accessors ---------------------------------------------------------------
 
 // Determined reports whether a signal is proven uniquely determined by the
-// inputs.
-func (st *AbsState) Determined(id int) bool { return st.isDet[id] }
+// inputs: uniq's propagation proves it unique, or it is a proven constant.
+func (st *AbsState) Determined(id int) bool { return st.isConst[id] || st.prop.IsUnique(id) }
 
 // Bool reports whether a signal is proven ∈ {0,1}.
 func (st *AbsState) Bool(id int) bool { return st.isBool[id] }
@@ -669,10 +431,6 @@ func (st *AbsState) Interval(id int) *Interval { return st.ival[id] }
 // assignment.
 func (st *AbsState) Nonzero(id int) bool { return st.nonzero[id] }
 
-// RangeDetermined reports whether a signal's determinedness was first
-// established by a range-domain rule rather than a classic rule.
-func (st *AbsState) RangeDetermined(id int) bool { return st.rangeDet[id] }
-
 // Conflicts returns the recorded unsatisfiability proofs. The result
 // aliases internal state and must not be mutated.
 func (st *AbsState) Conflicts() []Conflict { return st.conflicts }
@@ -685,7 +443,15 @@ func (st *AbsState) NumBool() int { return st.count(st.isBool) }
 
 // NumDetermined counts determined facts (inputs and constants included,
 // the constant-one signal excluded).
-func (st *AbsState) NumDetermined() int { return st.count(st.isDet) - 1 }
+func (st *AbsState) NumDetermined() int {
+	n := 0
+	for id := 1; id < st.sys.NumSignals(); id++ {
+		if st.Determined(id) {
+			n++
+		}
+	}
+	return n
+}
 
 // NumInterval counts signals with a non-trivial interval fact (excluding
 // the constant-one signal).

@@ -5,56 +5,6 @@ import (
 	"testing"
 )
 
-const oneHotSrc = `
-pragma circom 2.0.0;
-template OneHot() {
-    signal input sel;
-    signal output out[3];
-    var lc = 0;
-    for (var i = 0; i < 3; i++) {
-        out[i] <-- (sel == i) ? 1 : 0;
-        out[i] * (sel - i) === 0;
-        lc += out[i];
-    }
-    lc === 1;
-}
-component main = OneHot();
-`
-
-// TestOneHotRule: the Decoder-with-success pattern. Every selector-guarded
-// summand of the nonzero-constant sum is determined, boolean, and in [0, 1],
-// with range-rule attribution — and the state survives Verify.
-func TestOneHotRule(t *testing.T) {
-	prog := compile(t, oneHotSrc)
-	sys := prog.System
-	st := Interpret(sys)
-	n := 0
-	for id := 1; id < sys.NumSignals(); id++ {
-		if !strings.Contains(sys.Name(id), "out[") {
-			continue
-		}
-		n++
-		if !st.Determined(id) {
-			t.Errorf("%s not determined", sys.Name(id))
-		}
-		if !st.RangeDetermined(id) {
-			t.Errorf("%s not attributed to the range engine", sys.Name(id))
-		}
-		if !st.Bool(id) {
-			t.Errorf("%s not boolean", sys.Name(id))
-		}
-		if got := st.Interval(id); got == nil || got.Lo.Sign() != 0 || got.Hi.Cmp(bigOne) != 0 {
-			t.Errorf("%s interval = %v, want [0, 1]", sys.Name(id), got)
-		}
-	}
-	if n != 3 {
-		t.Fatalf("matched %d out[] signals, want 3", n)
-	}
-	if err := st.Verify(); err != nil {
-		t.Errorf("Verify: %v", err)
-	}
-}
-
 // Without the nonzero-sum constraint (bare Decoder shape: the sum flows into
 // a free signal) the rule must not fire: all-zero and one-hot assignments
 // both satisfy the guards.
@@ -118,50 +68,6 @@ component main = Dup();
 	}
 	if seen != 2 {
 		t.Fatalf("matched %d signals, want 2", seen)
-	}
-}
-
-// A non-unit sum constant still determines the summands, with value set
-// {0, C/cᵢ}: determined and ranged but not boolean.
-func TestOneHotNonUnitValue(t *testing.T) {
-	prog := compile(t, `
-pragma circom 2.0.0;
-template TwoHot() {
-    signal input sel;
-    signal output a;
-    signal output b;
-    a <-- (sel == 0) ? 2 : 0;
-    b <-- (sel == 1) ? 2 : 0;
-    a * sel === 0;
-    b * (sel - 1) === 0;
-    a + b === 2;
-}
-component main = TwoHot();
-`)
-	sys := prog.System
-	st := Interpret(sys)
-	seen := 0
-	for id := 1; id < sys.NumSignals(); id++ {
-		name := sys.Name(id)
-		if name != "a" && name != "b" {
-			continue
-		}
-		seen++
-		if !st.Determined(id) || !st.RangeDetermined(id) {
-			t.Errorf("%s not range-determined", name)
-		}
-		if st.Bool(id) {
-			t.Errorf("%s must not be boolean (values {0, 2})", name)
-		}
-		if got := st.Interval(id); got == nil || got.Lo.Sign() != 0 || got.Hi.Cmp(bi(2)) != 0 {
-			t.Errorf("%s interval = %v, want [0, 2]", name, got)
-		}
-	}
-	if seen != 2 {
-		t.Fatalf("matched %d signals, want 2", seen)
-	}
-	if err := st.Verify(); err != nil {
-		t.Errorf("Verify: %v", err)
 	}
 }
 

@@ -8,8 +8,9 @@ import (
 )
 
 // BenchmarkStaticPass times the two entry points on a few suite circuits:
-// "facts" is Analyze (core's pre-pass), "lint" is AnalyzeProgram (the same
-// facts plus every detector). The difference is what the lint path adds.
+// "facts" is Analyze (the component graph, uniq's propagation and the
+// abstract interpretation), "lint" is AnalyzeProgram (the same facts plus
+// every detector). The difference is what the detectors add.
 func BenchmarkStaticPass(b *testing.B) {
 	for _, name := range []string{"Num2Bits_strict()", "MiMC7(91)", "BinSum(32, 2)", "Decoder(32)"} {
 		inst, ok := bench.ByName(bench.Suite(), name)

@@ -85,7 +85,7 @@ func detectOverflowProneSum(sys *r1cs.System, l *Lint) {
 	p := f.Modulus()
 	for ci := 0; ci < sys.NumConstraints(); ci++ {
 		c := sys.Constraint(ci)
-		q := c.Quad()
+		q := l.Abs.prop.Quad(ci)
 		if !q.IsLinear() {
 			continue
 		}
@@ -248,7 +248,7 @@ func detectNonBinaryDecomposition(sys *r1cs.System, l *Lint) {
 	abs := l.Abs
 	for ci := 0; ci < sys.NumConstraints(); ci++ {
 		c := sys.Constraint(ci)
-		q := c.Quad()
+		q := abs.prop.Quad(ci)
 		if !q.IsLinear() {
 			continue
 		}

@@ -2,8 +2,10 @@
 // structural reasoning over an R1CS, independent of the SMT-driven core
 // analysis. It labels the connected components of the constraint graph,
 // runs an abstract interpretation over F_p (constant propagation, a boolean
-// domain, a determinedness domain and range domains), and checks
-// input→output reachability.
+// domain and range domains), and checks input→output reachability. Which
+// signals are determined by the inputs it reads from internal/uniq's
+// propagation, the rules core's verdicts use, so there is one
+// determinedness engine.
 //
 // The pass has two entry points, and each computes only what its caller
 // reads:
@@ -12,8 +14,8 @@
 //     check. No verdict reads them: core.Analyze uses only the component
 //     graph (BuildGraph, SignalsWithoutOutputComponent) to prune slice
 //     queries, and its uniqueness facts come from internal/uniq's rules,
-//     R-OneHot included. Analyze serves tests and measurements that compare
-//     the two engines.
+//     R-OneHot included. Analyze serves tests and the benchmark's layer
+//     probes.
 //   - AnalyzeProgram, behind `qed2 -lint` and the findings gate, returns the
 //     same facts plus Circomspect-style pattern detector findings:
 //     deterministic, source-located, human- and machine-readable, over a
@@ -104,14 +106,14 @@ func (o *Options) withDefaults() Options {
 type Result struct {
 	// Abs is the final abstract state.
 	Abs *AbsState
-	// DeterminedOutputs lists outputs the abstract interpretation proved
-	// uniquely determined by the inputs.
+	// DeterminedOutputs lists outputs proven uniquely determined by the
+	// inputs (AbsState.Determined: uniq's propagation, or a constant).
 	DeterminedOutputs []int
 	// DeterminedSignals lists every signal proven determined (sorted;
 	// includes inputs, constants, and DeterminedOutputs).
 	DeterminedSignals []int
 	// UnreachableOutputs lists outputs with no constraint path from any
-	// input that the abstract interpretation could not discharge either:
+	// input that are not proven determined either:
 	// candidates for definite under-constraint, reported by the
 	// reachability detector. They never decide a verdict.
 	UnreachableOutputs []int

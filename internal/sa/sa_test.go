@@ -114,7 +114,8 @@ component main = Consts();
 
 func TestAbsintBoolAndDetermined(t *testing.T) {
 	// Num2Bits shape: bits are boolean (B-Range) and, via the super-increasing
-	// sum, determined by the input (D-Bits); the linear chain determines out.
+	// sum, determined by the input (uniq's R-Bits); the linear chain
+	// determines out.
 	src := `
 template Bits() {
     signal input in;
@@ -246,6 +247,40 @@ component main = Pinned();
 	}
 	if len(res.DeterminedOutputs) != 1 {
 		t.Errorf("DeterminedOutputs = %v, want the pinned output", res.DeterminedOutputs)
+	}
+}
+
+// TestDeterminedIncludesConstants: out·z = 0 with z pinned to 1 makes out
+// the constant 0, but uniq's R-Solve leaves it alone (the monomial out·z
+// touches an unknown). A proven constant is still determined, so the
+// output is not flagged unreachable.
+func TestDeterminedIncludesConstants(t *testing.T) {
+	src := `
+template PinnedByProduct() {
+    signal input in;
+    signal output out;
+    signal z;
+    z <== 1;
+    out <-- 0;
+    out * z === 0;
+    in * 0 === 0;
+}
+component main = PinnedByProduct();
+`
+	p := compile(t, src)
+	res := AnalyzeProgram(p, nil)
+	out := p.System.Outputs()[0]
+	if v, ok := res.Abs.Const(out); !ok || !v.IsZero() {
+		t.Fatalf("out not proven the constant 0")
+	}
+	if res.Abs.prop.IsUnique(out) {
+		t.Fatalf("uniq resolves out; the case tests nothing")
+	}
+	if !res.Abs.Determined(out) {
+		t.Errorf("constant out not determined")
+	}
+	if fs := findingsOf(res, "unreachable-output"); len(fs) != 0 {
+		t.Errorf("constant output flagged unreachable: %+v", fs)
 	}
 }
 

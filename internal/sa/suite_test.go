@@ -221,7 +221,7 @@ func TestComponentsMatchReference(t *testing.T) {
 var updateFacts = flag.Bool("update-facts", false, "rewrite testdata/static_facts.golden")
 
 // factsDigest hashes one instance's static facts: per signal its constant,
-// boolean, determined, interval, range-determined and nonzero facts, then
+// boolean, determined, interval and nonzero facts, then
 // every recorded conflict. Values are rendered as big.Int decimal strings
 // so the digest does not depend on the machine word size.
 func factsDigest(sys *r1cs.System, st *sa.AbsState) string {
@@ -237,9 +237,6 @@ func factsDigest(sys *r1cs.System, st *sa.AbsState) string {
 		}
 		if st.Determined(id) {
 			fmt.Fprint(h, " det")
-		}
-		if st.RangeDetermined(id) {
-			fmt.Fprint(h, " rangedet")
 		}
 		if iv := st.Interval(id); iv != nil {
 			fmt.Fprintf(h, " ival=[%s,%s]", iv.Lo, iv.Hi)

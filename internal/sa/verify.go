@@ -33,7 +33,7 @@ import (
 func (st *AbsState) Verify() error {
 	// Layer 1: constant replay.
 	for ci := 0; ci < st.sys.NumConstraints(); ci++ {
-		q := st.sys.Constraint(ci).Quad()
+		q := st.prop.Quad(ci)
 		for _, v := range q.Vars() {
 			if st.isConst[v] {
 				q = q.SubstituteValue(v, st.constVal[v])
@@ -72,7 +72,7 @@ func (st *AbsState) Verify() error {
 
 	// Layer 3: interval admissibility replay on the original constraints.
 	for ci := 0; ci < st.sys.NumConstraints(); ci++ {
-		if lo, hi, admits := st.window(st.sys.Constraint(ci).Quad()); !admits {
+		if lo, hi, admits := st.window(st.prop.Quad(ci)); !admits {
 			return fmt.Errorf("sa: range replay failed on constraint #%d: value window [%v, %v] admits no multiple of the modulus", ci, lo, hi)
 		}
 	}

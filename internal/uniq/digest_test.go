@@ -45,9 +45,10 @@ func hashFacts(h hash.Hash, sys *r1cs.System, p *uniq.Propagator) {
 // on the suite and the whole pinned corpus, one digest per instance. Each
 // digest covers the rule ablations ({}, DisableSolve, DisableBits), each
 // before and after sa's determined signals are injected in ascending
-// order, which measures what sa's abstract interpreter still knows beyond
-// the rules. It also checks that every signal the full rule set proves
-// unique is one sa proves determined.
+// order. sa's determined signals are the full rule set's facts plus sa's
+// proven constants, so the injection measures what the full rule set
+// knows beyond each ablation. It also checks that every signal the full
+// rule set proves unique is one sa reports determined.
 func TestPropagationDigest(t *testing.T) {
 	if testing.Short() {
 		t.Skip("compiling the full suite is slow")

@@ -39,10 +39,12 @@
 // Decoder inside Multiplexer, whose sum Σ out[i] − success = 0 only
 // fires once success is pinned by success − 1 = 0.
 //
-// Solve, Bits and BooleanOf are the rules themselves, over one polynomial
-// and predicates for the known and boolean facts. The Propagator applies
-// them to a system's constraints; the static pass (internal/sa) applies
-// Solve and Bits to its constant-substituted residuals.
+// solve, bits and BooleanOf are the rules themselves, over one polynomial
+// and predicates for the known and boolean facts; the Propagator applies
+// them to a system's constraints. The static pass (internal/sa) reads the
+// Propagator's facts for its determinedness, and its cached expansions
+// (Quad) for its residuals, detectors and Verify; its B-Range rule calls
+// BooleanOf.
 //
 // External facts (signals proven unique by SMT queries) are injected with
 // AddUniqueExternal, which re-runs propagation to fixpoint incrementally.
@@ -196,6 +198,10 @@ func NewWithOptions(sys *r1cs.System, opts Options) *Propagator {
 	return p
 }
 
+// Quad returns constraint ci's expansion A·B − C, the polynomial the rules
+// read. The result is shared and must not be mutated.
+func (p *Propagator) Quad(ci int) *poly.Quad { return p.quads[ci] }
+
 // IsUnique reports whether signal id is known to be uniquely determined.
 func (p *Propagator) IsUnique(id int) bool { return p.facts[id].Rule != "" }
 
@@ -320,7 +326,7 @@ func (p *Propagator) fixpoint() {
 		var rule Rule
 		if !p.opts.DisableSolve {
 			p.cSolveAttempts.Inc()
-			if x, ok := Solve(q, p.IsUnique); ok {
+			if x, ok := solve(q, p.IsUnique); ok {
 				resolved = []int{x}
 				rule = RuleSolve
 				p.cSolveFired.Inc()
@@ -328,7 +334,7 @@ func (p *Propagator) fixpoint() {
 		}
 		if resolved == nil && !p.opts.DisableBits {
 			p.cBitsAttempts.Inc()
-			if xs := Bits(q, p.IsUnique, p.isBoolean); xs != nil {
+			if xs := bits(q, p.IsUnique, p.isBoolean); xs != nil {
 				resolved = xs
 				rule = RuleBits
 				p.cBitsFired.Inc()
@@ -364,14 +370,13 @@ func (p *Propagator) OutputsUnique() bool {
 
 // --- the rules ---------------------------------------------------------------
 //
-// Solve and Bits read the facts through predicates, so the Propagator and
-// the static pass share one implementation while each keeps its own state;
-// R-OneHot reads the Propagator's guard index too. The rules walk q's
-// terms without building a variable list: the quadratic monomials first,
-// where any monomial that touches an unknown signal blocks the rule (x² has
-// two roots, and x·y has a coefficient that vanishes when y = 0), then the
-// linear terms. R-Bits and R-OneHot walk the linear terms a second time
-// only to collect a candidate's unknowns.
+// solve and bits read the facts through predicates; R-OneHot reads the
+// Propagator's guard index too. The rules walk q's terms without building
+// a variable list: the quadratic monomials first, where any monomial that
+// touches an unknown signal blocks the rule (x² has two roots, and x·y has
+// a coefficient that vanishes when y = 0), then the linear terms. R-Bits
+// and R-OneHot walk the linear terms a second time only to collect a
+// candidate's unknowns.
 
 // BooleanOf recognizes a boolean constraint: q is a nonzero multiple of
 // x² − x for a single signal x, which forces x ∈ {0,1}.
@@ -403,10 +408,10 @@ func quadKnown(q *poly.Quad, known func(int) bool) bool {
 	return ok
 }
 
-// Solve is R-Solve on q = 0: when exactly one signal x of q is unknown and
+// solve is R-Solve on q = 0: when exactly one signal x of q is unknown and
 // x occurs only linearly (its coefficient is a nonzero constant), it
 // returns x, which the equation pins to one value.
-func Solve(q *poly.Quad, known func(int) bool) (int, bool) {
+func solve(q *poly.Quad, known func(int) bool) (int, bool) {
 	if !quadKnown(q, known) {
 		return 0, false
 	}
@@ -420,13 +425,13 @@ func Solve(q *poly.Quad, known func(int) bool) (int, bool) {
 	return x, n == 1
 }
 
-// Bits is R-Bits on q = 0: when every unknown signal of q is boolean and
+// bits is R-Bits on q = 0: when every unknown signal of q is boolean and
 // occurs only linearly, and the magnitudes of the unknowns' signed
 // coefficients, sorted ascending, each exceed the sum of the smaller ones
 // and total below the modulus, the equation has at most one solution over
 // {0,1}^k for any value of the known part (field arithmetic cannot wrap a
 // collision in). It returns those unknowns, ascending, or nil.
-func Bits(q *poly.Quad, known, boolean func(int) bool) []int {
+func bits(q *poly.Quad, known, boolean func(int) bool) []int {
 	if !quadKnown(q, known) {
 		return nil
 	}

@@ -443,22 +443,22 @@ func TestRulesReadQuadraticTerms(t *testing.T) {
 	// a·b + x + 2y − 1 = 0: the unknowns x, y are boolean, coefficients 1, 2.
 	q := poly.MulLin(lcv(f97, a), lcv(f97, b)).Add(poly.QuadFromLin(
 		lcv(f97, x).AddTerm(y, f97.NewElement(2)).AddConst(f97.NewElement(-1))))
-	if got := Bits(q, known, boolean); len(got) != 2 || got[0] != x || got[1] != y {
-		t.Errorf("Bits = %v, want [%d %d]", got, x, y)
+	if got := bits(q, known, boolean); len(got) != 2 || got[0] != x || got[1] != y {
+		t.Errorf("bits = %v, want [%d %d]", got, x, y)
 	}
-	if _, ok := Solve(q, known); ok {
-		t.Error("Solve fired with two unknowns")
+	if _, ok := solve(q, known); ok {
+		t.Error("solve fired with two unknowns")
 	}
 	// a·x + y = 0: x·a has a coefficient that vanishes at a = 0.
 	q = poly.MulLin(lcv(f97, a), lcv(f97, x)).Add(poly.QuadFromLin(lcv(f97, y)))
-	if got := Bits(q, known, boolean); got != nil {
-		t.Errorf("Bits = %v through a monomial over an unknown", got)
+	if got := bits(q, known, boolean); got != nil {
+		t.Errorf("bits = %v through a monomial over an unknown", got)
 	}
-	if _, ok := Solve(q, func(v int) bool { return v != y }); !ok {
-		t.Error("Solve did not resolve y when x is known")
+	if _, ok := solve(q, func(v int) bool { return v != y }); !ok {
+		t.Error("solve did not resolve y when x is known")
 	}
-	if _, ok := Solve(q, func(v int) bool { return v != x }); ok {
-		t.Error("Solve resolved x through a·x")
+	if _, ok := solve(q, func(v int) bool { return v != x }); ok {
+		t.Error("solve resolved x through a·x")
 	}
 }
 
@@ -662,27 +662,54 @@ func oneHotSystem(ks []int64, selIn bool) (*r1cs.System, int, []int) {
 	return sys, sel, ss
 }
 
+// twoHotSystem builds a·sel = 0, b·(sel − 1) = 0 and a + b − 2 = 0 over
+// F_97, the selector sel an input: a non-unit sum, whose summands take the
+// values {0, 2}, and a guard with no linear term.
+func twoHotSystem() (*r1cs.System, []int) {
+	sys := r1cs.NewSystem(f97)
+	sel := sys.AddSignal("sel", r1cs.KindInput)
+	a := sys.AddSignal("a", r1cs.KindOutput)
+	b := sys.AddSignal("b", r1cs.KindOutput)
+	zero := poly.NewLinComb(f97)
+	sys.AddConstraint(lcv(f97, a), lcv(f97, sel), zero, "guard")
+	sys.AddConstraint(lcv(f97, b), lcv(f97, sel).AddConst(f97.NewElement(-1)), zero, "guard")
+	sys.AddConstraint(poly.ConstInt(f97, 1), lcv(f97, a).AddTerm(b, f97.One()).AddConst(f97.NewElement(-2)), zero, "sum")
+	return sys, []int{a, b}
+}
+
 // TestOneHotFires: distinct guards against a known selector resolve every
 // summand, with the sum as provenance and the onehot counters, also when
-// the selector becomes known only after the sum was checked: its defining
-// constraint comes last, and the sum does not mention it.
+// the selector becomes known only after the sum was checked (its defining
+// constraint comes last, and the sum does not mention it) and when the sum
+// is not 1.
 func TestOneHotFires(t *testing.T) {
+	type onehotCase struct {
+		name string
+		sys  *r1cs.System
+		ss   []int
+	}
+	var cases []onehotCase
 	for _, selIn := range []bool{true, false} {
 		sys, sel, ss := oneHotSystem([]int64{0, 1, 2, 3}, selIn)
 		if !selIn {
 			in := sys.AddSignal("in", r1cs.KindInput)
 			sys.AddConstraint(poly.ConstInt(f97, 1), lcv(f97, in), lcv(f97, sel), "sel")
 		}
+		cases = append(cases, onehotCase{fmt.Sprintf("selector input %v", selIn), sys, ss})
+	}
+	twoHot, ss := twoHotSystem()
+	cases = append(cases, onehotCase{"TwoHot", twoHot, ss})
+	for _, c := range cases {
 		m := obs.NewMetrics()
-		p := NewWithOptions(sys, Options{Metrics: m})
-		for _, s := range ss {
-			if src, ok := p.SourceOf(s); !ok || src.Rule != RuleOneHot || src.Constraint != len(ss) {
-				t.Errorf("selector input %v: %s: source = %+v, %v; want onehot on constraint #%d", selIn, sys.Name(s), src, ok, len(ss))
+		p := NewWithOptions(c.sys, Options{Metrics: m})
+		for _, s := range c.ss {
+			if src, ok := p.SourceOf(s); !ok || src.Rule != RuleOneHot || src.Constraint != len(c.ss) {
+				t.Errorf("%s: %s: source = %+v, %v; want onehot on constraint #%d", c.name, c.sys.Name(s), src, ok, len(c.ss))
 			}
 		}
-		c := m.Counters()
-		if c["uniq.rule.onehot.fired"] != 1 || c["uniq.rule.onehot.resolved"] != int64(len(ss)) {
-			t.Errorf("selector input %v: onehot counters = fired %d, resolved %d", selIn, c["uniq.rule.onehot.fired"], c["uniq.rule.onehot.resolved"])
+		counters := m.Counters()
+		if counters["uniq.rule.onehot.fired"] != 1 || counters["uniq.rule.onehot.resolved"] != int64(len(c.ss)) {
+			t.Errorf("%s: onehot counters = fired %d, resolved %d", c.name, counters["uniq.rule.onehot.fired"], counters["uniq.rule.onehot.resolved"])
 		}
 	}
 }
