@@ -422,6 +422,24 @@ func TestCLIStaticVerifyFailureIsReported(t *testing.T) {
 	}
 }
 
+// TestCLILintConstantConflictEitherOrder: b ∈ {0,1} and b = 5 exclude each
+// other in either constraint order. Pinning b after its booleanness is
+// known clashes with its range; pinning it first reduces b·(b − 1) to the
+// nonzero constant 20. Both orders are a range-violation error and exit 1.
+func TestCLILintConstantConflictEitherOrder(t *testing.T) {
+	for name, tc := range map[string]struct{ first, second, want string }{
+		"bool first":  {"b * (b - 1) === 0;", "b === 5;", "signal b is pinned to 5 but its established range is [0, 1]"},
+		"const first": {"b === 5;", "b * (b - 1) === 0;", "constraint #1 reduces to the nonzero constant 20"},
+	} {
+		src := "pragma circom 2.0.0;\ntemplate Bad() {\n    signal input x;\n    signal output b;\n    b <-- 1;\n    " +
+			tc.first + "\n    " + tc.second + "\n}\ncomponent main = Bad();\n"
+		code, out, _ := runCLI(t, "-lint", writeCircuit(t, "bad.circom", src))
+		if code != 1 || !strings.Contains(out, "error[range-violation]: "+tc.want) {
+			t.Errorf("%s: -lint exit = %d, want 1 with a range-violation error %q:\n%s", name, code, tc.want, out)
+		}
+	}
+}
+
 func TestCLICanceledContextYieldsUnknown(t *testing.T) {
 	// The buggy circuit needs SMT queries to decide; a pre-canceled context
 	// skips them all, so the verdict degrades to unknown (canceled). (A

@@ -22,10 +22,10 @@
 //     loop's line or the line above.
 //
 //   - rangefact: inside qed2/internal/sa, the abstract-domain fact arrays on
-//     AbsState (isConst, isBool, constVal, ival, nonzero) may only be
-//     written by the recording helpers (setConst and the record* methods).
-//     Those helpers are where the soundness discipline lives — generation
-//     bumps, conflict checks and domain-closure meets.
+//     AbsState (isConst, isBool, constVal, nonzero) may only be written by
+//     the recording helpers (setConst and the record* methods). Those
+//     helpers are where the soundness discipline lives — generation bumps
+//     and conflict checks.
 //     A rule function that pokes a fact array directly bypasses all of it
 //     and silently corrupts Verify/Stats. A deliberate exception is
 //     annotated `//qed2:allow-rangefact` on the assignment's line or the
@@ -62,7 +62,6 @@ var rangeFactArrays = map[string]bool{
 	"isConst":  true,
 	"isBool":   true,
 	"constVal": true,
-	"ival":     true,
 	"nonzero":  true,
 }
 

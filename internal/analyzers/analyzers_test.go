@@ -158,7 +158,7 @@ func TestRangeFactFlagsDirectWrite(t *testing.T) {
 	_, _, check := parse(t, `package sa
 func (st *AbsState) ruleBogus(id int) bool {
 	st.isBool[id] = true
-	st.ival[id] = nil
+	st.nonzero[id] = true
 	return true
 }
 `)
@@ -187,8 +187,8 @@ func (st *AbsState) setConst(id int, v int) bool {
 	st.constVal[id] = v
 	return true
 }
-func (st *AbsState) recordInterval(id int) {
-	st.ival[id] = nil
+func (st *AbsState) recordNonzero(id int) {
+	st.nonzero[id] = true
 }
 `)
 	if diags := check("qed2/internal/sa"); len(diags) != 0 {
@@ -240,7 +240,7 @@ func TestRangeFactFlagsWritesInClosures(t *testing.T) {
 	_, _, check := parse(t, `package sa
 func (st *AbsState) ruleClosure(ids []int) {
 	walk(func(id int) {
-		st.ival[id] = nil
+		st.constVal[id] = 0
 	})
 }
 func walk(f func(int)) {}

@@ -11,14 +11,16 @@ import (
 )
 
 // AbsState is the result of an abstract interpretation of the constraint
-// system over F_p. Four interacting domains are tracked per signal:
+// system over F_p. Three domains are stored per signal:
 //
 //   - Const: the signal provably takes one fixed value in every satisfying
 //     assignment (derived by constant propagation through constraints).
 //   - Bool: some constraint forces the signal into {0,1} (the s·(s−1)=0
 //     pattern, possibly after constant substitution).
-//   - Interval: the signed representative lies in [Lo, Hi] (interval.go).
 //   - Nonzero: no satisfying assignment gives the signal the value 0.
+//
+// A signal's value range (Interval, interval.go) is derived from the first
+// two: a constant's singleton, or [0, 1] for a boolean.
 //
 // Determinedness (the signal is a function of the inputs) is not a domain
 // of the interpreter: Determined reads the facts of internal/uniq's
@@ -31,9 +33,9 @@ import (
 // check before anything downstream is allowed to act on them.
 //
 // All fact writes flow through the recording helpers (setConst, recordBool,
-// recordInterval, recordNonzero) so the cross-domain meets fire on every
-// update and Verify sees a coherent state; the `rangefact` vet check
-// enforces this mechanically.
+// recordNonzero) so the cross-domain checks run on every update and Verify
+// sees a coherent state; the `rangefact` vet check enforces this
+// mechanically.
 type AbsState struct {
 	sys *r1cs.System
 	// prop holds the uniqueness facts and each constraint's expansion
@@ -43,18 +45,16 @@ type AbsState struct {
 	constVal []ff.Element
 	isConst  []bool
 	isBool   []bool
+	// nonzero[id] marks signals proven ≠ 0.
+	nonzero []bool
 	// residual[ci] is constraint ci's Quad with every proven constant
 	// substituted.
 	residual []*poly.Quad
 
-	// ival[id] is the interval fact (nil = Top); nonzero[id] marks signals
-	// proven ≠ 0.
-	ival    []*Interval
-	nonzero []bool
-
 	// conflicts lists proofs of unsatisfiability — facts that exclude each
-	// other, or a constraint no value in the established ranges satisfies —
-	// surfaced as range-violation findings.
+	// other, or a constraint that reduces to a nonzero constant or that no
+	// value in the established ranges satisfies — surfaced as
+	// range-violation findings.
 	conflicts []Conflict
 
 	// constGen counts constant facts; scanGen[ci] is the constGen at which
@@ -64,18 +64,16 @@ type AbsState struct {
 	constGen int
 	scanGen  []int
 
-	// loLim/hiLim bound every signed representative: loLim < v ≤ hiLim.
-	// full is the shared Top interval [loLim, hiLim].
-	loLim, hiLim *big.Int
-	full         *Interval
-	pMod         *big.Int
+	// full is the range of a signal with no const or bool fact.
+	full *Interval
+	pMod *big.Int
 }
 
-// Conflict records a proof that no satisfying assignment exists: the
-// range-domain analogue of a nonzero constant residual. Signal is the signal
-// whose facts exclude each other, or -1 when constraint Constraint's value
-// window admits no multiple of p; Constraint is -1 when the clash came from
-// a constant rather than from a constraint's rule.
+// Conflict records a proof that no satisfying assignment exists. Signal is
+// the signal whose facts exclude each other, or -1 when constraint
+// Constraint reduces to a nonzero constant or its value window admits no
+// multiple of p; Constraint is -1 when the clash came from a constant
+// rather than from a constraint.
 type Conflict struct {
 	Constraint int
 	Signal     int
@@ -94,14 +92,12 @@ func Interpret(sys *r1cs.System) *AbsState {
 		constVal: make([]ff.Element, n),
 		isConst:  make([]bool, n),
 		isBool:   make([]bool, n),
-		residual: make([]*poly.Quad, sys.NumConstraints()),
-		ival:     make([]*Interval, n),
 		nonzero:  make([]bool, n),
+		residual: make([]*poly.Quad, sys.NumConstraints()),
 		scanGen:  make([]int, sys.NumConstraints()),
+		full:     fullRange(sys.Field()),
 		pMod:     sys.Field().Modulus(),
 	}
-	st.loLim, st.hiLim = signedBounds(sys.Field())
-	st.full = newInterval(st.loLim, st.hiLim)
 	for i := range st.scanGen {
 		st.scanGen[i] = -1
 	}
@@ -110,10 +106,9 @@ func Interpret(sys *r1cs.System) *AbsState {
 		st.residual[ci] = st.prop.Quad(ci)
 	}
 	// Round-based fixpoint: scan all constraints in index order until a
-	// full round derives nothing new. The boolean domains are monotone and
-	// finite, and every interval fact comes from a rule that fires at most
-	// once per signal (setConst, recordBool), so this terminates in a
-	// bounded number of rounds.
+	// full round derives nothing new. Every domain is a monotone bit per
+	// signal (a constant is set once), so this terminates within one round
+	// per fact.
 	for changed := true; changed; {
 		changed = false
 		for ci := range st.residual {
@@ -140,7 +135,7 @@ func (st *AbsState) visit(ci int) bool {
 	}
 	// Rule B-Range: residual k·(x² − x) = 0 forces x ∈ {0,1}.
 	if x, ok := uniq.BooleanOf(q); ok {
-		if st.recordBool(x, ci) {
+		if st.recordBool(x) {
 			changed = true
 		}
 	}
@@ -193,22 +188,21 @@ func (st *AbsState) applyConsts(ci int) *poly.Quad {
 // --- recording helpers -------------------------------------------------------
 //
 // Every fact write goes through exactly one of the helpers below so that
-// (a) the cross-domain meets fire on every update, (b) the constant
-// generation counter driving the incremental scan stays coherent, and (c)
-// Verify can assume the stored state is closed under the meets. Direct
-// writes to the fact arrays outside these helpers are rejected by the
-// `rangefact` vet analyzer.
+// (a) a constant is checked against the signal's other facts, and (b) the
+// constant generation counter driving the incremental scan stays coherent.
+// Direct writes to the fact arrays outside these helpers are rejected by
+// the `rangefact` vet analyzer.
 
-// setConst records a constant fact (constants also have a singleton
-// interval, and are nonzero when the value is).
+// setConst records a constant fact (constants are nonzero when the value
+// is).
 func (st *AbsState) setConst(id int, v ff.Element) bool {
 	if st.isConst[id] {
 		return false
 	}
-	s := st.sys.Field().Signed(v)
-	if iv := st.ival[id]; iv != nil && !iv.Contains(s) {
+	f := st.sys.Field()
+	if st.isBool[id] && !v.IsZero() && !f.IsOne(v) {
 		st.recordConflict(-1, id,
-			fmt.Sprintf("signal %s is pinned to %v but its established range is %s", st.sys.Name(id), s, iv))
+			fmt.Sprintf("signal %s is pinned to %v but its established range is %s", st.sys.Name(id), f.Signed(v), boolRange))
 	}
 	if st.nonzero[id] && v.IsZero() {
 		st.recordConflict(-1, id,
@@ -217,21 +211,18 @@ func (st *AbsState) setConst(id int, v ff.Element) bool {
 	st.isConst[id] = true
 	st.constVal[id] = v
 	st.constGen++
-	st.ival[id] = intervalOfConst(st.sys.Field(), v)
 	if !v.IsZero() {
 		st.nonzero[id] = true
 	}
 	return true
 }
 
-// recordBool records a booleanness fact and seeds the interval domain with
-// [0, 1].
-func (st *AbsState) recordBool(id, ci int) bool {
+// recordBool records a booleanness fact.
+func (st *AbsState) recordBool(id int) bool {
 	if st.isBool[id] {
 		return false
 	}
 	st.isBool[id] = true
-	st.recordInterval(id, boolInterval(), ci)
 	return true
 }
 
@@ -249,40 +240,10 @@ func (st *AbsState) recordConflict(ci, id int, msg string) {
 	st.conflicts = append(st.conflicts, Conflict{Constraint: ci, Signal: id, Msg: msg})
 }
 
-// recordInterval meets a derived interval fact into the state. The update
-// is applied only when it strictly tightens the stored interval; an empty
-// meet records a conflict instead. Cross-domain closure: a singleton
-// promotes to a constant, and an interval excluding 0 implies nonzero.
-func (st *AbsState) recordInterval(id int, iv *Interval, ci int) bool {
-	if st.isConst[id] {
-		return false
-	}
-	cur := st.ival[id]
-	if cur == nil {
-		cur = st.full
-	}
-	m, ok := cur.meet(iv)
-	if !ok {
-		st.recordConflict(ci, id,
-			fmt.Sprintf("derived range %s for signal %s contradicts its established range %s", iv, st.sys.Name(id), cur))
-		return false
-	}
-	if !cur.tightens(m) {
-		return false
-	}
-	st.ival[id] = m
-	if m.IsSingleton() {
-		st.setConst(id, st.sys.Field().FromBig(m.Lo))
-	} else if !m.ContainsZero() {
-		st.recordNonzero(id)
-	}
-	return true
-}
-
-// ivOf returns the signal's interval, falling back to the full signed range
+// ivOf returns the signal's range, falling back to the full signed range
 // (the trivially-true interval every signal satisfies).
 func (st *AbsState) ivOf(id int) *Interval {
-	if iv := st.ival[id]; iv != nil {
+	if iv := st.Interval(id); iv != nil {
 		return iv
 	}
 	return st.full
@@ -292,7 +253,7 @@ func (st *AbsState) ivOf(id int) *Interval {
 
 // window returns the exact integer range [lo, hi] of q's value over signed
 // representatives — coefficients taken signed, each variable ranging over
-// its interval (the full signed range when it has none) — and whether some
+// its range (the full signed range when it has none) — and whether some
 // multiple of p lies in it. In a satisfying assignment q ≡ 0 (mod p), so a
 // window without a multiple of p admits no solution.
 func (st *AbsState) window(q *poly.Quad) (lo, hi *big.Int, admits bool) {
@@ -312,25 +273,32 @@ func (st *AbsState) window(q *poly.Quad) (lo, hi *big.Int, admits bool) {
 	return lo, hi, ceilDiv(lo, st.pMod).Cmp(floorDiv(hi, st.pMod)) <= 0
 }
 
-// checkWindows records a conflict for every constraint whose residual value
-// window, under the final intervals, contains no multiple of p: the
-// established ranges exclude every solution of that constraint. It runs
-// once, after the fixpoint, since no rule reads these conflicts. A residual
-// none of whose variables carries an interval fact is skipped: a variable
-// without one spans the full signed range, which widens the window to at
-// least p − 1 and so always admits a multiple of p, and a variable-free
-// nonzero residual is a constant-replay failure (Verify layer 1), not a
-// range one.
+// checkWindows records a conflict for every constraint whose residual
+// reduces to a nonzero constant, or whose value window under the final
+// ranges contains no multiple of p: the established facts exclude every
+// solution of that constraint. It runs once, after the fixpoint, since no
+// rule reads these conflicts. The residuals hold no constant signal, so a
+// residual none of whose variables is boolean is skipped: a variable
+// without a range spans the full signed range, which widens the window to
+// at least p − 1 and so always admits a multiple of p.
 func (st *AbsState) checkWindows() {
+	f := st.sys.Field()
 	for ci, q := range st.residual {
+		if c, ok := q.IsConst(); ok {
+			if !c.IsZero() {
+				st.recordConflict(ci, -1,
+					fmt.Sprintf("constraint #%d reduces to the nonzero constant %s once the proven constants are substituted", ci, f.String(c)))
+			}
+			continue
+		}
 		info := false
 		q.Lin().VisitTerms(func(x int, _ ff.Element) {
-			if st.ival[x] != nil {
+			if st.isBool[x] {
 				info = true
 			}
 		})
 		q.VisitQuadTerms(func(p poly.VarPair, _ ff.Element) {
-			if st.ival[p.X] != nil || st.ival[p.Y] != nil {
+			if st.isBool[p.X] || st.isBool[p.Y] {
 				info = true
 			}
 		})
@@ -423,9 +391,19 @@ func (st *AbsState) Const(id int) (ff.Element, bool) {
 	return st.constVal[id], st.isConst[id]
 }
 
-// Interval returns a signal's proven signed-representative range (nil when
-// unknown). The result must not be mutated.
-func (st *AbsState) Interval(id int) *Interval { return st.ival[id] }
+// Interval returns a signal's proven signed-representative range: the
+// singleton of a constant, [0, 1] for a boolean, nil otherwise. The result
+// must not be mutated.
+func (st *AbsState) Interval(id int) *Interval {
+	switch {
+	case st.isConst[id]:
+		v := st.sys.Field().Signed(st.constVal[id])
+		return &Interval{Lo: v, Hi: v}
+	case st.isBool[id]:
+		return boolRange
+	}
+	return nil
+}
 
 // Nonzero reports whether a signal is proven ≠ 0 in every satisfying
 // assignment.
@@ -447,18 +425,6 @@ func (st *AbsState) NumDetermined() int {
 	n := 0
 	for id := 1; id < st.sys.NumSignals(); id++ {
 		if st.Determined(id) {
-			n++
-		}
-	}
-	return n
-}
-
-// NumInterval counts signals with a non-trivial interval fact (excluding
-// the constant-one signal).
-func (st *AbsState) NumInterval() int {
-	n := 0
-	for id, iv := range st.ival {
-		if id != r1cs.OneID && iv != nil {
 			n++
 		}
 	}

@@ -48,12 +48,12 @@ func AnalyzeProgram(prog *circom.Program, opts *Options) *Lint {
 	return l
 }
 
-// detectRangeViolation surfaces the abstract interpreter's range conflicts:
-// a constraint (or a per-signal meet) whose established value sets admit no
-// solution. Since every range fact is a theorem about satisfying
-// assignments, a conflict proves the system unsatisfiable — either a
-// constraint forces a signal outside its decomposition/tag range (the
-// array-bounds-style defect) or the circuit admits no witness at all.
+// detectRangeViolation surfaces the abstract interpreter's conflicts: a
+// boolean signal pinned to another constant, or a constraint whose
+// established facts admit no solution. Since every fact is a theorem about
+// satisfying assignments, a conflict proves the system unsatisfiable —
+// either a constraint forces a signal outside its decomposition/tag range
+// (the array-bounds-style defect) or the circuit admits no witness at all.
 func detectRangeViolation(sys *r1cs.System, l *Lint) {
 	for _, c := range l.Abs.Conflicts() {
 		loc := r1cs.SourceLoc{}
@@ -89,18 +89,16 @@ func detectOverflowProneSum(sys *r1cs.System, l *Lint) {
 		if !q.IsLinear() {
 			continue
 		}
+		// The range-bounded terms are the non-constant booleans: c·x with
+		// x ∈ [0, 1] spans |c|.
 		extent := new(big.Int)
 		bounded := 0
 		q.Lin().VisitTerms(func(v int, coeff ff.Element) {
-			if v == r1cs.OneID {
+			if !l.Abs.isBool[v] || l.Abs.isConst[v] {
 				return
 			}
-			iv := l.Abs.Interval(v)
-			if iv == nil || iv.IsSingleton() {
-				return
-			}
-			lo, hi := termRange(f.Signed(coeff), iv)
-			extent.Add(extent, new(big.Int).Sub(hi, lo))
+			c := f.Signed(coeff)
+			extent.Add(extent, c.Abs(c))
 			bounded++
 		})
 		if bounded < 2 || extent.Cmp(p) < 0 {

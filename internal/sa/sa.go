@@ -1,8 +1,8 @@
 // Package sa is the circuit static-analysis pass: cheap, solver-free
 // structural reasoning over an R1CS, independent of the SMT-driven core
 // analysis. It labels the connected components of the constraint graph,
-// runs an abstract interpretation over F_p (constant propagation, a boolean
-// domain and range domains), and checks input→output reachability. Which
+// runs an abstract interpretation over F_p (constant propagation, boolean
+// and nonzero domains, and value ranges derived from them), and checks input→output reachability. Which
 // signals are determined by the inputs it reads from internal/uniq's
 // propagation, the rules core's verdicts use, so there is one
 // determinedness engine.
@@ -70,7 +70,7 @@ type Finding struct {
 	// SignalID is the offending signal's ID (0 when Signal == "").
 	SignalID int `json:"signal_id,omitempty"`
 	// Constraint is the index of the offending constraint (-1 if none).
-	Constraint int `json:"constraint,omitempty"`
+	Constraint int `json:"constraint"`
 	// Loc points at the circom source when location metadata survived
 	// compilation (template:line:col), rendered empty otherwise.
 	Loc string `json:"loc,omitempty"`
@@ -141,8 +141,7 @@ func analyze(sys *r1cs.System, o Options) (*Result, *Graph) {
 	as := o.Obs.Start(span, "sa.absint")
 	abs := Interpret(sys)
 	as.End(obs.KV("consts", abs.NumConst()), obs.KV("bools", abs.NumBool()),
-		obs.KV("determined", abs.NumDetermined()),
-		obs.KV("intervals", abs.NumInterval()), obs.KV("nonzero", abs.NumNonzero()),
+		obs.KV("determined", abs.NumDetermined()), obs.KV("nonzero", abs.NumNonzero()),
 		obs.KV("conflicts", len(abs.Conflicts())))
 
 	res := &Result{Abs: abs}

@@ -459,6 +459,26 @@ func TestFindingStringAndSeverityOrder(t *testing.T) {
 	}
 }
 
+// A finding at constraint #0 keeps its "constraint" key, and a finding with
+// no constraint renders it as -1: the key is never omitted.
+func TestFindingJSONConstraint(t *testing.T) {
+	for _, tc := range []struct {
+		cons int
+		want string
+	}{
+		{0, `"constraint":0,`},
+		{-1, `"constraint":-1,`},
+	} {
+		b, err := json.Marshal(Finding{Detector: "d", SeverityName: "warning", Constraint: tc.cons, Message: "m"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(string(b), tc.want) {
+			t.Errorf("constraint %d renders as %s, want %s", tc.cons, b, tc.want)
+		}
+	}
+}
+
 func signalByName(t *testing.T, sys *r1cs.System, name string) int {
 	t.Helper()
 	for id := 1; id < sys.NumSignals(); id++ {

@@ -345,7 +345,7 @@ func TestNum2Bits254SumExtentIsPMinusOne(t *testing.T) {
 			return
 		}
 		c := f.Signed(coeff)
-		extent.Add(extent, new(big.Int).Mul(new(big.Int).Abs(c), iv.Width()))
+		extent.Add(extent, new(big.Int).Mul(new(big.Int).Abs(c), new(big.Int).Sub(iv.Hi, iv.Lo)))
 		if p.Bit(f.ToBig(coeff).BitLen()-1) == 1 {
 			aliased.Add(aliased, c)
 		}

@@ -2,20 +2,15 @@ package sa
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
-// The signal-tag lattice, à la Circom tags: a compact, human-oriented view
-// of the abstract state. Where the interval domain carries exact per-signal
-// sets, tags name the handful of shapes circuit authors reason
-// in — `binary`, `maxbit(k)`, `nonzero`, `const` — and flow through the
-// constraints simply because the underlying domains do. Detectors
-// (overflow-prone-sum, nonzero-divisor-proved) and the lint renderers key
-// on tags rather than raw intervals, so messages read like the Circom tag
-// system the author already knows.
+// The signal tags, à la Circom tags: a compact, human-oriented view of the
+// abstract state. Tags name the shapes circuit authors reason in — `const`,
+// `binary` and `nonzero`, one per stored domain — so finding messages read
+// like the Circom tag system the author already knows.
 
-// TagKind enumerates the tag lattice's generators.
+// TagKind enumerates the tags.
 type TagKind int
 
 // Tag kinds, ordered from most to least specific for rendering.
@@ -25,17 +20,13 @@ const (
 	TagConst TagKind = iota
 	// TagBinary marks a signal proven ∈ {0,1}.
 	TagBinary
-	// TagMaxBit marks a signal proven ∈ [0, 2^K − 1].
-	TagMaxBit
 	// TagNonZero marks a signal proven ≠ 0 in every satisfying assignment.
 	TagNonZero
 )
 
-// Tag is one lattice element attached to a signal.
+// Tag is one tag attached to a signal.
 type Tag struct {
 	Kind TagKind
-	// K is the bit bound for TagMaxBit (unused otherwise).
-	K int
 }
 
 // String renders the tag in Circom tag syntax.
@@ -45,8 +36,6 @@ func (t Tag) String() string {
 		return "const"
 	case TagBinary:
 		return "binary"
-	case TagMaxBit:
-		return fmt.Sprintf("maxbit(%d)", t.K)
 	case TagNonZero:
 		return "nonzero"
 	default:
@@ -56,22 +45,18 @@ func (t Tag) String() string {
 
 // TagsOf derives the tag set of a signal from the final abstract state, in
 // canonical (Kind-ascending) order. Subsumed tags are dropped: a constant
-// is not additionally tagged binary, and binary subsumes maxbit(1).
+// is tagged neither binary nor nonzero.
 func (st *AbsState) TagsOf(id int) []Tag {
-	var tags []Tag
 	if st.isConst[id] {
-		tags = append(tags, Tag{Kind: TagConst})
-	} else if st.isBool[id] {
-		tags = append(tags, Tag{Kind: TagBinary})
-	} else if iv := st.ival[id]; iv != nil {
-		if k, ok := iv.maxBits(); ok {
-			tags = append(tags, Tag{Kind: TagMaxBit, K: k})
-		}
+		return []Tag{{Kind: TagConst}}
 	}
-	if st.Nonzero(id) && !st.isConst[id] {
+	var tags []Tag
+	if st.isBool[id] {
+		tags = append(tags, Tag{Kind: TagBinary})
+	}
+	if st.nonzero[id] {
 		tags = append(tags, Tag{Kind: TagNonZero})
 	}
-	sort.Slice(tags, func(i, j int) bool { return tags[i].Kind < tags[j].Kind })
 	return tags
 }
 
