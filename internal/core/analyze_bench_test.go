@@ -5,6 +5,8 @@ import (
 
 	"qed2/internal/bench"
 	"qed2/internal/core"
+	"qed2/internal/gen"
+	"qed2/internal/r1cs"
 )
 
 // BenchmarkAnalyzeNoQuery times core.Analyze on suite circuits decided
@@ -35,3 +37,29 @@ func BenchmarkAnalyzeNoQuery(b *testing.B) {
 }
 
 var sinkReport *core.Report
+
+// BenchmarkAnalyzeCorpus times core.Analyze on generated corpus circuits,
+// the workload whose time goes into many small slice queries: seeds 1–8 of
+// the safe and the unsafe profile, analyzed at the golden budgets. Each
+// iteration analyzes all sixteen.
+func BenchmarkAnalyzeCorpus(b *testing.B) {
+	for _, profile := range []string{gen.ProfileSafe, gen.ProfileUnsafe} {
+		var systems []*r1cs.System
+		for seed := int64(1); seed <= 8; seed++ {
+			c, err := gen.Generate(gen.Spec{Seed: seed, Profile: profile})
+			if err != nil {
+				b.Fatal(err)
+			}
+			systems = append(systems, c.System)
+		}
+		cfg := &core.Config{QuerySteps: 20_000, GlobalSteps: 400_000, Seed: 1, Workers: 1}
+		b.Run(profile, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for _, sys := range systems {
+					sinkReport = core.Analyze(sys, cfg)
+				}
+			}
+		})
+	}
+}

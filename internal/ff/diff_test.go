@@ -470,3 +470,47 @@ func TestSignedHelpersMatchSignedBig(t *testing.T) {
 		})
 	}
 }
+
+// randFromRef is RandFrom's contract in big.Int terms: a small field
+// rejects every draw at or above the largest multiple of p below 2^64 and
+// reduces the first one below it; a large field reads (bitLen+127)/64 draws
+// as one big-endian number and reduces it mod p.
+func randFromRef(f *Field, src RandSource) *big.Int {
+	p := f.Modulus()
+	if p.IsUint64() {
+		bound := p.Uint64()
+		limit := (^uint64(0) / bound) * bound
+		for {
+			if v := src.Uint64(); v < limit {
+				return new(big.Int).SetUint64(v % bound)
+			}
+		}
+	}
+	v := new(big.Int)
+	for i := 0; i < (p.BitLen()+127)/64; i++ {
+		v.Lsh(v, 64)
+		v.Or(v, new(big.Int).SetUint64(src.Uint64()))
+	}
+	return v.Mod(v, p)
+}
+
+// TestRandFromMatchesBigReference checks that RandFrom returns the
+// reference value from the same draws, and consumes the same number of
+// them, on every differential field and a 62-bit prime.
+func TestRandFromMatchesBigReference(t *testing.T) {
+	fields := append(diffFields(t), MustFieldFromString("4611686018427387847")) // largest prime < 2^62
+	for _, f := range fields {
+		t.Run(f.Name(), func(t *testing.T) {
+			got, ref := rand.New(rand.NewSource(0x5eed)), rand.New(rand.NewSource(0x5eed))
+			for i := 0; i < 2000; i++ {
+				g, w := f.ToBig(f.RandFrom(got)), randFromRef(f, ref)
+				if g.Cmp(w) != 0 {
+					t.Fatalf("draw %d: RandFrom = %v, reference %v", i, g, w)
+				}
+			}
+			if g, w := got.Uint64(), ref.Uint64(); g != w {
+				t.Fatalf("RandFrom consumed a different number of draws: next %#x, reference %#x", g, w)
+			}
+		})
+	}
+}

@@ -392,14 +392,17 @@ func (f *Field) RandFrom(src RandSource) Element {
 			}
 		}
 	}
+	// The draw is nWords words read as one big-endian number v, and the
+	// result is v mod p. Horner's rule computes it in the field, one word at
+	// a time: p > 2^64 here, so each word and the shift 2^64 are already
+	// reduced.
 	nWords := (f.bitLen + 127) / 64 // 64 extra bits drown the modulo bias
-	v := new(big.Int)
-	word := new(big.Int)
+	shift := f.Double(f.FromUint64(1 << 63))
+	var v Element
 	for i := 0; i < nWords; i++ {
-		v.Lsh(v, 64)
-		v.Or(v, word.SetUint64(src.Uint64()))
+		v = f.Add(f.Mul(v, shift), f.FromUint64(src.Uint64()))
 	}
-	return f.FromBig(v.Mod(v, f.p))
+	return v
 }
 
 // --- square roots & quadratic residues ------------------------------------

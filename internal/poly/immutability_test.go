@@ -42,7 +42,7 @@ func TestOperandsImmutable(t *testing.T) {
 			ca, cb, crepl := copyLC(a), copyLC(b), copyLC(repl)
 			cqa, cqb, cqh := copyQuad(qa), copyQuad(qb), copyQuad(qh)
 
-			expr, _ := a.SolveFor(x)
+			expr, _ := a.SolveFor(x, f.MustInv)
 			ops := []struct {
 				name string
 				run  func() any

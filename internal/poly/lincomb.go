@@ -325,8 +325,10 @@ func (lc *LinComb) Substitute(x int, repl *LinComb) *LinComb {
 
 // SolveFor rewrites the equation lc = 0 as x = expr when the coefficient of
 // x is nonzero, returning expr (which does not mention x). ok is false when
-// x does not occur in lc.
-func (lc *LinComb) SolveFor(x int) (expr *LinComb, ok bool) {
+// x does not occur in lc. inv returns the inverse of a nonzero element: the
+// solver passes one memoized per query, since it divides by the same few
+// pivot coefficients over and over.
+func (lc *LinComb) SolveFor(x int, inv func(ff.Element) ff.Element) (expr *LinComb, ok bool) {
 	i := lc.find(x)
 	if i < 0 {
 		return nil, false
@@ -336,8 +338,30 @@ func (lc *LinComb) SolveFor(x int) (expr *LinComb, ok bool) {
 	if c == lc.f.Neg(lc.f.One()) {
 		return &LinComb{f: lc.f, konst: lc.konst, terms: lc.without(i)}, true
 	}
-	scale := lc.f.Neg(lc.f.MustInv(c))
+	scale := lc.f.Neg(inv(c))
 	return &LinComb{f: lc.f, konst: lc.f.Mul(lc.konst, scale), terms: scaleTerms(lc.f, lc.terms, i, scale)}, true
+}
+
+// Ratio reports whether lc = k·other for a nonzero constant k, both sides
+// mentioning a variable, and returns k: the ratio of the coefficients of
+// other's first variable. inv inverts a nonzero element. The terms are
+// compared in place, so nothing is allocated.
+func (lc *LinComb) Ratio(other *LinComb, inv func(ff.Element) ff.Element) (ff.Element, bool) {
+	if len(lc.terms) == 0 || len(lc.terms) != len(other.terms) || lc.terms[0].v != other.terms[0].v {
+		return ff.Element{}, false
+	}
+	f := lc.f
+	k := f.Mul(lc.terms[0].c, inv(other.terms[0].c))
+	if lc.konst != f.Mul(other.konst, k) {
+		return ff.Element{}, false
+	}
+	for i, t := range lc.terms[1:] {
+		o := other.terms[i+1]
+		if t.v != o.v || t.c != f.Mul(o.c, k) {
+			return ff.Element{}, false
+		}
+	}
+	return k, true
 }
 
 // Equal reports structural equality (same field, same coefficients).

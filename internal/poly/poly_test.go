@@ -164,7 +164,7 @@ func TestSolveFor(t *testing.T) {
 	f := f97
 	// 3*x0 + 5*x1 + 7 = 0  =>  x0 = (-5*x1 - 7)/3
 	lc := Term(f, 0, elt(f, 3)).AddTerm(1, elt(f, 5)).AddConst(elt(f, 7))
-	expr, ok := lc.SolveFor(0)
+	expr, ok := lc.SolveFor(0, f.MustInv)
 	if !ok {
 		t.Fatal("SolveFor failed")
 	}
@@ -177,7 +177,7 @@ func TestSolveFor(t *testing.T) {
 			t.Fatalf("solved x0 does not satisfy equation (x1=%v)", x1)
 		}
 	}
-	if _, ok := lc.SolveFor(9); ok {
+	if _, ok := lc.SolveFor(9, f.MustInv); ok {
 		t.Error("SolveFor(absent) succeeded")
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math/big"
+	"slices"
+	"strings"
 	"testing"
 
 	"qed2/internal/ff"
@@ -279,5 +281,30 @@ func TestSymRejects(t *testing.T) {
 	// A valid foreign sym (no hint column) is fine.
 	if _, err := ParseBinaryWithSym(bin, []byte("1,1,-1,main.a\n2,2,-1,main.b\n")); err != nil {
 		t.Errorf("plain 4-column sym rejected: %v", err)
+	}
+}
+
+// TestSymLongLines checks the sym scanner's line bounds: its first buffer
+// is sized to the input, a line longer than that still parses, and a line
+// over the 4 MiB cap is rejected.
+func TestSymLongLines(t *testing.T) {
+	sys := binTestSystem(t)
+	bin := sys.MarshalBinary()
+	long := "main." + strings.Repeat("x", 100<<10)
+	for _, sym := range []string{
+		"1,1,-1," + long + "\n2,2,-1,main.b\n",
+		"1,1,-1,main.a\n2,2,-1," + long, // unterminated last line
+	} {
+		got, err := ParseBinaryWithSym(bin, []byte(sym))
+		if err != nil {
+			t.Fatalf("sym with a 100 KiB name rejected: %v", err)
+		}
+		if !slices.Contains([]string{got.Name(1), got.Name(2)}, long) {
+			t.Errorf("100 KiB name lost: signals named %.20q, %.20q", got.Name(1), got.Name(2))
+		}
+	}
+	huge := "1,1,-1,main." + strings.Repeat("x", maxSymLine) + "\n"
+	if _, err := ParseBinaryWithSym(bin, []byte(huge)); err == nil {
+		t.Error("sym line over 4 MiB accepted")
 	}
 }

@@ -28,6 +28,9 @@ import (
 // maxSymLines bounds the sym table, matching the signal cap of Parse.
 const maxSymLines = maxParseSignals
 
+// maxSymLine bounds one sym line: the table is outside input.
+const maxSymLine = 1 << 22
+
 // parseSym decodes a .sym table into label→name and label→hinted maps.
 // A nil input yields nil maps (synthesized names). Lines with wire -1
 // (signals optimized out of the wire space) are kept: labels, not wires,
@@ -38,8 +41,11 @@ func parseSym(data []byte) (names map[uint64]string, hints map[uint64]bool, err 
 	}
 	names = map[uint64]string{}
 	hints = map[uint64]bool{}
+	// The first buffer fits the input (plus the byte that lets the scanner
+	// see the end of an unterminated last line), so a small table does not
+	// pay for a 64 KiB one; a longer line grows it up to maxSymLine.
 	sc := bufio.NewScanner(bytes.NewReader(data))
-	sc.Buffer(make([]byte, 1<<16), 1<<22)
+	sc.Buffer(make([]byte, min(len(data)+1, 1<<16)), maxSymLine)
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++

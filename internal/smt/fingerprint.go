@@ -118,7 +118,7 @@ func equalModScale(a, b *poly.Quad) bool {
 }
 
 // quadSet is a set of polynomials modulo nonzero scaling: the structure
-// behind equation deduplication and derivePairs' derived-equation memory.
+// behind equation deduplication and derivePairs' duplicate check.
 // Membership is decided by exact equalModScale confirmation within a
 // fingerprint bucket, so hash collisions cannot drop equations.
 type quadSet struct {
@@ -130,8 +130,7 @@ func newQuadSet() *quadSet {
 }
 
 // add inserts q, reporting whether it was absent. Stored polynomials are
-// never mutated afterwards (Quad operations are persistent), so clones may
-// share them.
+// never mutated afterwards (Quad operations are persistent).
 func (s *quadSet) add(q *poly.Quad) bool {
 	fp := quadShapeFingerprint(q)
 	for _, m := range s.buckets[fp] {
@@ -141,14 +140,6 @@ func (s *quadSet) add(q *poly.Quad) bool {
 	}
 	s.buckets[fp] = append(s.buckets[fp], q)
 	return true
-}
-
-func (s *quadSet) clone() *quadSet {
-	out := &quadSet{buckets: make(map[uint64][]*poly.Quad, len(s.buckets))}
-	for k, v := range s.buckets {
-		out.buckets[k] = append([]*poly.Quad(nil), v...)
-	}
-	return out
 }
 
 // expandEq returns the polynomial A·B − C of an equation, the canonical

@@ -29,7 +29,7 @@ func TestProportionalDetection(t *testing.T) {
 		{x, poly.ConstInt(f, 3), 0, false},
 	}
 	for i, c := range cases {
-		k, ok := proportional(f, c.a, c.b)
+		k, ok := c.a.Ratio(c.b, f.MustInv)
 		if ok != c.ok {
 			t.Errorf("case %d: ok=%v want %v", i, ok, c.ok)
 			continue

@@ -22,7 +22,7 @@ package smt
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"qed2/internal/ff"
 	"qed2/internal/poly"
@@ -71,25 +71,18 @@ func (p *Problem) AddNeq(l *poly.LinComb) {
 
 // Vars returns every variable mentioned in the problem, ascending.
 func (p *Problem) Vars() []int {
-	seen := map[int]bool{}
+	var out []int
+	add := func(v int, _ ff.Element) { out = append(out, v) }
 	for _, e := range p.Eqs {
-		for _, lc := range []*poly.LinComb{e.A, e.B, e.C} {
-			for _, v := range lc.Vars() {
-				seen[v] = true
-			}
-		}
+		e.A.VisitTerms(add)
+		e.B.VisitTerms(add)
+		e.C.VisitTerms(add)
 	}
 	for _, n := range p.Neqs {
-		for _, v := range n.Vars() {
-			seen[v] = true
-		}
+		n.VisitTerms(add)
 	}
-	out := make([]int, 0, len(seen))
-	for v := range seen {
-		out = append(out, v)
-	}
-	sort.Ints(out)
-	return out
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // Model is a satisfying assignment, defined on every variable of the

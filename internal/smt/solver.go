@@ -3,6 +3,7 @@ package smt
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"sort"
 	"time"
 
@@ -227,7 +228,11 @@ type solver struct {
 	opts Options
 	// rng draws enumeration probes; probeRNG creates it on first use, since
 	// most queries never enumerate and seeding it is not free.
-	rng    *rand.Rand
+	rng *rand.Rand
+	// invs memoizes field inverses for this Solve call: a query divides by
+	// the same few pivot coefficients over and over, and a BN254 inversion
+	// costs far more than a map lookup.
+	invs   map[ff.Element]ff.Element
 	steps  int64
 	eff    Effort
 	reason string
@@ -294,49 +299,50 @@ func (s *solver) step() bool {
 	return true
 }
 
-// subEntry records the elimination x := expr; expr references only
-// never-eliminated variables (the invariant is maintained by addSub).
+// subEntry is one link of the elimination chain: v := expr, recorded after
+// the eliminations of prev. expr never names a variable eliminated earlier
+// in the chain (those were substituted out of every constraint before expr
+// was read off one), but it may name one eliminated later: completeModel
+// evaluates the chain newest first, so such a variable has its value by
+// then. Entries are never written after creation, so states share chains.
 type subEntry struct {
 	v    int
 	expr *poly.LinComb
+	prev *subEntry
 }
 
 type state struct {
 	f    *ff.Field
 	eqs  []Equation
 	neqs []*poly.LinComb
-	subs []subEntry
+	// subs is the newest link of the elimination chain (nil when empty).
+	subs *subEntry
 	// complete is false once an incomplete enumeration influenced this
 	// branch; UNSAT conclusions then degrade to Unknown.
 	complete bool
 	// freeHint lists the problem's original variables (model domain).
 	freeHint []int
-	// derived remembers (as a fingerprinted set modulo scaling) the
-	// difference equations already added on this branch, so pair derivation
-	// terminates.
-	derived *quadSet
+	// derived records that pair derivation ran on this lineage; it runs
+	// once, so the difference equations it adds are not derived again.
+	derived bool
 }
 
-// clone copies the state shallowly: the slices are fresh (both sides
-// overwrite elements in place), but the LinComb values and expansion memos
-// they point at are shared, which is safe because poly values are
-// immutable. derived is the one in-place-mutable structure (a fingerprint
-// set) and is deep-copied.
+// clone copies the state shallowly: the constraint slices are fresh (both
+// sides overwrite elements in place), but the LinComb values, expansion
+// memos and the elimination chain they point at are shared, which is safe
+// because none of them is ever written after creation.
 func (st *state) clone() *state {
-	out := &state{f: st.f, complete: st.complete, freeHint: st.freeHint}
+	out := *st
 	out.eqs = append([]Equation(nil), st.eqs...)
 	out.neqs = append([]*poly.LinComb(nil), st.neqs...)
-	out.subs = append([]subEntry(nil), st.subs...)
-	if st.derived != nil {
-		out.derived = st.derived.clone()
-	}
-	return out
+	return &out
 }
 
 // addSub eliminates variable v by the linear expression expr (not
-// mentioning v), rewriting every constraint and earlier elimination. An
-// equation that does not mention v keeps its sides (Substitute returns the
-// receiver) and so its expansion memo; one that does is rebuilt without it.
+// mentioning v), rewriting every constraint; earlier links of the chain
+// keep naming v (see subEntry). An equation that does not mention v keeps
+// its sides (Substitute returns the receiver) and so its expansion memo;
+// one that does is rebuilt without it.
 func (st *state) addSub(v int, expr *poly.LinComb) {
 	for i := range st.eqs {
 		e := &st.eqs[i]
@@ -348,10 +354,7 @@ func (st *state) addSub(v int, expr *poly.LinComb) {
 	for i := range st.neqs {
 		st.neqs[i] = st.neqs[i].Substitute(v, expr)
 	}
-	for i := range st.subs {
-		st.subs[i].expr = st.subs[i].expr.Substitute(v, expr)
-	}
-	st.subs = append(st.subs, subEntry{v: v, expr: expr})
+	st.subs = &subEntry{v: v, expr: expr, prev: st.subs}
 }
 
 // assignVar is addSub with a constant.
@@ -424,7 +427,7 @@ func (s *solver) propagate(st *state) (bool, bool) {
 				break
 			}
 			v := pickPivot(st, lin)
-			expr, _ := lin.SolveFor(v)
+			expr, _ := lin.SolveFor(v, s.inverse)
 			st.addSub(v, expr)
 			s.eff.Eliminations++
 			acted = true
@@ -447,9 +450,9 @@ func linearView(f *ff.Field, e Equation) (*poly.LinComb, bool, bool) {
 	case aOk && bOk:
 		lin = e.C.AddConst(f.Neg(f.Mul(aConst, bConst))).Neg() // a·b − C = 0 → C − a·b = 0 (sign irrelevant)
 	case aOk:
-		lin = e.B.Scale(aConst).Sub(e.C)
+		lin = scaleBy(f, e.B, aConst).Sub(e.C)
 	case bOk:
-		lin = e.A.Scale(bConst).Sub(e.C)
+		lin = scaleBy(f, e.A, bConst).Sub(e.C)
 	default:
 		// Both factors non-constant: never linear. F_p[x] is an integral
 		// domain, so the product of the nonzero homogeneous linear parts of
@@ -464,6 +467,15 @@ func linearView(f *ff.Field, e Equation) (*poly.LinComb, bool, bool) {
 		return nil, true, false
 	}
 	return lin, true, false
+}
+
+// scaleBy returns k·lc, or lc itself when k is one: every branch equation
+// has the form 1·l = 0.
+func scaleBy(f *ff.Field, lc *poly.LinComb, k ff.Element) *poly.LinComb {
+	if k == f.One() {
+		return lc
+	}
+	return lc.Scale(k)
 }
 
 func constOf(lc *poly.LinComb) (ff.Element, bool) {
@@ -548,12 +560,12 @@ func (s *solver) branch(st *state, depth int) (resultKind, Model) {
 		if !ok {
 			continue
 		}
-		k, ok := proportional(s.f, e.A, e.B)
+		k, ok := e.A.Ratio(e.B, s.inverse)
 		if !ok {
 			continue
 		}
 		st.eqs = append(st.eqs[:i], st.eqs[i+1:]...)
-		r, exists := s.f.Sqrt(s.f.Mul(c, s.f.MustInv(k)))
+		r, exists := s.f.Sqrt(s.f.Mul(c, s.inverse(k)))
 		if !exists {
 			if st.complete {
 				return rUnsat, nil
@@ -630,10 +642,11 @@ func (s *solver) branch(st *state, depth int) (resultKind, Model) {
 // at the root — so it cannot blow up the search. Reports whether anything
 // was added.
 func (s *solver) derivePairs(st *state) bool {
-	if st.derived != nil || len(st.eqs) > maxDeriveEqs {
+	if st.derived || len(st.eqs) > maxDeriveEqs {
 		return false
 	}
-	st.derived = newQuadSet()
+	st.derived = true
+	seen := newQuadSet()
 	type half struct{ factor, other, c *poly.LinComb }
 	views := func(e Equation) []half {
 		return []half{
@@ -660,7 +673,7 @@ func (s *solver) derivePairs(st *state) bool {
 					}
 					ne := Equation{A: diff, B: hi.factor, C: cDiff}
 					ne.q = expandEq(ne)
-					if !st.derived.add(ne.q) {
+					if !seen.add(ne.q) {
 						continue
 					}
 					st.eqs = append(st.eqs, ne)
@@ -778,25 +791,6 @@ func soleVar(e Equation) (x int, ok bool) {
 	return x, x >= 0
 }
 
-// proportional reports whether A = k·B for a nonzero constant k, with both
-// sides non-constant.
-func proportional(f *ff.Field, a, b *poly.LinComb) (ff.Element, bool) {
-	if a.IsConst() || b.IsConst() {
-		return ff.Element{}, false
-	}
-	v := b.Vars()[0]
-	b0 := b.Coeff(v)
-	a0 := a.Coeff(v)
-	if a0.IsZero() {
-		return ff.Element{}, false
-	}
-	k := f.Mul(a0, f.MustInv(b0))
-	if !a.Sub(b.Scale(k)).IsZero() {
-		return ff.Element{}, false
-	}
-	return k, true
-}
-
 // quadraticRoots solves q2·x² + q1·x + q0 = 0 (q2 ≠ 0), returning the roots
 // or exists=false when the discriminant is a non-residue.
 func quadraticRoots(f *ff.Field, q2, q1, q0 ff.Element) ([]ff.Element, bool) {
@@ -847,20 +841,17 @@ func (s *solver) enumerate(st *state, depth int) (resultKind, Model) {
 	} else {
 		// Roots of every single-variable factor in the system: each zeroes
 		// a product side and typically collapses its equation to linear.
-		seen := map[assignKey]bool{}
+		// The list stays short (about 20), so a scan deduplicates it.
 		add := func(v int, val ff.Element) {
-			k := assignKey{v: v, val: val}
-			if !seen[k] {
-				seen[k] = true
-				candidates = append(candidates, assignCand{v: v, val: val})
+			c := assignCand{v: v, val: val}
+			if !slices.Contains(candidates, c) {
+				candidates = append(candidates, c)
 			}
 		}
 		for _, e := range st.eqs {
-			for _, lc := range []*poly.LinComb{e.A, e.B} {
+			for _, lc := range [...]*poly.LinComb{e.A, e.B} {
 				if v, ok := lc.IsSingleVar(); ok {
-					if expr, ok := lc.SolveFor(v); ok {
-						add(v, expr.Constant())
-					}
+					add(v, s.root(lc))
 				}
 			}
 		}
@@ -905,13 +896,6 @@ func (s *solver) enumerate(st *state, depth int) (resultKind, Model) {
 	return rUnknown, nil
 }
 
-// assignKey identifies a candidate assignment; Element is comparable, so the
-// dedup set needs no string rendering.
-type assignKey struct {
-	v   int
-	val ff.Element
-}
-
 // pickEnumVar chooses the enumeration variable. Variables that occur as a
 // single-variable product factor are strongly preferred: zeroing such a
 // factor (the "vanishing denominator" pattern behind most real
@@ -953,11 +937,9 @@ func (s *solver) pickEnumVar(st *state) int {
 // constants, roots of single-variable factors mentioning x, and
 // deterministic pseudo-random probes.
 func (s *solver) heuristicCandidates(st *state, x int) []ff.Element {
-	seen := map[ff.Element]bool{}
 	var out []ff.Element
 	add := func(v ff.Element) {
-		if !seen[v] {
-			seen[v] = true
+		if !slices.Contains(out, v) {
 			out = append(out, v)
 		}
 	}
@@ -968,11 +950,9 @@ func (s *solver) heuristicCandidates(st *state, x int) []ff.Element {
 	// Roots of factors that are single-variable in x: values that zero a
 	// product side.
 	for _, e := range st.eqs {
-		for _, lc := range []*poly.LinComb{e.A, e.B} {
+		for _, lc := range [...]*poly.LinComb{e.A, e.B} {
 			if v, ok := lc.IsSingleVar(); ok && v == x {
-				if expr, ok := lc.SolveFor(x); ok {
-					add(expr.Constant())
-				}
+				add(s.root(lc))
 			}
 		}
 	}
@@ -981,6 +961,26 @@ func (s *solver) heuristicCandidates(st *state, x int) []ff.Element {
 		add(s.f.RandFrom(rng))
 	}
 	return out
+}
+
+// root returns the value of x that zeroes the single-variable combination
+// lc = c·x + d, namely −d/c.
+func (s *solver) root(lc *poly.LinComb) ff.Element {
+	x, _ := lc.IsSingleVar()
+	return s.f.Neg(s.f.Mul(lc.Constant(), s.inverse(lc.Coeff(x))))
+}
+
+// inverse returns 1/c for a nonzero c, through the per-query memo.
+func (s *solver) inverse(c ff.Element) ff.Element {
+	if r, ok := s.invs[c]; ok {
+		return r
+	}
+	r := s.f.MustInv(c)
+	if s.invs == nil {
+		s.invs = map[ff.Element]ff.Element{}
+	}
+	s.invs[c] = r
+	return r
 }
 
 // probeRNG returns the probe generator, seeding it on first use.
@@ -996,7 +996,7 @@ func (s *solver) probeRNG() *rand.Rand {
 func (s *solver) completeModel(st *state) (Model, bool) {
 	model := Model{}
 	eliminated := map[int]bool{}
-	for _, e := range st.subs {
+	for e := st.subs; e != nil; e = e.prev {
 		eliminated[e.v] = true
 	}
 	// Free variables: everything in the problem domain not eliminated.
@@ -1025,8 +1025,7 @@ func (s *solver) completeModel(st *state) (Model, bool) {
 		for _, n := range neqs {
 			vars := n.Vars()
 			if len(vars) == 1 && vars[0] == v {
-				root, _ := n.SolveFor(v)
-				forbidden[root.Constant()] = true
+				forbidden[s.root(n)] = true
 			}
 		}
 		val, ok := s.pickValueAvoiding(forbidden)
@@ -1046,10 +1045,11 @@ func (s *solver) completeModel(st *state) (Model, bool) {
 			return nil, false
 		}
 	}
-	// Materialize eliminated variables from the substitution chain.
+	// Materialize eliminated variables from the elimination chain, newest
+	// first: each link's expr names only free variables and variables
+	// eliminated after it, which are valued by then.
 	at := func(x int) ff.Element { return model.Eval(x) }
-	for i := len(st.subs) - 1; i >= 0; i-- {
-		e := st.subs[i]
+	for e := st.subs; e != nil; e = e.prev {
 		model[e.v] = e.expr.Eval(at)
 	}
 	return model, true
