@@ -238,10 +238,13 @@ func (lc *LinComb) Neg() *LinComb {
 	return out
 }
 
-// Scale returns k·lc for a field constant k.
+// Scale returns k·lc for a field constant k; lc itself when k is one.
 func (lc *LinComb) Scale(k ff.Element) *LinComb {
-	if k.IsZero() {
+	switch {
+	case k.IsZero():
 		return NewLinComb(lc.f)
+	case k == lc.f.One():
+		return lc
 	}
 	return &LinComb{f: lc.f, konst: lc.f.Mul(lc.konst, k), terms: scaleTerms(lc.f, lc.terms, -1, k)}
 }

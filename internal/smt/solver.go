@@ -450,9 +450,9 @@ func linearView(f *ff.Field, e Equation) (*poly.LinComb, bool, bool) {
 	case aOk && bOk:
 		lin = e.C.AddConst(f.Neg(f.Mul(aConst, bConst))).Neg() // a·b − C = 0 → C − a·b = 0 (sign irrelevant)
 	case aOk:
-		lin = scaleBy(f, e.B, aConst).Sub(e.C)
+		lin = e.B.Scale(aConst).Sub(e.C)
 	case bOk:
-		lin = scaleBy(f, e.A, bConst).Sub(e.C)
+		lin = e.A.Scale(bConst).Sub(e.C)
 	default:
 		// Both factors non-constant: never linear. F_p[x] is an integral
 		// domain, so the product of the nonzero homogeneous linear parts of
@@ -467,15 +467,6 @@ func linearView(f *ff.Field, e Equation) (*poly.LinComb, bool, bool) {
 		return nil, true, false
 	}
 	return lin, true, false
-}
-
-// scaleBy returns k·lc, or lc itself when k is one: every branch equation
-// has the form 1·l = 0.
-func scaleBy(f *ff.Field, lc *poly.LinComb, k ff.Element) *poly.LinComb {
-	if k == f.One() {
-		return lc
-	}
-	return lc.Scale(k)
 }
 
 func constOf(lc *poly.LinComb) (ff.Element, bool) {
